@@ -8,7 +8,7 @@ message-preserving and cheap; their cost is a fixed per-message latency.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..sim.channel import Channel
 from ..sim.events import Event
@@ -27,13 +27,19 @@ class PipeEnd:
         self.sim = sim
         self._channel = channel
         self.writable = writable
+        #: Called with no arguments each time a message lands in the pipe
+        #: (a reader that sleeps between polls uses it as its doorbell).
+        self.on_send: Optional[Callable[[], None]] = None
 
     def send(self, msg: Any):
         """Sub-generator: write one message."""
         if not self.writable:
             raise RuntimeError("send on the read end of a pipe")
         yield self.sim.timeout(PIPE_LATENCY)
-        yield self._channel.send(msg)
+        sent = self._channel.send(msg)
+        if self.on_send is not None:
+            self.on_send()
+        yield sent
 
     def recv(self) -> Event:
         """Event that succeeds with the next message."""
@@ -102,8 +108,11 @@ class DuplexPipe:
         def closed(self) -> bool:
             return self._out.closed or self._in.closed
 
-    def __init__(self, sim: "Simulator", name: str = "dpipe"):
+    def __init__(self, sim: "Simulator", name: str = "dpipe",
+                 on_a_message: Optional[Callable[[], None]] = None):
         fwd = UnixPipe(sim, name=f"{name}.fwd")
         bwd = UnixPipe(sim, name=f"{name}.bwd")
+        # ``on_a_message`` rings each time ``b`` sends toward ``a``.
+        bwd.write_end.on_send = on_a_message
         self.a = DuplexPipe.Endpoint(fwd.write_end, bwd.read_end)
         self.b = DuplexPipe.Endpoint(bwd.write_end, fwd.read_end)

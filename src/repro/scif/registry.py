@@ -1,15 +1,18 @@
 """RDMA window registration.
 
 ``scif_register()`` pins a memory range and returns an *offset* — the
-address used by the RDMA verbs. Offsets are allocated from a per-OS counter
-that never resets, so re-registering the same buffer after a process is
-restored yields a *different* offset. That detail forces Snapify's
-(old, new) address lookup table (§4.3), and our tests exercise it.
+address used by the RDMA verbs. Offsets are allocated from one counter per
+simulator that never resets, so re-registering the same buffer after a
+process is restored yields a *different* offset, on any card. That detail
+forces Snapify's (old, new) address lookup table (§4.3), and our tests
+exercise it. The counter is shared by every OS of the simulator because the
+table chains old offsets to new ones across restores: a process that moves
+mic1 -> mic2 -> mic0 must never be handed an offset it held on an earlier
+card, or the chain closes into a cycle.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from ..hw.node import ServerNode
@@ -22,26 +25,27 @@ _PAGE = 4096
 
 
 class RdmaRegistry:
-    """Per-OS allocator of RDMA window offsets."""
+    """Per-simulator allocator of RDMA window offsets."""
 
-    def __init__(self, os: "OSInstance"):
-        self.os = os
-        self._next = itertools.count(0x1_0000)
+    def __init__(self):
+        #: First page of the next window.
+        self._next = 0x1_0000
 
     @staticmethod
     def of(os: "OSInstance") -> "RdmaRegistry":
-        reg = getattr(os, "rdma_registry", None)
+        """The registry shared by every OS of ``os``'s simulator."""
+        sim = os.sim
+        reg = getattr(sim, "rdma_registry", None)
         if reg is None:
-            reg = RdmaRegistry(os)
-            os.rdma_registry = reg  # type: ignore[attr-defined]
+            reg = RdmaRegistry()
+            sim.rdma_registry = reg  # type: ignore[attr-defined]
         return reg
 
     def allocate_offset(self, nbytes: int) -> int:
         pages = max(1, (nbytes + _PAGE - 1) // _PAGE)
-        base = next(self._next)
-        # Advance past the window so offsets never collide.
-        for _ in range(pages):
-            next(self._next)
+        base = self._next
+        # Skip past the window plus one guard page so offsets never collide.
+        self._next = base + pages + 1
         return base * _PAGE
 
 

@@ -255,6 +255,20 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def at(self, when: float, value: Any = None) -> Event:
+        """Event that succeeds at the absolute simulated time ``when``.
+
+        ``timeout(when - now)`` need not land on ``when`` bit for bit (the
+        subtraction and re-addition round), so a thread rejoining a time
+        grid it computed itself waits on this instead. Same-time entries
+        order by sequence number, exactly as :meth:`schedule` orders them.
+        """
+        if when < self.now:
+            raise ValueError(f"at({when!r}) is in the past (now={self.now!r})")
+        ev = Event(self, name="at")
+        heappush(self._heap, (when, next(self._seq), ev.succeed, (value,)))
+        return ev
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))
 

@@ -11,7 +11,7 @@ back to the requesting host processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..blcr import DeltaImage, cr_restart, cr_restore_context, reassemble
 from ..coi.buffer import localstore_path as buffer_localstore_path
@@ -23,6 +23,7 @@ from ..osim.process import SimProcess
 from ..osim import signals as sig
 from ..scif.endpoint import ScifEndpoint
 from ..sim.errors import SimError
+from ..sim.events import Event
 from ..snapify_io.library import snapifyio_open
 from . import constants as c
 
@@ -75,10 +76,16 @@ class SnapifyService:
         self.active: Dict[Any, ActiveRequest] = {}
         self.monitor_running = False
         self.monitor_spawn_count = 0
+        #: Pending while the monitor sleeps through idle ticks; ``kick``
+        #: triggers it. ``None`` whenever the monitor is awake.
+        self.wake: Optional[Event] = None
         reg = MetricsRegistry.of(self.sim)
         self.m_spawns = reg.counter("snapify.monitor.spawns")
         self.m_relays = reg.counter("snapify.monitor.relays")
         reg.gauge("snapify.monitor.active_requests", lambda: len(self.active))
+        # An offload process exiting on this card may turn a request into
+        # a ``crashed`` relay.
+        daemon.phi_os.exit_watchers.append(lambda _proc: self.kick())
 
     @staticmethod
     def of(daemon: COIDaemon) -> "SnapifyService":
@@ -93,6 +100,7 @@ class SnapifyService:
         """Per the paper: "Whenever a request is received and no monitor
         thread exists, the daemon creates a new monitor thread." """
         if self.monitor_running:
+            self.kick()  # a new or re-pointed request for the sleeping monitor
             return
         self.monitor_running = True
         self.monitor_spawn_count += 1
@@ -101,8 +109,28 @@ class SnapifyService:
                             active=len(self.active))
         self.daemon.proc.spawn_thread(self._monitor(), name="snapify-monitor", daemon=True)
 
+    def kick(self) -> None:
+        """Wake the monitor if it sleeps: something may be there to relay."""
+        wake, self.wake = self.wake, None
+        if wake is not None:
+            wake.succeed()
+
     def _monitor(self):
+        """Poll the active pipes every ``MONITOR_POLL_INTERVAL``, sleeping
+        through the ticks that would find nothing.
+
+        A tick that relays nothing parks on :attr:`wake` instead of
+        scheduling the next one. Only a pipe message, an offload exit or a
+        new request can give a later tick work, and each of those kicks the
+        monitor, which then resumes at the first tick of the polling grid
+        strictly after the kick. That is the tick at which a loop that never
+        slept would first have found the work, so every relay keeps its
+        simulated time and order.
+        """
+        sim = self.sim
+        interval = c.MONITOR_POLL_INTERVAL
         while self.active:
+            relayed = False
             by_pid: Dict[int, list] = {}
             for key, req in list(self.active.items()):
                 by_pid.setdefault(key[0], []).append((key, req))
@@ -117,6 +145,7 @@ class SnapifyService:
                 if ok:
                     key, req = self._match(reqs, msg)
                     yield from self._relay(key, req, msg)
+                    relayed = True
                     continue
                 # Unexpected death of the offload process while operations
                 # are in flight: tell every host instead of letting it hang.
@@ -130,9 +159,22 @@ class SnapifyService:
                              "reason": f"offload pid {pid} died during {req.op}",
                              "op_id": key[1]},
                         )
-            yield self.sim.timeout(c.MONITOR_POLL_INTERVAL)
+                        relayed = True
+            if relayed:
+                yield sim.timeout(interval)
+                continue
+            last = sim.now
+            self.wake = sim.event("snapify-monitor-wake")
+            yield self.wake
+            # Rebuild the grid with the same float additions the polling
+            # loop's timeouts make. A kick landing exactly on a tick came
+            # after that tick had polled and found nothing.
+            t = last + interval
+            while t <= sim.now:
+                t += interval
+            yield sim.at(t)
         self.monitor_running = False
-        self.sim.trace.emit("monitor.exit", daemon=self.daemon.proc.name)
+        sim.trace.emit("monitor.exit", daemon=self.daemon.proc.name)
 
     @staticmethod
     def _match(reqs, msg):
@@ -193,7 +235,8 @@ def _handle_pause_init(daemon: COIDaemon, svc: SnapifyService, ep, msg):
     entry = _entry(daemon, msg["pid"])
     sp = daemon.sim.trace.span("daemon.pause_init", parent=msg.get("span", 0),
                                pid=msg["pid"], proc=daemon.proc.name)
-    pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{msg['pid']}")
+    pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{msg['pid']}",
+                      on_a_message=svc.kick)
     entry.pipe = pipe.a
     entry.offload_proc.runtime["snapify_pipe_pending"] = pipe.b
     agent_thread = entry.offload_proc.deliver_signal(sig.SIGSNAPIFY)
@@ -355,7 +398,8 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
         if buf_id in buffers:
             buffers[buf_id]["path"] = dst
 
-    pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{proc.pid}")
+    pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{proc.pid}",
+                      on_a_message=svc.kick)
     proc.runtime["snapify_pipe_pending"] = pipe.b
     listening = daemon.sim.event(f"listening:{proc.name}")
     proc.runtime["listening"] = listening

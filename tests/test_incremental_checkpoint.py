@@ -310,6 +310,34 @@ def test_restore_from_nfs_demoted_chain():
     assert counters(server.sim).get("memtier.hits.nfs", 0) >= 1
 
 
+@pytest.mark.parametrize("incremental", [False, True])
+def test_restores_hop_across_every_card(incremental):
+    """A process swapped out and restored onto mic1, mic2, mic0 twice over
+    keeps a usable buffer handle: RDMA offsets are unique per simulator, so
+    the (old, new) address table never chains back into a cycle."""
+    from repro.check import check_all
+
+    server = XeonPhiServer(params=paper_testbed(phis_per_node=3))
+    env = launch(server)
+    buf = env["buf"]
+
+    def driver(sim):
+        coiproc, acc = env["coiproc"], 0
+        for hop, card in enumerate((1, 2, 0, 1, 2, 0)):
+            snap = snapify_t(f"/snap/hop{hop}", coiproc=coiproc, incremental=incremental)
+            yield from capture_sequence(snap, terminate=True)
+            coiproc = yield from snapify_restore(snap, server.engine(card), env["host_proc"])
+            yield from snapify_resume(snap)
+            assert coiproc.offload_proc.os is server.phi_os(card)
+            yield from coiproc.buffer_write(buf, payload=hop + 1)
+            acc += hop + 1
+            assert (yield from coiproc.run_function("step", {"buf": buf.buf_id})) == acc
+        return coiproc
+
+    server.run(driver(server.sim))
+    assert check_all(server) == []
+
+
 # ---------------------------------------------------------------------------
 # Fleet plumbing: demotion tickets and health-sweep re-homing
 # ---------------------------------------------------------------------------

@@ -127,3 +127,24 @@ def test_monitor_lifecycle_is_traced():
     reg = MetricsRegistry.of(server.sim)
     assert reg.counter("snapify.monitor.spawns").value == 1
     assert reg.counter("snapify.monitor.relays").value >= 2  # complete + ack
+
+
+def test_stuck_request_drains_the_heap_and_is_flagged():
+    """A paused app that is never resumed leaves its request active. The
+    monitor sleeps on its wake event instead of polling, so the heap drains
+    long before the horizon and the oracle names the stuck request."""
+    from repro.check import check_all
+
+    server = XeonPhiServer()
+    procs = launch_two(server)
+    svc = SnapifyService.of(COIDaemon.of(server.node.phis[0]))
+    server.run(snapify_pause(snapify_t(snapshot_path="/snap/stuck", coiproc=procs[0])))
+    assert len(svc.active) == 1 and svc.monitor_running
+
+    horizon = server.now + 1000.0
+    assert server.sim.run(until=horizon) < horizon
+    assert not server.sim._heap
+    [monitor] = [t for t in server.sim.threads
+                 if t.name.endswith("/snapify-monitor") and t.alive]
+    assert svc.wake is not None and monitor.blocked_on is svc.wake
+    assert "monitor_quiescent" in {v.oracle for v in check_all(server)}

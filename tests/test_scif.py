@@ -6,6 +6,7 @@ from repro.hw import GB, MB, HardwareParams, ServerNode
 from repro.osim import boot_node
 from repro.scif import (
     ConnectionReset,
+    RdmaRegistry,
     ScifError,
     ScifNetwork,
     scif_register,
@@ -315,3 +316,26 @@ def test_endpoint_pending_counts_undelivered_messages():
     sim.spawn(client(sim))
     sim.run()
     assert state["pending"] == 2
+
+
+def test_offset_sequence_is_pinned():
+    """Each window takes its pages plus one guard page from the counter,
+    which starts at page 0x10000."""
+    sim, node, net, host, phis = make_env()
+    reg = RdmaRegistry.of(host)
+    offsets = [reg.allocate_offset(n) for n in (1, 4096, 4097, GB, 1)]
+    assert offsets == [
+        0x1_0000 * 4096,
+        0x1_0002 * 4096,
+        0x1_0004 * 4096,
+        0x1_0007 * 4096,
+        (0x1_0007 + GB // 4096 + 1) * 4096,
+    ]
+
+
+def test_offsets_are_unique_across_every_os_of_a_simulator():
+    sim, node, net, host, phis = make_env(phis=3)
+    regs = {id(RdmaRegistry.of(os)) for os in (host, *phis)}
+    assert len(regs) == 1
+    offsets = [RdmaRegistry.of(os).allocate_offset(MB) for os in (*phis, host, *phis)]
+    assert len(set(offsets)) == len(offsets)

@@ -363,6 +363,45 @@ def test_negative_timeout_rejected():
         sim.timeout(-1)
 
 
+def test_at_fires_at_exactly_when():
+    """``at`` lands on its absolute time bit for bit, where a timeout of
+    ``when - now`` rounds past it."""
+    sim = Simulator()
+    when = 1.1 + 2.2  # 3.3000000000000003
+
+    def worker(sim):
+        yield sim.timeout(0.7)
+        assert repr(sim.now + (when - sim.now)) != repr(when)
+        value = yield sim.at(when, "tick")
+        return value, sim.now
+
+    t = sim.spawn(worker(sim))
+    sim.run()
+    value, fired = t.done.value
+    assert value == "tick"
+    assert repr(fired) == repr(when)
+
+
+def test_at_orders_same_time_entries_by_sequence():
+    sim = Simulator()
+    order = []
+    sim.schedule(2.0, order.append, "before")
+    sim.at(2.0).add_callback(lambda ev: order.append("at"))
+    sim.schedule(2.0, order.append, "after")
+    sim.timeout(2.0).add_callback(lambda ev: order.append("timeout"))
+    sim.run()
+    assert order == ["before", "at", "after", "timeout"]
+
+
+def test_at_rejects_the_past():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError, match="in the past"):
+        sim.at(0.5)
+    sim.at(sim.now)  # the present is fine
+
+
 def test_determinism_same_schedule_twice():
     def build_and_run():
         sim = Simulator()

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import OPENMP_BENCHMARKS, OffloadApplication
-from repro.coi import COIEngine, OffloadBinary, OffloadFunction
+from repro.coi import COIDaemon, COIEngine, OffloadBinary, OffloadFunction
 from repro.hw import MB
 from repro.snapify import (
     SnapifyError,
@@ -18,6 +18,7 @@ from repro.snapify import (
     snapify_wait,
 )
 from repro.snapify.constants import localstore_path
+from repro.snapify.monitor import SnapifyService
 from repro.snapify.usecases import snapify_migration, snapify_swapout
 from repro.testbed import XeonPhiServer
 
@@ -44,21 +45,26 @@ def launch(server, buffer_mb=64):
 
 
 def test_offload_death_during_capture_raises_not_hangs():
-    server = XeonPhiServer()
-    env = launch(server)
-    coiproc = env["coiproc"]
+    for crash_after in (0.002, 0.01):
+        server = XeonPhiServer()
+        env = launch(server)
+        coiproc = env["coiproc"]
+        svc = SnapifyService.of(COIDaemon.of(server.node.phis[0]))
 
-    def driver(sim):
-        yield from snapify_pause(snap := snapify_t("/f/s1", coiproc=coiproc))
-        yield from snapify_capture(snap, terminate=False)
-        # The card process crashes while BLCR streams the context out.
-        yield sim.timeout(0.01)
-        coiproc.offload_proc.terminate(code=139)
-        with pytest.raises(SnapifyError, match="died during"):
-            yield from snapify_wait(snap)
-        return "surfaced"
+        def driver(sim):
+            yield from snapify_pause(snap := snapify_t("/f/s1", coiproc=coiproc))
+            yield from snapify_capture(snap, terminate=False)
+            # The card process crashes while BLCR streams the context out,
+            # and while the daemon's monitor sleeps with nothing to relay:
+            # the exit itself must wake it.
+            yield sim.timeout(crash_after)
+            assert svc.wake is not None
+            coiproc.offload_proc.terminate(code=139)
+            with pytest.raises(SnapifyError, match="died during"):
+                yield from snapify_wait(snap)
+            return "surfaced"
 
-    assert server.run(driver(server.sim)) == "surfaced"
+        assert server.run(driver(server.sim)) == "surfaced"
 
 
 def test_pause_on_dead_process_raises_immediately():
