@@ -254,7 +254,7 @@ def wl_incremental_checkpoint(n_epochs=5, buffer_mb=64):
                 region.write(offset, span)
             result = yield from capture_sequence(snap)
             delta_cost.append(capture_cost(result))
-            frac.append(result.delta_bytes / result.logical_bytes)
+            frac.append(result.delta_bytes / result.image_bytes)
         return full_cost, base_cost, delta_cost, frac
 
     full_cost, base_cost, delta_cost, frac = server.run(driver(sim))
@@ -355,9 +355,9 @@ def wl_telemetry_overhead(topology="rack8", ops_per_card=4, interval=0.05):
 
 def wl_plugin_dispatch(iterations=20):
     """The checkpoint-content plugin tax: the same fault-free checkpoint
-    cycle with the builtins-only registry and with every standard content
+    cycle with the default, empty registry and with every standard content
     plugin registered (the app owns none of the plugged resources, so the
-    extras all decline). The registry walk, the agent's drain phase, and
+    plugins all decline). The registry walk, the agent's drain phase, and
     the COI metadata image must together inflate the kernel event count by
     < 2%. The score is the plugins-on run's event count, so dispatch bloat
     shows up both in the assertion and as a throughput regression.

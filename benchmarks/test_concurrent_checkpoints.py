@@ -107,8 +107,8 @@ def test_every_operation_completes_with_its_own_attribution(sweep):
         for r, snap in zip(results, snaps):
             assert r.pid == snap.coiproc.offload_proc.pid
             assert r.snapshot_path == snap.snapshot_path
-            assert r.sizes["offload_snapshot"] > 0
-            assert r.sizes["local_store"] == 16 * MB
+            assert r.image_bytes > 0
+            assert r.localstore_bytes == 16 * MB
 
 
 def test_concurrency_beats_sequential(sweep):

@@ -130,9 +130,13 @@ class OffloadApplication:
                 proc, self.binary, snapify_enabled=self.snapify_enabled
             )
             proc.runtime["coi_handle"] = coiproc
+        if "buf_ids" not in store:
+            # Set-up, or the part of it a snapshot taken mid-set-up missed.
+            # The card's buffer table is the truth: a restored handle holds
+            # every buffer the snapshot caught.
             per_buffer = self.profile.local_store // self.profile.n_buffers
-            buf_ids: List[int] = []
-            for _ in range(self.profile.n_buffers):
+            buf_ids: List[int] = sorted(coiproc.buffers)
+            while len(buf_ids) < self.profile.n_buffers:
                 buf = yield from coiproc.buffer_create(per_buffer)
                 buf_ids.append(buf.buf_id)
             store["buf_ids"] = buf_ids

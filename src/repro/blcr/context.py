@@ -67,14 +67,9 @@ class ProcessContext:
     store: Dict[str, Any]
     regions: List[RegionImage]
     main_factory: Optional[Callable] = None
-    #: .. deprecated:: superseded by ``plugin_images`` (see
-    #:    :class:`~repro.blcr.plugins.COIMetadataPlugin`); kept so legacy
-    #:    captures deserialize. New code should not write to it.
-    annotations: Dict[str, Any] = field(default_factory=dict)
-    #: Ordered images from non-builtin checkpoint plugins (sockets, RAM-FS
-    #: files, signals, RDMA windows, ...). Empty for legacy captures, which
-    #: keeps ``image_bytes``/``write_plan`` — and the golden trace —
-    #: byte-identical when only the built-ins are registered.
+    #: Ordered images from the registered checkpoint plugins (sockets,
+    #: RAM-FS files, signals, RDMA windows, ...). Empty with the default
+    #: registry.
     plugin_images: List["PluginImage"] = field(default_factory=list)
 
     @property
@@ -140,11 +135,9 @@ class ProcessContext:
     ) -> "ProcessContext":
         """Freeze a live process into a context (instantaneous state copy).
 
-        Capture is plugin-driven: each registered plugin's ``pre_checkpoint``
-        freezes its resource. The built-ins (memory regions, store) fold into
-        the legacy context fields; extras append to ``plugin_images``. With
-        the default registry the result is bit-for-bit what the monolithic
-        capture produced.
+        The core image — memory regions and the store — is copied here;
+        each registered plugin's ``pre_checkpoint`` freezes one extra
+        resource into ``plugin_images``.
 
         The caller is responsible for quiescence: Snapify guarantees it via
         the pause protocol, native benchmarks via their own structure. The
@@ -154,20 +147,11 @@ class ProcessContext:
 
         if registry is None:
             registry = PluginRegistry.for_process(proc)
-        ctx = ProcessContext(
+        return ProcessContext(
             name=proc.name,
             nthreads=max(1, len([t for t in proc.threads if t.alive])),
-            store={},
-            regions=[],
+            regions=[RegionImage.from_region(r) for r in proc.regions.values()],
+            store=copy.deepcopy(proc.store),
             main_factory=proc.main_factory,
-            annotations={},
+            plugin_images=registry.capture(proc),
         )
-        for plugin in registry:
-            image = plugin.pre_checkpoint(proc)
-            if image is None:
-                continue
-            if plugin.builtin:
-                plugin.apply_to_context(ctx, image)
-            else:
-                ctx.plugin_images.append(image)
-        return ctx

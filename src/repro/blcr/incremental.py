@@ -139,10 +139,8 @@ class DeltaImage:
     base_versions: Dict[str, Dict[int, int]] = field(default_factory=dict)
     #: Dirty-page payloads (delta images only).
     deltas: List[RegionDelta] = field(default_factory=list)
-    #: Non-builtin plugin images frozen at this link's capture instant
-    #: (sockets, RAM-FS files, signals, RDMA windows, ...). Empty when only
-    #: the built-ins are registered, which keeps every size below identical
-    #: to the pre-plugin model.
+    #: Plugin images frozen at this link's capture instant (sockets, RAM-FS
+    #: files, signals, RDMA windows, ...). Empty with the default registry.
     plugin_images: List[PluginImage] = field(default_factory=list)
     #: Fingerprint of the live process at capture time (ground truth).
     expected: str = ""
@@ -290,9 +288,9 @@ def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
                 )
             )
         nthreads = max(1, len([t for t in proc.threads if t.alive]))
-        # Plugin resources have no dirty bitmap: every delta re-freezes the
-        # extras whole (they are metadata-sized next to memory pages).
-        plugin_images = PluginRegistry.for_process(proc).capture_extras(proc)
+        # Plugin resources have no dirty bitmap: every delta re-freezes them
+        # whole (they are metadata-sized next to memory pages).
+        plugin_images = PluginRegistry.for_process(proc).capture(proc)
         n_small = (
             BASE_SMALL_RECORDS
             + RECORDS_PER_THREAD * nthreads
@@ -394,6 +392,5 @@ def reassemble(images: List[DeltaImage], verify: bool = True) -> ProcessContext:
         store=store,
         regions=[regions[n] for n in order],
         main_factory=main_factory,
-        annotations=dict(head.base.annotations),
         plugin_images=copy.deepcopy(plugin_images),
     )

@@ -19,20 +19,17 @@ registered per OS (or per process) with three hooks:
   resource on the restore target, or raises a typed :class:`PluginError`
   when it cannot (the fail-loud alternative to silent corruption).
 
-The two resources the core always handled — memory regions and the store —
-are the two *built-in* plugins (:class:`MemoryRegionsPlugin`,
-:class:`StorePlugin`). Built-ins serialize into the context's legacy
-``regions``/``store`` fields and contribute zero extra records, so a
-registry holding only built-ins produces a byte-identical stream and an
-unchanged golden trace. Extra plugins are opt-in per OS::
+As in DMTCP, the core image stays in the core: memory regions and the
+store are copied by :meth:`ProcessContext.capture` itself, and a registry
+holds only the plugins for extra resources. The default registry is empty
+and adds nothing to the stream. Plugins are opt-in per OS::
 
     registry = PluginRegistry.of(phi_os)
     registry.register(SocketPlugin())
     registry.register(SignalPlugin())
 
-``ProcessContext.annotations`` is deprecated: COI runtime metadata now
-rides :class:`COIMetadataPlugin` (a one-record thin plugin) instead of the
-raw dict.
+COI runtime metadata rides :class:`COIMetadataPlugin`, a one-record thin
+plugin.
 """
 
 from __future__ import annotations
@@ -44,11 +41,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from ..osim.fd import RegularFileFD
 from ..osim.sockets import SocketError, UnixSocket
 from ..sim.errors import SimError
-from .context import RegionImage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..osim.process import OSInstance, SimProcess
-    from .context import ProcessContext
 
 
 class PluginError(SimError):
@@ -89,8 +84,6 @@ class CheckpointPlugin:
 
     #: Registry key; also recorded in every image this plugin produces.
     name = "plugin"
-    #: Built-ins serialize into the context's legacy fields (see module doc).
-    builtin = False
 
     def pre_pause(self, proc: "SimProcess"):
         """Sub-generator drain hook, run at the DRAINED boundary. Default:
@@ -101,10 +94,6 @@ class CheckpointPlugin:
     def pre_checkpoint(self, proc: "SimProcess") -> Optional[PluginImage]:
         """Freeze this plugin's resource; ``None`` = nothing to capture."""
         return None
-
-    def apply_to_context(self, ctx: "ProcessContext", image: PluginImage) -> None:
-        """Built-ins only: fold the image into the context's legacy fields."""
-        raise NotImplementedError  # pragma: no cover - built-ins override
 
     def post_restart(self, proc: "SimProcess", image: PluginImage, os: "OSInstance"):
         """Sub-generator: rebuild the resource on ``os``; raise a typed
@@ -117,55 +106,20 @@ class CheckpointPlugin:
 
 
 # ---------------------------------------------------------------------------
-# Built-ins: the two resources the monolithic core always captured.
-# ---------------------------------------------------------------------------
-
-
-class MemoryRegionsPlugin(CheckpointPlugin):
-    """Built-in: the process's memory map (regions + their data)."""
-
-    name = "memory"
-    builtin = True
-
-    def pre_checkpoint(self, proc: "SimProcess") -> Optional[PluginImage]:
-        return PluginImage(
-            self.name, records=0,
-            payload=[RegionImage.from_region(r) for r in proc.regions.values()],
-        )
-
-    def apply_to_context(self, ctx: "ProcessContext", image: PluginImage) -> None:
-        ctx.regions = image.payload
-
-
-class StorePlugin(CheckpointPlugin):
-    """Built-in: the process's logical application state (the store)."""
-
-    name = "store"
-    builtin = True
-
-    def pre_checkpoint(self, proc: "SimProcess") -> Optional[PluginImage]:
-        return PluginImage(self.name, records=0, payload=copy.deepcopy(proc.store))
-
-    def apply_to_context(self, ctx: "ProcessContext", image: PluginImage) -> None:
-        ctx.store = image.payload
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
 
 class PluginRegistry:
-    """Ordered set of checkpoint plugins (built-ins first, extras after).
+    """Ordered set of checkpoint plugins, in registration order.
 
     One registry per OS (``PluginRegistry.of(os)``), optionally overridden
     per process through ``proc.runtime["checkpoint_plugins"]``. The default
-    registry holds only the two built-ins, which keeps legacy captures —
-    and the golden trace — byte-identical.
+    registry is empty.
     """
 
     def __init__(self):
-        self._plugins: List[CheckpointPlugin] = [MemoryRegionsPlugin(), StorePlugin()]
+        self._plugins: List[CheckpointPlugin] = []
 
     @staticmethod
     def of(os: "OSInstance") -> "PluginRegistry":
@@ -206,21 +160,17 @@ class PluginRegistry:
     def __len__(self) -> int:
         return len(self._plugins)
 
-    @property
-    def extras(self) -> List[CheckpointPlugin]:
-        return [p for p in self._plugins if not p.builtin]
-
     def drain_plugins(self) -> List[CheckpointPlugin]:
-        """Extras that actually override the ``pre_pause`` drain hook."""
+        """Plugins that actually override the ``pre_pause`` drain hook."""
         return [
-            p for p in self.extras
+            p for p in self._plugins
             if type(p).pre_pause is not CheckpointPlugin.pre_pause
         ]
 
-    def capture_extras(self, proc: "SimProcess") -> List[PluginImage]:
-        """Run every extra plugin's ``pre_checkpoint``; drop empty images."""
+    def capture(self, proc: "SimProcess") -> List[PluginImage]:
+        """Run every plugin's ``pre_checkpoint``; drop empty images."""
         images: List[PluginImage] = []
-        for plugin in self.extras:
+        for plugin in self._plugins:
             image = plugin.pre_checkpoint(proc)
             if image is not None:
                 images.append(image)
@@ -512,8 +462,7 @@ def replay_rdma_windows(proc: "SimProcess", ep):
 class COIMetadataPlugin(CheckpointPlugin):
     """COI runtime metadata, as a thin plugin image.
 
-    Supersedes the deprecated free-form ``ProcessContext.annotations`` dict:
-    the binary name, executed-function count, and issued buffer ids ride a
+    The binary name, executed-function count, and issued buffer ids ride a
     one-record image and land in ``proc.runtime["coi_meta"]`` after restore,
     where the restored CardRuntime (and tests) can audit them.
     """
@@ -555,7 +504,6 @@ def register_standard_plugins(os: "OSInstance") -> PluginRegistry:
 __all__ = [
     "CheckpointPlugin",
     "COIMetadataPlugin",
-    "MemoryRegionsPlugin",
     "PluginError",
     "PluginImage",
     "PluginRegistry",
@@ -565,7 +513,6 @@ __all__ = [
     "SignalPlugin",
     "SocketPlugin",
     "SocketRestoreError",
-    "StorePlugin",
     "register_standard_plugins",
     "replay_rdma_windows",
 ]

@@ -290,7 +290,7 @@ def _concurrent_checkpoint(server, app, injector, phase, faults):
                 f"{snap.snapshot_path}: result attributed to pid {res.pid}, "
                 f"expected {pid}",
             ))
-        if res.sizes.get("offload_snapshot", 0) <= 0:
+        if not res.image_bytes:
             bad.append(Violation(
                 "concurrent_checkpoint",
                 f"{snap.snapshot_path}: empty offload snapshot",

@@ -543,6 +543,8 @@ class COIProcess:
         """Sub-generator: create a COI buffer backed by card local store."""
         self._check_alive()
         buf_id = next(self._buf_ids)
+        while buf_id in self.buffers:  # ids a restored handle inherited
+            buf_id = next(self._buf_ids)
         reply = yield from self.cmd_client.rpc(
             {"type": m.BUFFER_CREATE, "buf_id": buf_id, "size": size}
         )

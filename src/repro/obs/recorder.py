@@ -90,8 +90,6 @@ class FlightRecorder:
         """Latch a failed operation's summary (called from the op machine)."""
         entry = dict(op.describe())
         entry["time"] = getattr(self.sim, "now", 0.0)
-        if getattr(op, "card", None) is not None:
-            entry["card"] = op.card
         self.failures.append(entry)
 
     # -- output -------------------------------------------------------------

@@ -65,7 +65,7 @@ def agent_loop(proc: SimProcess, pipe_end):
         parent = msg.get("span", 0)
         # Echoed in every reply so the daemon's monitor thread can route
         # the status to the operation that requested it.
-        op_id = msg.get("op_id", 0)
+        op_id = msg["op_id"]
         if op == "pause":
             sp = sim.trace.span("agent.pause", parent=parent, proc=proc.name)
             sub = sim.trace.span("agent.quiesce", parent=sp)
@@ -73,9 +73,8 @@ def agent_loop(proc: SimProcess, pipe_end):
             sub.finish()
             # Checkpoint-plugin drain phase: at the DRAINED boundary every
             # registered plugin that overrides pre_pause gets to quiesce its
-            # resource (e.g. wait out in-flight socket datagrams). With only
-            # the built-ins registered this emits nothing — the golden trace
-            # is untouched.
+            # resource (e.g. wait out in-flight socket datagrams). With no
+            # drain hook registered this emits nothing.
             drainers = PluginRegistry.for_process(proc).drain_plugins()
             if drainers:
                 sub = sim.trace.span("agent.plugin_drain", parent=sp,
@@ -232,7 +231,6 @@ def _capture_incremental(proc: SimProcess, pipe_end, msg, op_id: int, sp):
     yield from pipe_end.send(
         {"t": c.CAPTURE_COMPLETE, "image_bytes": image.logical_bytes,
          "delta_bytes": image.delta_bytes, "epoch": image.epoch,
-         "incremental": True, "tier": "memtier",
          "partner": placement.get("partner"), "op_id": op_id,
          "attempts": 1, "channel": "memtier"}
     )

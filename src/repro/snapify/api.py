@@ -15,8 +15,13 @@ Five functions over a ``snapify_t`` handle:
   a given device; returns the new ``COIProcess`` handle (the restored
   process stays blocked until ``snapify_resume``).
 
-Each function records its wall-clock cost in ``snap.timings`` and sizes in
-``snap.sizes`` — the raw material of Figures 10 and 11. When tracing is on,
+Each function records its cost in ``snap.timings`` and sizes in
+``snap.sizes`` — the raw material of Figures 10 and 11. That ledger belongs
+to the handle, and its totals span several operations (a migration's
+swap-out and swap-in). Per-operation outcomes live in the typed
+:class:`~repro.snapify.ops.OperationResult` on ``snap.op.result``, whose
+transfer fields come from the operation's
+:class:`~repro.snapify.ops.Provenance`. When tracing is on,
 each function also opens a :class:`~repro.sim.trace.Span` (parented on
 ``snap.span``, the use-case root) and forwards its span id inside the
 SERVICE message, so the daemon- and agent-side work joins the same causal
@@ -150,9 +155,9 @@ def snapify_pause(snap: snapify_t):
     sub.finish(localstore_bytes=snap.sizes["local_store"])
     snap.timings["pause"] = sim.now - t0
     if done.get("plugins_drained"):
-        # Extra plugins ran their drain hooks at the boundary; record the
-        # count on the DRAINED transition (key absent for built-in-only
-        # registries, so legacy traces are untouched).
+        # Plugins ran their drain hooks at the boundary; record the count
+        # on the DRAINED transition (key absent when none did, which keeps
+        # the golden trace unchanged).
         op.transition(DRAINED, localstore_bytes=snap.sizes["local_store"],
                       plugins_drained=done["plugins_drained"])
     else:
@@ -178,17 +183,12 @@ def snapify_capture(snap: snapify_t, terminate: bool):
     sp = sim.trace.span("snapify.capture", parent=snap.span,
                         pid=coiproc.offload_proc.pid, terminate=terminate,
                         proc=coiproc.host_proc.name)
-    if snap.incremental:
-        op.incremental = True
-        op.transition(CAPTURING_DELTA, terminate=terminate)
-    else:
-        op.transition(CAPTURING, terminate=terminate)
+    op.transition(CAPTURING_DELTA if snap.incremental else CAPTURING,
+                  terminate=terminate)
     msg = {"type": c.SERVICE, "op": c.OP_CAPTURE, "pid": coiproc.offload_proc.pid,
            "path": snap.snapshot_path, "terminate": terminate,
            "span": sp.span_id, "op_id": op.op_id}
     if snap.incremental:
-        # Key present only when set: default captures send the exact message
-        # they always did (golden-trace byte-identity).
         msg["incremental"] = True
     yield from coiproc.daemon_ep.send(msg)
 
@@ -222,21 +222,18 @@ def snapify_capture(snap: snapify_t, terminate: bool):
         snap.sizes["offload_snapshot"] = done.get("image_bytes", 0)
         snap.timings["capture"] = sim.now - t0
         # Transfer provenance from the agent: which channel carried the
-        # snapshot and how many attempts the stream took.
-        op.channel = done.get("channel", op.channel or "snapifyio")
-        op.attempts = done.get("attempts", op.attempts)
-        op.plugin_images = done.get("plugins", 0)
-        if done.get("incremental"):
-            # image_bytes above is the LOGICAL image size; what actually
-            # moved is the delta. Record both — phase/throughput math and
-            # `snapify top` must not misattribute one as the other.
-            op.incremental = True
-            op.delta_bytes = done.get("delta_bytes", 0)
-            op.logical_bytes = done.get("image_bytes", 0)
-            op.tier = done.get("tier")
-            snap.sizes["offload_delta"] = op.delta_bytes
-        shipped = done.get("delta_bytes") if done.get("incremental") \
-            else snap.sizes["offload_snapshot"]
+        # snapshot and how many attempts the stream took. For a delta
+        # capture image_bytes above is the LOGICAL image size and
+        # delta_bytes what actually moved.
+        prov = op.prov
+        prov.channel = done["channel"]
+        prov.attempts = done["attempts"]
+        prov.plugin_images = done.get("plugins", 0)
+        prov.delta_bytes = done.get("delta_bytes")
+        if prov.delta_bytes is None:
+            shipped = snap.sizes["offload_snapshot"]
+        else:
+            shipped = snap.sizes["offload_delta"] = prov.delta_bytes
         op.transition(TRANSFERRING, bytes=shipped)
         sp.finish(bytes=snap.sizes["offload_snapshot"])
         sim.trace.emit("snapify.capture", pid=coiproc.offload_proc.pid,

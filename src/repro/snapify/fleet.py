@@ -29,7 +29,7 @@ results), adapted to the simulated control plane:
 Everything here is layered *on top of* :class:`~repro.snapify.ops.
 OperationManager`: each admitted request ultimately runs an ordinary
 correlated operation, and the finished operation is tagged with the fleet
-key that asked for it (``op.fleet_key``) so fuzz triage and the trace CLI
+key that asked for it (``op.prov.fleet_key``) so fuzz triage and the trace CLI
 can attribute control-plane traffic.  The single-operation path does not
 go through this module at all — a run that never builds a
 :class:`FleetManager` schedules exactly the same events as before (the
@@ -677,7 +677,7 @@ class FleetManager:
         if isinstance(result, OperationResult):
             op = OperationManager.of(self.sim).operations.get(result.op_id)
             if op is not None:
-                op.fleet_key = ticket.key
+                op.prov.fleet_key = ticket.key
         self.in_flight -= 1
         if ticket.card is not None:
             key = ticket.card.key

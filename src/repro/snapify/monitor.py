@@ -54,14 +54,13 @@ class ActiveRequest:
     entry: DaemonEntry
     host_ep: ScifEndpoint
     op: str
+    #: correlation id of the host-side operation; the agent echoes it in
+    #: every status, so concurrent operations on one endpoint demultiplex.
+    op_id: int
     #: capture-only: terminate the offload process once the context is saved.
     terminate_after: bool = False
     #: span id of the host-side API span that issued the request (0 = untraced).
     span_id: int = 0
-    #: correlation id of the host-side operation (0 = legacy/unkeyed); the
-    #: id is echoed in every relayed status so concurrent operations on one
-    #: endpoint demultiplex correctly.
-    op_id: int = 0
 
 
 class SnapifyService:
@@ -178,14 +177,15 @@ class SnapifyService:
 
     @staticmethod
     def _match(reqs, msg):
-        """The (key, request) a pipe message belongs to: by the op id the
-        agent echoed, falling back to the oldest request (legacy/unkeyed)."""
-        target = msg.get("op_id", 0)
-        if target:
-            for key, req in reqs:
-                if key[1] == target:
-                    return key, req
-        return reqs[0]
+        """The (key, request) a pipe message belongs to, by the op id the
+        agent echoed. A message naming no live request is a protocol error."""
+        target = msg.get("op_id")
+        for key, req in reqs:
+            if key[1] == target:
+                return key, req
+        raise SnapifyError(f"pipe status {msg.get('t')!r} names no active "
+                           f"request of pid {reqs[0][0][0]}",
+                           op_id=target, phase="relay")
 
     def _relay(self, key, req: ActiveRequest, msg: Dict[str, Any]):
         """Forward a pipe status message to the requesting host process."""
@@ -193,9 +193,7 @@ class SnapifyService:
         self.m_relays.inc()
         self.sim.trace.emit("monitor.relay", pid=key[0], status=status,
                             span=req.span_id)
-        fwd = dict(msg)
-        fwd.setdefault("op_id", req.op_id)
-        yield from req.host_ep.send(fwd)
+        yield from req.host_ep.send(msg)
         if status == c.CAPTURE_COMPLETE and req.terminate_after:
             # Snapify marks the exit as expected so the daemon does not
             # misclassify the swap-out as a crash (the §3 hazard).
@@ -246,10 +244,9 @@ def _handle_pause_init(daemon: COIDaemon, svc: SnapifyService, ep, msg):
         # thread, it must not count against quiescence.
         agent_thread.daemon = True
     ack = yield pipe.a.recv()
+    op_id = msg["op_id"]
     if ack.get("t") != c.PAUSE_ACK:
-        raise SnapifyError(f"bad pause ack {ack!r}",
-                           op_id=msg.get("op_id") or None, phase="pause")
-    op_id = msg.get("op_id", 0)
+        raise SnapifyError(f"bad pause ack {ack!r}", op_id=op_id, phase="pause")
     svc.active[(msg["pid"], op_id)] = ActiveRequest(
         entry=entry, host_ep=ep, op="pause", span_id=msg.get("span", 0),
         op_id=op_id)
@@ -262,10 +259,10 @@ def _handle_simple_forward(daemon, svc: SnapifyService, ep, msg, pipe_op: str):
     """Forward pause-go / resume to the offload agent over the pipe; the
     monitor thread relays the completion status back to the host."""
     entry = _entry(daemon, msg["pid"])
+    key = (msg["pid"], msg["op_id"])
     if entry.pipe is None:
         raise SnapifyError(f"{pipe_op}: no pipe to pid {msg['pid']} (pause first)",
-                           op_id=msg.get("op_id") or None, phase=pipe_op)
-    key = (msg["pid"], msg.get("op_id", 0))
+                           op_id=key[1], phase=pipe_op)
     req = svc.active.get(key)
     if req is None:
         req = ActiveRequest(entry=entry, host_ep=ep, op=pipe_op, op_id=key[1])
@@ -281,10 +278,9 @@ def _handle_simple_forward(daemon, svc: SnapifyService, ep, msg, pipe_op: str):
 
 def _handle_capture(daemon, svc: SnapifyService, ep, msg):
     entry = _entry(daemon, msg["pid"])
+    key = (msg["pid"], msg["op_id"])
     if entry.pipe is None:
-        raise SnapifyError("capture before pause",
-                           op_id=msg.get("op_id") or None, phase="capture")
-    key = (msg["pid"], msg.get("op_id", 0))
+        raise SnapifyError("capture before pause", op_id=key[1], phase="capture")
     req = svc.active.get(key) or ActiveRequest(entry=entry, host_ep=ep,
                                                op="capture", op_id=key[1])
     req.op, req.host_ep = "capture", ep
@@ -423,13 +419,13 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
         if proc.alive:
             proc.terminate(code=1)
         sp.finish(error=str(exc))
-        yield from ep.send({"t": c.SNAPIFY_FAILED, "op_id": msg.get("op_id", 0),
+        yield from ep.send({"t": c.SNAPIFY_FAILED, "op_id": msg["op_id"],
                             "reason": f"restore: {exc}"})
         return
+    op_id = msg["op_id"]
     if ack.get("t") != c.PAUSE_ACK:
         raise SnapifyError(f"restored agent bad hello: {ack!r}",
-                           op_id=msg.get("op_id") or None, phase="restore")
-    op_id = msg.get("op_id", 0)
+                           op_id=op_id, phase="restore")
     svc.active[(proc.pid, op_id)] = ActiveRequest(
         entry=entry, host_ep=ep, op="restore", span_id=msg.get("span", 0),
         op_id=op_id)

@@ -38,10 +38,14 @@ boilerplate (:func:`repro.obs.phases.operation_timelines`).
 
 Demultiplexing is cooperative, not threaded: ``recv_reply`` elects the
 first caller on an endpoint as the *receiver*; replies addressed to other
-operations are queued on their id and the owners woken. A single
-in-flight operation degenerates to exactly one ``yield ep.recv()`` — the
-same event sequence the un-correlated code produced, which is what keeps
-the golden trace byte-identical for ``schedule_seed=None`` single-op runs.
+operations are queued on their id and the owners woken. Every reply is
+keyed: one that names no known operation is a :class:`SnapifyError`. A
+single in-flight operation degenerates to exactly one ``yield ep.recv()``,
+so a single-op run draws no extra events.
+
+Each operation ends in one frozen, typed :class:`OperationResult`. Its
+transfer fields come from the operation's :class:`Provenance` record,
+which the agent reply, the transfer manager and the fleet fill in.
 """
 
 from __future__ import annotations
@@ -97,9 +101,28 @@ _NEXT = {
 }
 
 
+@dataclass
+class Provenance:
+    """Where an operation's snapshot went, recorded while it runs."""
+
+    #: Transfer channel that carried the snapshot ("snapifyio" | "memtier"
+    #: | "nfs" | "scp"); None for operations that moved no snapshot.
+    channel: Optional[str] = None
+    #: Transfer attempts across all channels (1 = clean first try).
+    attempts: int = 1
+    #: Bytes an incremental capture shipped (dirty pages + metadata); None
+    #: for a full capture.
+    delta_bytes: Optional[int] = None
+    #: Checkpoint-plugin images the captured context carried.
+    plugin_images: int = 0
+    #: The FleetManager ticket key that issued the operation (None for
+    #: directly-driven operations).
+    fleet_key: Optional[str] = None
+
+
 @dataclass(frozen=True)
 class OperationResult:
-    """The typed outcome of one operation (replaces ad-hoc timing dicts)."""
+    """The typed outcome of one operation."""
 
     op_id: int
     kind: str
@@ -113,36 +136,25 @@ class OperationResult:
     finished: float
     #: Simulated seconds spent in each non-terminal state, keyed by state.
     phases: Dict[str, float]
-    #: Legacy instrumentation dicts, snapshotted from the handle at the end.
-    timings: Dict[str, float]
-    sizes: Dict[str, int]
-    #: Which transfer channel carried the snapshot ("snapifyio" | "nfs" |
-    #: "scp"), when known — None for operations that moved no snapshot.
+    #: See :class:`Provenance`.
     channel: Optional[str] = None
-    #: Transfer attempts across all channels (1 = clean first try).
     attempts: int = 1
     #: Card the operation targeted, in fleet key form ("n0.mic1") — the
     #: same key :class:`repro.snapify.fleet.CardRef` uses, so per-card
     #: grouping never silently drops samples. None when no card is known.
     card: Optional[str] = None
-    #: Incremental captures report BOTH sizes: ``delta_bytes`` is what was
-    #: actually shipped (dirty pages + metadata), ``logical_bytes`` the full
-    #: image the delta logically represents. Full captures leave delta_bytes
-    #: None and phase/throughput math keyed on image size must use
-    #: ``shipped_bytes`` — never assume the full image moved.
+    #: See :class:`Provenance`; None for a full capture.
     delta_bytes: Optional[int] = None
-    logical_bytes: Optional[int] = None
-    incremental: bool = False
-    #: Storage tier the snapshot landed in ("memtier" when the in-memory
-    #: partner tier holds it; None for classic channel transfers).
-    tier: Optional[str] = None
-
-    @property
-    def shipped_bytes(self) -> Optional[int]:
-        """Bytes that actually crossed a channel/tier for this snapshot."""
-        if self.delta_bytes is not None:
-            return self.delta_bytes
-        return self.sizes.get("offload_snapshot")
+    #: The offload image size the handle holds when the operation ends:
+    #: what a capture wrote (the full logical image, for a delta capture)
+    #: or what a restore read back. None when the handle never held one.
+    image_bytes: Optional[int] = None
+    #: Local-store bytes the handle's last pause saved.
+    localstore_bytes: Optional[int] = None
+    #: Bytes that actually crossed a channel or tier: ``delta_bytes`` for
+    #: an incremental capture, else ``image_bytes``. Throughput math must
+    #: use this, never assume the full image moved.
+    shipped_bytes: Optional[int] = None
 
     @property
     def elapsed(self) -> float:
@@ -154,9 +166,7 @@ class SnapifyOperation:
 
     __slots__ = ("op_id", "kind", "manager", "snap", "pid", "card", "span_id",
                  "state", "error", "failed_phase", "terminate", "history",
-                 "done", "result", "channel", "attempts", "fleet_key",
-                 "delta_bytes", "logical_bytes", "incremental", "tier",
-                 "plugin_images")
+                 "done", "result", "prov")
 
     def __init__(self, manager: "OperationManager", op_id: int, kind: str,
                  snap: Any = None, span_id: int = 0):
@@ -176,20 +186,7 @@ class SnapifyOperation:
         self.history: List[Tuple[str, float]] = [(REQUESTED, manager.sim.now)]
         self.done = Event(manager.sim, name=f"op{op_id}:{kind}.done")
         self.result: Optional[OperationResult] = None
-        #: Transfer provenance, set by the agent/TransferManager.
-        self.channel: Optional[str] = None
-        self.attempts: int = 1
-        #: Fleet attribution: the FleetManager ticket key that issued this
-        #: operation (None for directly-driven operations).
-        self.fleet_key: Optional[str] = None
-        #: Incremental-capture provenance (set by the completion waiter).
-        self.delta_bytes: Optional[int] = None
-        self.logical_bytes: Optional[int] = None
-        self.incremental: bool = False
-        self.tier: Optional[str] = None
-        #: Number of non-builtin checkpoint-plugin images the captured
-        #: context carried (0 for legacy captures).
-        self.plugin_images: int = 0
+        self.prov = Provenance()
 
     @staticmethod
     def _pid_of(snap: Any) -> int:
@@ -242,10 +239,10 @@ class SnapifyOperation:
             "failed_phase": self.failed_phase,
             "started": self.history[0][1],
         }
-        if self.fleet_key is not None:
-            out["fleet_key"] = self.fleet_key
-        if self.plugin_images:
-            out["plugin_images"] = self.plugin_images
+        if self.prov.fleet_key is not None:
+            out["fleet_key"] = self.prov.fleet_key
+        if self.prov.plugin_images:
+            out["plugin_images"] = self.prov.plugin_images
         return out
 
     # -- transitions --------------------------------------------------------
@@ -293,6 +290,9 @@ class SnapifyOperation:
         phases: Dict[str, float] = {}
         for (st, t0), (_, t1) in zip(self.history, self.history[1:]):
             phases[st.lower()] = phases.get(st.lower(), 0.0) + (t1 - t0)
+        prov = self.prov
+        sizes = getattr(self.snap, "sizes", None) or {}
+        image_bytes = sizes.get("offload_snapshot")
         self.result = OperationResult(
             op_id=self.op_id,
             kind=self.kind,
@@ -305,15 +305,13 @@ class SnapifyOperation:
             started=self.history[0][1],
             finished=sim.now,
             phases=phases,
-            timings=dict(getattr(self.snap, "timings", None) or {}),
-            sizes=dict(getattr(self.snap, "sizes", None) or {}),
-            channel=self.channel,
-            attempts=self.attempts,
+            channel=prov.channel,
+            attempts=prov.attempts,
             card=self.card,
-            delta_bytes=self.delta_bytes,
-            logical_bytes=self.logical_bytes,
-            incremental=self.incremental,
-            tier=self.tier,
+            delta_bytes=prov.delta_bytes,
+            image_bytes=image_bytes,
+            localstore_bytes=sizes.get("local_store"),
+            shipped_bytes=image_bytes if prov.delta_bytes is None else prov.delta_bytes,
         )
         sim.trace.emit("op.end", op=self.op_id, kind=self.kind, state=state,
                        pid=self.pid, card=self.card, error=self.error)
@@ -479,11 +477,12 @@ class OperationManager:
 
         The first operation to ask becomes the endpoint's *receiver* and
         does the actual ``recv``; replies carrying another operation's id
-        are queued for their owner and the owner's park event triggered.
-        Replies with no id (id 0) are legacy/unkeyed and go to whoever
-        received them — exactly the old single-operation behavior. An
-        endpoint death is latched and re-raised to every caller, preserving
-        the documented "lost the COI daemon" error surface.
+        are queued for their owner and the owner's park event triggered. A
+        reply naming no operation this manager issued raises
+        :class:`SnapifyError` instead of reaching whoever happens to be
+        receiving. An endpoint death is latched and re-raised to every
+        caller, preserving the documented "lost the COI daemon" error
+        surface.
         """
         d = self._demux.get(ep.eid)
         if d is None:
@@ -508,9 +507,12 @@ class OperationManager:
                     # any reply owed to them has been queued.
                     d.receiver = None
                     self._wake_waiters(d)
-                target = msg.get("op_id", 0) if isinstance(msg, dict) else 0
-                if target in (0, me):
+                target = msg.get("op_id") if isinstance(msg, dict) else None
+                if target == me:
                     return msg
+                if target not in self.operations:
+                    raise SnapifyError(f"daemon reply names no known operation: {msg!r}",
+                                       op_id=me, phase=op.state)
                 d.pending.setdefault(target, deque()).append(msg)
             else:
                 ev = d.waiters.get(me)

@@ -172,7 +172,7 @@ class TransferManager:
         (never silently) once every channel is exhausted. ``op`` — an
         optional :class:`~repro.snapify.ops.SnapifyOperation` in state
         ``TRANSFERRING`` — gets a ``RETRYING`` round-trip per failed
-        attempt and its ``channel``/``attempts`` fields filled in.
+        attempt and its provenance ``channel``/``attempts`` filled in.
         """
         sim = src_os.sim
         node = self._node_of(src_os)
@@ -211,8 +211,8 @@ class TransferManager:
                     self._mark_transferring(op)
                 else:
                     if op is not None:
-                        op.channel = channel
-                        op.attempts = attempts
+                        op.prov.channel = channel
+                        op.prov.attempts = attempts
                     # Per-channel delivery series (counters only: plain adds,
                     # nothing on the hot path when nobody snapshots them).
                     reg.counter(f"snapifyio.channel.{channel}.files").inc()
@@ -220,7 +220,7 @@ class TransferManager:
                     return TransferOutcome(channel=channel, attempts=attempts,
                                            nbytes=nbytes)
         if op is not None:
-            op.attempts = attempts
+            op.prov.attempts = attempts
         raise TransferFailed(dst_path, attempts, causes)
 
     @staticmethod

@@ -2,6 +2,7 @@
 
 
 from repro.apps import OPENMP_BENCHMARKS, OffloadApplication, expected_checksum
+from repro.check.oracles import check_all
 from repro.snapify import (
     MIGRATE,
     SWAP_IN,
@@ -96,6 +97,37 @@ def test_full_failure_restart_roundtrip():
     server.run(driver(server.sim))
     assert out["store"]["finished"] is True
     assert out["store"]["checksum"] == expected_checksum(10)
+
+
+def test_restart_from_checkpoint_taken_mid_setup():
+    """A checkpoint taken while the program is still creating its buffers
+    restarts into a program that finishes the set-up the snapshot missed."""
+    server = XeonPhiServer()
+    # SS creates eight large buffers: the host snapshot lands between two
+    # of them, with some buffers already on the card.
+    app = OffloadApplication(server, small_profile("SS"), iterations=4)
+
+    def driver(sim):
+        yield from app.launch()
+        while "coi_handle" not in app.host_proc.runtime:
+            yield sim.timeout(1e-3)
+        snap = snapify_t(snapshot_path="/snap/setup", coiproc=app.coiproc)
+        host_ctx = yield from checkpoint_offload_app(snap)
+        assert "buf_ids" not in host_ctx.store
+        assert 0 < len(host_ctx.store["coi_buffers"]) < app.profile.n_buffers
+        app.host_proc.terminate(code=1)
+        yield sim.timeout(0.05)
+        result = yield from restart_offload_app(server.host_os, "/snap/setup",
+                                                server.engine(0))
+        app.host_proc = result.host_proc
+        yield app.host_proc.main_thread.done
+
+    server.run(driver(server.sim))
+    assert app.finished and app.verify()
+    buf_ids = app.host_proc.store["buf_ids"]
+    assert len(set(buf_ids)) == len(buf_ids) == app.profile.n_buffers
+    assert sorted(app.coiproc.buffers) == sorted(buf_ids)
+    assert check_all(server) == []
 
 
 def test_restart_on_other_device_after_failure():

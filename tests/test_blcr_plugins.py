@@ -82,18 +82,19 @@ def roundtrip(host_os, proc, dst_os, path="/t/plug.ctx"):
 def test_default_registry_is_builtins_only_and_plan_is_legacy():
     sim, node, host, phis = make_env()
     registry = PluginRegistry.of(phis[0])
-    assert len(registry) == 2
-    assert registry.extras == []
+    assert len(registry) == 0
     assert PluginRegistry.of(phis[0]) is registry  # cached per OS
 
     def driver():
         proc = yield from spawn_bare(phis[0])
-        return ProcessContext.capture(proc)
+        return proc, ProcessContext.capture(proc)
 
-    ctx = run(sim, driver())
-    # With only built-ins registered nothing rides as a plugin image and
-    # the record count is the pre-plugin formula — the golden trace's
-    # byte-identity depends on this.
+    proc, ctx = run(sim, driver())
+    # The core image is copied by capture itself; with no plugin registered
+    # nothing rides as a plugin image and the record count is the
+    # pre-plugin formula — the golden trace depends on this.
+    assert [r.name for r in ctx.regions] == list(proc.regions)
+    assert ctx.store == proc.store and ctx.store is not proc.store
     assert ctx.plugin_images == []
     assert ctx.n_small_records == (BASE_SMALL_RECORDS
                                    + RECORDS_PER_THREAD * ctx.nthreads
@@ -312,7 +313,7 @@ def test_rdma_windows_refuse_cross_card_migration():
 
 
 # ---------------------------------------------------------------------------
-# COI metadata rides a plugin image, not the annotations dict
+# COI metadata rides a plugin image
 # ---------------------------------------------------------------------------
 
 

@@ -269,7 +269,7 @@ def test_rack32_sweep_hundred_ops_under_admission_caps():
     assert op_results
     mgr_ops = OperationManager.of(fleet.sim).operations
     for key, res in op_results.items():
-        assert mgr_ops[res.op_id].fleet_key == key
+        assert mgr_ops[res.op_id].prov.fleet_key == key
 
 
 def test_fleet_sweep_survives_card_failure():

@@ -171,15 +171,14 @@ def test_incremental_capture_reports_delta_stats():
 
     snap = server.run(driver(server.sim))
     base, delta = results
-    assert base.incremental and delta.incremental
-    assert base.tier == "memtier" and delta.tier == "memtier"
+    assert base.channel == "memtier" and delta.channel == "memtier"
     # Epoch 0 ships the full image; epoch 1 ships only dirty pages.
-    assert base.delta_bytes == base.logical_bytes
-    assert 0 < delta.delta_bytes < delta.logical_bytes
+    assert base.delta_bytes == base.image_bytes
+    assert 0 < delta.delta_bytes < delta.image_bytes
     assert delta.shipped_bytes == delta.delta_bytes
-    # The logical size keeps reporting the full image (trace/top consumers
-    # must use shipped_bytes for transfer math).
-    assert snap.sizes["offload_snapshot"] == delta.logical_bytes
+    # image_bytes keeps reporting the full logical image (trace/top
+    # consumers must use shipped_bytes for transfer math).
+    assert snap.sizes["offload_snapshot"] == delta.image_bytes
     assert snap.sizes["offload_delta"] == delta.delta_bytes
     assert "capturing_delta" in delta.phases
     assert "replicating" in delta.phases
@@ -203,10 +202,35 @@ def test_noninc_capture_has_no_delta_stats():
         return (yield from capture_sequence(snap))
 
     result = server.run(driver(server.sim))
-    assert not result.incremental
-    assert result.delta_bytes is None and result.logical_bytes is None
-    assert result.tier is None
-    assert result.shipped_bytes == result.sizes["offload_snapshot"] > 0
+    assert result.channel == "snapifyio"
+    assert result.delta_bytes is None
+    assert result.shipped_bytes == result.image_bytes > 0
+
+
+def test_results_carry_every_field_the_e2e_benchmark_reads():
+    """``benchmarks/e2e`` reads these OperationResult attributes from full
+    and incremental captures; renaming one must fail here, not first in the
+    benchmark gate."""
+    server = XeonPhiServer()
+    coiproc = launch(server)["coiproc"]
+
+    def driver(sim):
+        full = yield from capture_sequence(snapify_t("/snap/pin_full", coiproc=coiproc))
+        snap = snapify_t("/snap/pin_inc", coiproc=coiproc, incremental=True)
+        yield from capture_sequence(snap)  # epoch 0: the base image
+        dirty_some_pages(coiproc.offload_proc, 0)
+        delta = yield from capture_sequence(snap)
+        return full, delta
+
+    full, delta = server.run(driver(server.sim))
+    for r, channel in ((full, "snapifyio"), (delta, "memtier")):
+        assert r.ok and r.error is None and r.kind == "api"
+        assert r.phases["pausing"] > 0 and r.phases["transferring"] >= 0
+        assert r.channel == channel and r.attempts == 1
+    assert "capturing" in full.phases and "capturing_delta" in delta.phases
+    assert full.delta_bytes is None
+    assert full.shipped_bytes == full.image_bytes > 0
+    assert 0 < delta.delta_bytes == delta.shipped_bytes < delta.image_bytes
 
 
 # ---------------------------------------------------------------------------

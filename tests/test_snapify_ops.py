@@ -11,7 +11,9 @@ fast one completing first) and asserts each handle observed *its own*
 bytes; against the old unkeyed recv the sizes come back swapped.
 
 The rest covers the machine itself (legal path, illegal moves, idempotent
-failure), the typed results, wait/wait_all error aggregation, the
+failure), the typed results, the keyed-only reply rule (a reply or pipe
+status naming no operation is a typed error, never routed to whoever is
+receiving), wait/wait_all error aggregation, the
 two-card ``snapshot_application`` path with per-operation timelines, and
 the ``operations_quiescent`` fuzz oracle.
 """
@@ -32,7 +34,8 @@ from repro.snapify import (
     snapify_wait,
     snapshot_application,
 )
-from repro.snapify.monitor import SnapifyError
+from repro.snapify.constants import CAPTURE_COMPLETE, PAUSE_ACK
+from repro.snapify.monitor import SnapifyError, SnapifyService
 from repro.snapify.ops import CAPTURING, DRAINED, FAILED, PAUSING, TRANSFERRING
 from repro.testbed import XeonPhiServer
 
@@ -232,6 +235,56 @@ def test_overlapping_captures_on_one_endpoint_keep_their_completions():
 
 
 # ---------------------------------------------------------------------------
+# Keyed-only protocol: a reply must name its operation
+# ---------------------------------------------------------------------------
+
+
+class _OneReplyEndpoint:
+    """A daemon endpoint whose every recv() yields ``msg`` after 1 ms."""
+
+    eid = 4242
+
+    def __init__(self, sim, msg):
+        self.sim, self.msg = sim, msg
+
+    def recv(self):
+        return self.sim.timeout(1e-3, self.msg)
+
+
+@pytest.mark.parametrize("reply", [
+    {"t": PAUSE_ACK, "op_id": 999},  # an id nobody issued
+    {"t": PAUSE_ACK},  # no id at all
+])
+def test_reply_naming_no_operation_is_not_handed_to_the_receiver(reply):
+    sim = Simulator()
+    mgr = OperationManager.of(sim)
+    op = mgr.begin("checkpoint")
+    ep = _OneReplyEndpoint(sim, reply)
+    box = {}
+
+    def receiver(s):
+        try:
+            box["reply"] = yield from mgr.recv_reply(op, ep)
+        except SnapifyError as exc:
+            box["error"] = exc
+
+    sim.spawn(receiver(sim), name="receiver")
+    sim.run()
+    assert "reply" not in box
+    assert "names no known operation" in str(box["error"])
+    assert box["error"].op_id == op.op_id
+
+
+def test_pipe_status_naming_no_request_fails_the_match():
+    reqs = [((7, 1), "first"), ((7, 2), "second")]
+    assert SnapifyService._match(reqs, {"t": CAPTURE_COMPLETE, "op_id": 2}) == \
+        ((7, 2), "second")
+    for msg in ({"t": CAPTURE_COMPLETE, "op_id": 3}, {"t": CAPTURE_COMPLETE}):
+        with pytest.raises(SnapifyError, match="names no active request of pid 7"):
+            SnapifyService._match(reqs, msg)
+
+
+# ---------------------------------------------------------------------------
 # snapshot_application across cards
 # ---------------------------------------------------------------------------
 
@@ -272,7 +325,7 @@ def test_snapshot_application_across_cards_attributes_results():
     assert len({r.op_id for r in results}) == 2
     # Per-card attribution of the local-store drain: card 1 held twice the
     # buffer bytes of card 0.
-    assert results[1].sizes["local_store"] == 2 * results[0].sizes["local_store"]
+    assert results[1].localstore_bytes == 2 * results[0].localstore_bytes
 
     timelines = {tl.op_id: tl for tl in operation_timelines(sim.trace)}
     for r in results:
