@@ -5,7 +5,9 @@ Runs the kernel microbenchmark workloads (event dispatch, channel ping-pong
 with and without back-pressure, timer storm, and a full snapshot cycle),
 writes a machine-readable ``BENCH_kernel.json``, and — when given a baseline
 — fails with exit code 1 if any workload's throughput drops below
-``threshold`` times the baseline.
+``threshold`` times the baseline. ``snapshot_cycle`` and ``fleet_sweep``
+also report ``peak_alloc_kb``, their traced allocation peak, beside
+throughput; it is informational and not gated.
 
 Raw ops/sec depends on the machine, so scores are *normalized* against a
 fixed pure-Python calibration loop measured in the same process: the gate
@@ -26,6 +28,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -449,6 +452,23 @@ WORKLOADS = {
 }
 
 
+#: Workloads that also report ``peak_alloc_kb``, the peak bytes allocated
+#: by one run under ``tracemalloc``. Informational: it is measured in a
+#: separate run after the timed repetitions, and it is never gated.
+FOOTPRINT_WORKLOADS = ("snapshot_cycle", "fleet_sweep")
+
+
+def peak_alloc_kb(fn):
+    """Peak traced allocation of one run of ``fn``, in KiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1024)
+
+
 def calibrate(n=400_000):
     """Fixed pure-Python mix (calls, dict, list) to measure machine speed."""
     import heapq
@@ -494,6 +514,8 @@ def run_benchmarks(repeat=3):
         extras = getattr(fn, "extras", None)
         if extras:
             results[name].update(extras)
+        if name in FOOTPRINT_WORKLOADS:
+            results[name]["peak_alloc_kb"] = peak_alloc_kb(fn)
     return {
         "schema": SCHEMA,
         "python": platform.python_version(),

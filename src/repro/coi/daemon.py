@@ -101,7 +101,10 @@ class COIDaemon:
             try:
                 msg = yield ep.recv()
             except (ConnectionReset, Interrupted):
-                return  # host process went away; its exit watcher cleans up
+                # Host process went away; its exit watcher cleans up the
+                # offload process, and the daemon forgets the endpoint.
+                self.proc.close_fd(ep)
+                return
             if not isinstance(msg, dict):
                 raise COIError(f"daemon: bad message {msg!r}")
             mtype = msg.get("type")

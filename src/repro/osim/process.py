@@ -173,6 +173,17 @@ class SimProcess:
         self.open_fds.append(fd)
         return fd
 
+    def close_fd(self, fd: FileDescriptor) -> None:
+        """Close ``fd`` and stop tracking it.
+
+        For a server handler ending its connection: a long-lived daemon
+        would otherwise keep every descriptor it ever served in
+        :attr:`open_fds`.
+        """
+        fd.close()
+        if fd in self.open_fds:
+            self.open_fds.remove(fd)
+
     # -- signals -------------------------------------------------------------
     def install_signal_handler(self, signum: int,
                                handler: Callable[["SimProcess", int], SimGen]) -> None:

@@ -266,7 +266,7 @@ class ScifEndpoint:
     # -- teardown ---------------------------------------------------------------
     @staticmethod
     def _fail_queued_sync_acks(channel: Channel, reason: str) -> None:
-        for item in list(channel._items):
+        for item in list(channel._items or ()):
             if isinstance(item, _SyncEnvelope) and not item.ack.triggered:
                 item.ack.fail(ConnectionReset(reason))
 

@@ -23,6 +23,15 @@ common cases are fast paths that allocate nothing beyond the result event:
   sender scan only runs when a sender is actually parked.
 * Direct handoff (send meeting a parked receiver) triggers the receiver's
   event without intermediate objects.
+* Idle costs nothing. The message queue, the parked-receiver queue and the
+  blocked-sender queue are ``None`` until something is queued or parks, so a
+  channel that is never used (most of a large fleet's) holds no container.
+  The message and sender queues become deques on first use. Parked
+  receivers live in a plain list popped from the front, which costs
+  O(parked) per handoff: it is meant for a handful of parked receivers per
+  channel. Every layer of this stack has one reader per channel (in the
+  benchmark workloads each park finds the receiver queue empty), and a
+  list with one entry costs a tenth of an empty deque.
 
 The wakeup *order* of the straightforward implementation is preserved
 exactly — trace orderings are part of the kernel's determinism contract.
@@ -31,7 +40,7 @@ exactly — trace orderings are part of the kernel's determinism contract.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque, List, Optional
 
 from .errors import SimError
 from .events import PENDING, Event
@@ -71,9 +80,10 @@ class Channel:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._recv_waiters: Deque[Event] = deque()
-        self._send_waiters: Deque[tuple[Event, Any]] = deque()
+        # Allocated on first use; see "Idle costs nothing" above.
+        self._items: Optional[Deque[Any]] = None
+        self._recv_waiters: Optional[List[Event]] = None
+        self._send_waiters: Optional[Deque[tuple[Event, Any]]] = None
         self.closed = False
         self._close_error: Optional[SimError] = None
         self.sent_count = 0
@@ -84,7 +94,7 @@ class Channel:
     # -- introspection (used by drain-invariant checks) ---------------------
     @property
     def qsize(self) -> int:
-        return len(self._items)
+        return len(self._items) if self._items else 0
 
     @property
     def empty(self) -> bool:
@@ -93,7 +103,7 @@ class Channel:
     @property
     def in_flight(self) -> int:
         """Messages sent but not yet received (queued + blocked senders)."""
-        return len(self._items) + len(self._send_waiters)
+        return self.qsize + (len(self._send_waiters) if self._send_waiters else 0)
 
     # -- operations ----------------------------------------------------------
     def send(self, item: Any) -> Event:
@@ -108,17 +118,22 @@ class Channel:
         # or the message would vanish into the void.
         recv_waiters = self._recv_waiters
         while recv_waiters:
-            recv_ev = recv_waiters.popleft()
+            recv_ev = recv_waiters.pop(0)
             if recv_ev._state is not PENDING or not recv_ev._callbacks:
                 continue  # triggered elsewhere, or abandoned
             self.received_count += 1
             recv_ev.succeed(item)
             ev.succeed(None)
             return ev
-        if self.capacity is not None and len(self._items) >= self.capacity:
+        items = self._items
+        if items is None:
+            items = self._items = deque()
+        if self.capacity is not None and len(items) >= self.capacity:
+            if self._send_waiters is None:
+                self._send_waiters = deque()
             self._send_waiters.append((ev, item))
         else:
-            self._items.append(item)
+            items.append(item)
             ev.succeed(None)
         return ev
 
@@ -132,6 +147,8 @@ class Channel:
                 self._admit_blocked_sender()
         elif self.closed:
             ev.fail(self._close_error or ChannelClosed(self.name))
+        elif self._recv_waiters is None:
+            self._recv_waiters = [ev]
         else:
             self._recv_waiters.append(ev)
         return ev
@@ -166,12 +183,10 @@ class Channel:
         self.closed = True
         err = error or ChannelClosed(self.name)
         self._close_error = err
-        for ev in self._recv_waiters:
+        for ev in self._recv_waiters or ():
             if not ev.triggered:
                 ev.fail(err)
-        self._recv_waiters.clear()
-        for ev, _ in self._send_waiters:
+        for ev, _ in self._send_waiters or ():
             if not ev.triggered:
                 ev.fail(err)
-        self._send_waiters.clear()
-        self._items.clear()
+        self._items = self._recv_waiters = self._send_waiters = None

@@ -12,6 +12,15 @@ Usage pattern (inside a simulated thread)::
         ...critical section...
     finally:
         mutex.release()
+
+Hot-path notes
+--------------
+A large fleet builds several locks per card and per offload process, and
+most of them are never contended. So every primitive has ``__slots__`` and
+its waiter queue is ``None`` until the first waiter parks: an uncontended
+lock or semaphore holds no container. Once created, the queue stays a
+deque, because a shared PCIe link mutex can queue many waiters at once.
+Release, post and notify read ``None`` as an empty queue.
 """
 
 from __future__ import annotations
@@ -61,12 +70,14 @@ class Mutex:
     scan reads event state directly instead of going through properties.
     """
 
+    __slots__ = ("sim", "name", "locked", "owner", "_waiters", "_acquire_name")
+
     def __init__(self, sim: "Simulator", name: str = "mutex"):
         self.sim = sim
         self.name = name
         self.locked = False
         self.owner: Optional[object] = None
-        self._waiters: Deque[tuple[Event, Optional[object]]] = deque()
+        self._waiters: Optional[Deque[tuple[Event, Optional[object]]]] = None
         self._acquire_name = f"acquire:{name}"
 
     def acquire(self, owner: Optional[object] = None) -> Event:
@@ -76,6 +87,8 @@ class Mutex:
             self.locked = True
             self.owner = owner
             ev.succeed(self)
+        elif self._waiters is None:
+            self._waiters = deque([(ev, owner)])
         else:
             self._waiters.append((ev, owner))
         return ev
@@ -105,11 +118,13 @@ class Mutex:
 
     @property
     def queue_length(self) -> int:
-        return sum(1 for ev, _ in self._waiters if not ev.triggered)
+        return sum(1 for ev, _ in self._waiters or () if not ev.triggered)
 
 
 class Semaphore:
     """Counting semaphore with FIFO wakeups."""
+
+    __slots__ = ("sim", "name", "value", "_waiters", "_wait_name")
 
     def __init__(self, sim: "Simulator", value: int = 0, name: str = "sem"):
         if value < 0:
@@ -117,7 +132,7 @@ class Semaphore:
         self.sim = sim
         self.name = name
         self.value = value
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
         self._wait_name = f"sem.wait:{name}"
 
     def wait(self) -> Event:
@@ -126,6 +141,8 @@ class Semaphore:
         if self.value > 0:
             self.value -= 1
             ev.succeed(self)
+        elif self._waiters is None:
+            self._waiters = deque([ev])
         else:
             self._waiters.append(ev)
         return ev
@@ -147,6 +164,8 @@ class Semaphore:
 
 class Barrier:
     """All ``parties`` threads block until the last one arrives."""
+
+    __slots__ = ("sim", "name", "parties", "_generation", "_waiting")
 
     def __init__(self, sim: "Simulator", parties: int, name: str = "barrier"):
         if parties < 1:
@@ -178,17 +197,22 @@ class Condition:
     ``wait`` is a sub-generator: use ``yield from cond.wait()``.
     """
 
+    __slots__ = ("sim", "mutex", "name", "_waiters")
+
     def __init__(self, sim: "Simulator", mutex: Mutex, name: str = "cond"):
         self.sim = sim
         self.mutex = mutex
         self.name = name
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
 
     def wait(self):
         if not self.mutex.locked:
             raise RuntimeError(f"Condition.wait on {self.name!r} without the mutex held")
         ev = Event(self.sim, name=f"cond.wait:{self.name}")
-        self._waiters.append(ev)
+        if self._waiters is None:
+            self._waiters = deque([ev])
+        else:
+            self._waiters.append(ev)
         self.mutex.release()
         yield ev
         yield self.mutex.acquire()
@@ -204,4 +228,5 @@ class Condition:
                 return
 
     def notify_all(self) -> None:
-        self.notify(len(self._waiters))
+        if self._waiters:
+            self.notify(len(self._waiters))

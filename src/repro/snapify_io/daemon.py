@@ -179,7 +179,7 @@ class SnapifyIODaemon:
             # sees the failure instead of hanging on the handshake.
             self.sim.trace.emit("io.connect_failed", node=node_id, path=path,
                                 error=str(exc))
-            sock.close()
+            self.proc.close_fd(sock)
             sp.finish()
             return
         try:
@@ -206,8 +206,8 @@ class SnapifyIODaemon:
             # buffer — the client or TransferManager decides what's next.
             pass
         finally:
-            ep.close()
-            sock.close()
+            self.proc.close_fd(ep)
+            self.proc.close_fd(sock)
             sp.finish()
 
     def _recv_reply(self, ep: ScifEndpoint):
@@ -310,7 +310,7 @@ class SnapifyIODaemon:
             header = yield ep.recv()
             offset_msg = yield ep.recv()
         except (ConnectionReset, Interrupted):
-            ep.close()  # half-open connection: don't leak the endpoint
+            self.proc.close_fd(ep)  # half-open connection: don't leak it
             return
         path, mode = header["path"], header["mode"]
         peer_offset = offset_msg["offset"]
@@ -325,7 +325,7 @@ class SnapifyIODaemon:
         finally:
             # The remote end always tears its endpoint down; before this,
             # a reset connection leaked the endpoint (and any windows).
-            ep.close()
+            self.proc.close_fd(ep)
             sp.finish()
 
     def _remote_write(self, ep: ScifEndpoint, path: str, peer_offset: int,

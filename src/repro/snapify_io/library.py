@@ -57,7 +57,8 @@ class SnapifyIOFile(FileDescriptor):
         self.mode = mode
         self.path = path
         self.buffer_size = buffer_size
-        self._records: Deque[Any] = deque()
+        #: Read mode's record queue; a write-mode descriptor never needs one.
+        self._records: Optional[Deque[Any]] = deque() if mode == "r" else None
         self._eof = False
         self.finished = False
         #: Bytes of the stream already durable remotely (resume handshake):

@@ -301,6 +301,26 @@ def test_host_exit_terminates_offload_and_cleans_localstore():
     assert entry.state == "terminated"
 
 
+def test_daemon_forgets_connections_of_exited_hosts():
+    """Each host process's daemon connection is closed and dropped from the
+    daemon's descriptors when the host goes away; only the listener stays."""
+    sim, node, host_os, phis = make_env()
+    env = boot_and_launch(sim, node, host_os)
+    daemon = COIDaemon.of(node.phis[0])
+
+    def work(sim):
+        env["host_proc"].terminate()
+        for i in range(3):
+            host_proc = yield from host_os.spawn_process(f"app{i}", image_size=4 * MB)
+            yield from env["engine"].process_create(host_proc, make_binary())
+            host_proc.terminate()
+        yield sim.timeout(0.01)
+
+    run(sim, work(sim))
+    assert len(daemon.entries) == 4
+    assert daemon.proc.open_fds == [daemon.proc.runtime["listener"]]
+
+
 def test_unexpected_offload_death_marked_crashed():
     sim, node, host_os, phis = make_env()
     env = boot_and_launch(sim, node, host_os)

@@ -2,6 +2,8 @@
 
 
 from repro.hw import GB, MB
+from repro.sched.faults import FaultInjector
+from repro.sim.errors import SimError
 from repro.snapify_io import SnapifyIODaemon, snapifyio_open
 from repro.testbed import XeonPhiServer
 
@@ -139,3 +141,65 @@ def test_zero_byte_file_roundtrip():
     size, rec = server.run(driver(server.sim))
     assert size == 0
     assert rec is None
+
+
+def test_daemons_forget_finished_connections():
+    """A long-lived daemon holds its two listeners plus its live
+    connections, not every descriptor it ever served."""
+    server = XeonPhiServer()
+    phi = server.phi_os(0)
+    local = SnapifyIODaemon.of(phi)
+    remote = SnapifyIODaemon.of(server.host_os)
+    during = []
+
+    def driver(sim):
+        for i in range(20):
+            mode = "w" if i % 2 == 0 else "r"
+            fd = yield from snapifyio_open(phi, 0, f"/many/{i // 2}", mode)
+            if mode == "w":
+                yield from fd.write(1 * MB, record=i)
+                during.append(len(local.proc.open_fds))
+                yield from fd.finish()
+            else:
+                assert (yield from fd.read(1 * MB)) == i - 1
+                fd.close()
+        yield sim.timeout(0.1)  # let the handlers finish their teardown
+
+    server.run(driver(server.sim))
+    assert local.connections_served == 20
+    # Mid-transfer: listeners + the client's socket + the SCIF endpoint.
+    assert during == [4] * 10
+    for daemon in (local, remote):
+        kinds = sorted(type(fd).__name__ for fd in daemon.proc.open_fds)
+        assert kinds == ["Listener", "ScifListener"]
+
+
+def test_killed_daemon_still_resets_its_peer_mid_transfer():
+    server = XeonPhiServer()
+    injector = FaultInjector(server.sim)
+    server.fault_injector = injector
+    phi = server.phi_os(0)
+    local = SnapifyIODaemon.of(phi)
+    outcome = {}
+
+    def writer(sim):
+        try:
+            fd = yield from snapifyio_open(phi, 0, "/kill/x", "w")
+            yield from fd.write(1 * GB)
+            yield from fd.finish()
+            outcome["result"] = "committed"
+        except SimError as exc:
+            outcome["result"] = exc
+
+    def driver(sim):
+        w = sim.spawn(writer(sim))
+        yield sim.timeout(0.05)  # mid-transfer
+        assert len(local.proc.open_fds) == 4
+        injector.crash_io_daemon_now(server.host_os)
+        yield w.done
+
+    server.run(driver(server.sim))
+    assert isinstance(outcome["result"], SimError)
+    # The card-side handler saw the reset and dropped both descriptors.
+    kinds = sorted(type(fd).__name__ for fd in local.proc.open_fds)
+    assert kinds == ["Listener", "ScifListener"]
