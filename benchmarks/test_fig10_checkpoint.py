@@ -35,10 +35,9 @@ def run_checkpoints():
             yield sim.timeout(1.0)  # mid-run
             snap = snapify_t(snapshot_path=f"/snap/{name}", coiproc=app.coiproc)
             yield from checkpoint_offload_app(snap)
-            return snap
+            return snap.op.result
 
-        snap = server.run(driver(server.sim))
-        results[name] = snap
+        results[name] = server.run(driver(server.sim))
     return results
 
 
@@ -57,10 +56,10 @@ def test_fig10ab_report(fig10ab, sim_benchmark):
         s = fig10ab[name]
         t.add_row(
             name,
-            fmt_time(s.timings["pause"]),
-            fmt_time(s.timings["host_snapshot"]),
-            fmt_time(s.timings["capture"]),
-            fmt_time(s.timings["checkpoint_total"]),
+            fmt_time(s.phases["pausing"]),
+            fmt_time(s.host_snapshot_s),
+            fmt_time(s.phases["capturing"]),
+            fmt_time(s.elapsed),
         )
     t.add_note("paper: totals 3-21 s; pause dominated by local-store save; "
                "host snapshot dominates SS/SG")
@@ -74,9 +73,9 @@ def test_fig10ab_report(fig10ab, sim_benchmark):
         s = fig10ab[name]
         t.add_row(
             name,
-            fmt_bytes(s.sizes["host_snapshot"]),
-            fmt_bytes(s.sizes["offload_snapshot"]),
-            fmt_bytes(s.sizes["local_store"]),
+            fmt_bytes(s.host_snapshot_bytes),
+            fmt_bytes(s.image_bytes),
+            fmt_bytes(s.localstore_bytes),
         )
     t.add_note("paper: sizes range ~8 MB to ~1.3 GB; SS/SG: big host "
                "snapshot + big local store, small offload snapshot")
@@ -89,26 +88,26 @@ def test_fig10ab_report(fig10ab, sim_benchmark):
 
 
 def test_ss_sg_have_biggest_host_snapshots(fig10ab):
-    hosts = {n: s.sizes["host_snapshot"] for n, s in fig10ab.items()}
+    hosts = {n: s.host_snapshot_bytes for n, s in fig10ab.items()}
     top_two = sorted(hosts, key=hosts.get, reverse=True)[:2]
     assert set(top_two) == {"SS", "SG"}
     # ... while their offload snapshots are comparatively small.
     for n in ("SS", "SG"):
-        assert fig10ab[n].sizes["offload_snapshot"] < hosts[n] / 4
+        assert fig10ab[n].image_bytes < hosts[n] / 4
 
 
 def test_size_range_matches_paper(fig10ab):
     all_sizes = [
-        s.sizes[k]
+        size
         for s in fig10ab.values()
-        for k in ("host_snapshot", "offload_snapshot", "local_store")
+        for size in (s.host_snapshot_bytes, s.image_bytes, s.localstore_bytes)
     ]
     assert min(all_sizes) < 30 * MB
     assert 1.0 * GB < max(all_sizes) < 1.8 * GB  # paper caps at ~1.3 GB
 
 
 def test_mc_cheapest_ss_most_expensive(fig10ab):
-    totals = {n: s.timings["checkpoint_total"] for n, s in fig10ab.items()}
+    totals = {n: s.elapsed for n, s in fig10ab.items()}
     assert min(totals, key=totals.get) == "MC"
     assert max(totals, key=totals.get) in ("SS", "SG")
     assert totals["SS"] > 4 * totals["MC"]
@@ -116,8 +115,8 @@ def test_mc_cheapest_ss_most_expensive(fig10ab):
 
 def test_pause_tracks_local_store(fig10ab):
     """Pause time ordering follows local-store size ordering."""
-    pauses = {n: s.timings["pause"] for n, s in fig10ab.items()}
-    ls = {n: s.sizes["local_store"] for n, s in fig10ab.items()}
+    pauses = {n: s.phases["pausing"] for n, s in fig10ab.items()}
+    ls = {n: s.localstore_bytes for n, s in fig10ab.items()}
     assert max(pauses, key=pauses.get) == max(ls, key=ls.get) == "SS"
     assert pauses["SS"] > 2 * pauses["MC"]
 
@@ -125,7 +124,7 @@ def test_pause_tracks_local_store(fig10ab):
 def test_host_side_dominates_for_ss_sg(fig10ab):
     for n in ("SS", "SG"):
         s = fig10ab[n]
-        assert s.timings["host_snapshot"] > s.timings["capture"]
+        assert s.host_snapshot_s > s.phases["capturing"]
     # ... and the reverse for a card-heavy benchmark like FT.
     s = fig10ab["FT"]
-    assert s.timings["capture"] > s.timings["host_snapshot"]
+    assert s.phases["capturing"] > s.host_snapshot_s

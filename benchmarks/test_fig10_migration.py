@@ -31,12 +31,12 @@ def run_migrations():
         def driver(sim):
             yield from app.launch()
             yield sim.timeout(1.0)
-            new, snap = yield from snapify_migration(
+            new, results = yield from snapify_migration(
                 app.coiproc, server.engine(1), snapshot_path=f"/migr/{name}"
             )
             app.host_proc.runtime["coi_handle"] = new
             assert new.offload_proc.os is server.phi_os(1)
-            return snap
+            return results
 
         results[name] = server.run(driver(server.sim))
     return results
@@ -47,6 +47,10 @@ def fig10d():
     return run_migrations()
 
 
+def migration_total(out, inn):
+    return inn.finished - out.started
+
+
 def test_fig10d_report(fig10d, sim_benchmark):
     sim_benchmark(lambda: None)
     t = ResultTable(
@@ -54,13 +58,13 @@ def test_fig10d_report(fig10d, sim_benchmark):
         ["benchmark", "pause", "capture", "restore", "total"],
     )
     for name in OPENMP_NAMES:
-        s = fig10d[name]
+        out, inn = fig10d[name]
         t.add_row(
             name,
-            fmt_time(s.timings["pause"]),
-            fmt_time(s.timings["capture"]),
-            fmt_time(s.timings["restore"]),
-            fmt_time(s.timings["migration_total"]),
+            fmt_time(out.phases["pausing"]),
+            fmt_time(out.phases["capturing"]),
+            fmt_time(inn.restore_s),
+            fmt_time(migration_total(out, inn)),
         )
     t.add_note("paper: 4.9 s (MC) to 31.6 s (SS); restore usually exceeds "
                "capture (Snapify-IO writes beat reads)")
@@ -71,7 +75,7 @@ def test_fig10d_report(fig10d, sim_benchmark):
 
 
 def test_mc_fastest_ss_slowest(fig10d):
-    totals = {n: s.timings["migration_total"] for n, s in fig10d.items()}
+    totals = {n: migration_total(*r) for n, r in fig10d.items()}
     assert min(totals, key=totals.get) == "MC"
     assert max(totals, key=totals.get) == "SS"
     assert totals["SS"] / totals["MC"] > 3  # paper: 31.6 / 4.9 ≈ 6.4
@@ -79,7 +83,7 @@ def test_mc_fastest_ss_slowest(fig10d):
 
 def test_time_tracks_state_size(fig10d):
     """Migration time correlates with local store + offload snapshot size."""
-    totals = {n: s.timings["migration_total"] for n, s in fig10d.items()}
+    totals = {n: migration_total(*r) for n, r in fig10d.items()}
     state = {
         n: OPENMP_BENCHMARKS[n].local_store + OPENMP_BENCHMARKS[n].offload_heap
         for n in OPENMP_NAMES
@@ -94,7 +98,7 @@ def test_time_tracks_state_size(fig10d):
 def test_restore_usually_slower_than_capture(fig10d):
     slower = [
         n for n in OPENMP_NAMES
-        if fig10d[n].timings["restore"] > fig10d[n].timings["capture"]
+        if fig10d[n][1].restore_s > fig10d[n][0].phases["capturing"]
     ]
     # Paper: "in all but one benchmarks".
     assert len(slower) >= 7, f"restore>capture only for {slower}"

@@ -39,7 +39,7 @@ def run_restarts():
             result = yield from restart_offload_app(
                 server.host_os, f"/snap/{name}", server.engine(0)
             )
-            return result.snap
+            return result.result
 
         results[name] = server.run(driver(server.sim))
     return results
@@ -48,6 +48,10 @@ def run_restarts():
 @pytest.fixture(scope="module")
 def fig10c():
     return run_restarts()
+
+
+def restart_total(r):
+    return r.host_restart_s + r.elapsed
 
 
 def test_fig10c_report(fig10c, sim_benchmark):
@@ -60,9 +64,9 @@ def test_fig10c_report(fig10c, sim_benchmark):
         s = fig10c[name]
         t.add_row(
             name,
-            fmt_time(s.timings["host_restart"]),
-            fmt_time(s.timings["offload_restore"]),
-            fmt_time(s.timings["restart_total"]),
+            fmt_time(s.host_restart_s),
+            fmt_time(s.elapsed),
+            fmt_time(restart_total(s)),
         )
     t.add_note("paper: totals 3-24 s; host restart longest for SS/SG; "
                "offload restore tracks local-store size")
@@ -73,19 +77,19 @@ def test_fig10c_report(fig10c, sim_benchmark):
 
 
 def test_ss_sg_have_longest_host_restarts(fig10c):
-    host_t = {n: s.timings["host_restart"] for n, s in fig10c.items()}
+    host_t = {n: s.host_restart_s for n, s in fig10c.items()}
     assert set(sorted(host_t, key=host_t.get, reverse=True)[:2]) == {"SS", "SG"}
 
 
 def test_offload_restore_tracks_local_store(fig10c):
-    restore_t = {n: s.timings["offload_restore"] for n, s in fig10c.items()}
+    restore_t = {n: s.elapsed for n, s in fig10c.items()}
     ls = {n: OPENMP_BENCHMARKS[n].local_store for n in OPENMP_NAMES}
     assert max(restore_t, key=restore_t.get) == max(ls, key=ls.get) == "SS"
     assert min(restore_t, key=restore_t.get) == min(ls, key=ls.get) == "MC"
 
 
 def test_total_ordering(fig10c):
-    totals = {n: s.timings["restart_total"] for n, s in fig10c.items()}
+    totals = {n: restart_total(s) for n, s in fig10c.items()}
     assert min(totals, key=totals.get) == "MC"
     assert max(totals, key=totals.get) in ("SS", "SG")
     assert totals["SS"] > 4 * totals["MC"]

@@ -34,13 +34,13 @@ def run_swaps():
             yield sim.timeout(1.0)
             ramfs_before = server.node.phis[0].memory.by_category.get("ramfs", 0)
             snap = yield from snapify_swapout(f"/swap/{name}", app.coiproc)
+            out = snap.op.result
             ramfs_during = server.node.phis[0].memory.by_category.get("ramfs", 0)
             new = yield from snapify_swapin(snap, server.engine(0))
             app.host_proc.runtime["coi_handle"] = new
-            return snap, ramfs_before, ramfs_during
+            return (out, snap.op.result), ramfs_before, ramfs_during
 
-        snap, before, during = server.run(driver(server.sim))
-        results[name] = (snap, before, during)
+        results[name] = server.run(driver(server.sim))
     return results
 
 
@@ -56,13 +56,13 @@ def test_fig10ef_report(fig10ef, sim_benchmark):
         ["benchmark", "pause", "capture", "swap-out total", "swap-in total"],
     )
     for name in OPENMP_NAMES:
-        s, _, _ = fig10ef[name]
+        (out, inn), _, _ = fig10ef[name]
         t.add_row(
             name,
-            fmt_time(s.timings["pause"]),
-            fmt_time(s.timings["capture"]),
-            fmt_time(s.timings["swapout_total"]),
-            fmt_time(s.timings["swapin_total"]),
+            fmt_time(out.phases["pausing"]),
+            fmt_time(out.phases["capturing"]),
+            fmt_time(out.elapsed),
+            fmt_time(inn.elapsed),
         )
     t.add_note("paper: swap-out 2.1-11.8 s, swap-in 2-14.8 s; pause > "
                "capture only for SS/SG")
@@ -74,17 +74,17 @@ def test_fig10ef_report(fig10ef, sim_benchmark):
 
 def test_pause_vs_capture_split(fig10ef):
     for name in OPENMP_NAMES:
-        s, _, _ = fig10ef[name]
+        (out, _), _, _ = fig10ef[name]
         if name in ("SS", "SG"):
-            assert s.timings["pause"] > s.timings["capture"], name
+            assert out.phases["pausing"] > out.phases["capturing"], name
         else:
             # "the pause of swapping-out is much shorter than the capture"
-            assert s.timings["capture"] > s.timings["pause"], name
+            assert out.phases["capturing"] > out.phases["pausing"], name
 
 
 def test_swap_extremes(fig10ef):
-    outs = {n: s.timings["swapout_total"] for n, (s, _, _) in fig10ef.items()}
-    ins = {n: s.timings["swapin_total"] for n, (s, _, _) in fig10ef.items()}
+    outs = {n: out.elapsed for n, ((out, _), _, _) in fig10ef.items()}
+    ins = {n: inn.elapsed for n, ((_, inn), _, _) in fig10ef.items()}
     assert min(outs, key=outs.get) == "MC"
     assert max(outs, key=outs.get) == "SS"
     assert max(ins, key=ins.get) == "SS"

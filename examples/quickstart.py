@@ -44,10 +44,13 @@ def main() -> None:
 
         snap = snapify_t(snapshot_path="/snapshots/demo", coiproc=app.coiproc)
         yield from checkpoint_offload_app(snap)
+        ckpt = snap.op.result
         print(f"[{sim.now:7.3f}s] checkpoint complete in "
-              f"{fmt_time(snap.timings['checkpoint_total'])}:")
-        for part in ("host_snapshot", "offload_snapshot", "local_store"):
-            print(f"            {part:18s} {fmt_bytes(snap.sizes[part])}")
+              f"{fmt_time(ckpt.elapsed)}:")
+        for part, size in (("host_snapshot", ckpt.host_snapshot_bytes),
+                           ("offload_snapshot", ckpt.image_bytes),
+                           ("local_store", ckpt.localstore_bytes)):
+            print(f"            {part:18s} {fmt_bytes(size)}")
 
         yield sim.timeout(0.5)
         print(f"[{sim.now:7.3f}s] simulating a crash: killing the application")
@@ -58,10 +61,11 @@ def main() -> None:
         result = yield from restart_offload_app(
             server.host_os, "/snapshots/demo", server.engine(0)
         )
+        restart = result.result
         print(f"[{sim.now:7.3f}s] restart done in "
-              f"{fmt_time(result.snap.timings['restart_total'])} "
-              f"(host {fmt_time(result.snap.timings['host_restart'])}, "
-              f"offload {fmt_time(result.snap.timings['offload_restore'])})")
+              f"{fmt_time(restart.host_restart_s + restart.elapsed)} "
+              f"(host {fmt_time(restart.host_restart_s)}, "
+              f"offload {fmt_time(restart.elapsed)})")
 
         yield result.host_proc.main_thread.done
         checksum = result.host_proc.store["checksum"]

@@ -27,7 +27,7 @@ def measure_checkpoint_cost() -> float:
         yield sim.timeout(0.5)
         snap = snapify_t(snapshot_path="/probe", coiproc=app.coiproc)
         yield from checkpoint_offload_app(snap)
-        return snap.timings["checkpoint_total"]
+        return snap.op.result.elapsed
 
     return server.run(probe(server.sim))
 

@@ -11,7 +11,7 @@ snapshot directory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from ..sim.events import Event
 from ..snapify.api import snapify_t
@@ -29,8 +29,9 @@ def rank_snapshot_path(prefix: str, rank: int) -> str:
 def mpi_checkpoint(job: "MZJob", path_prefix: str):
     """Sub-generator: coordinated checkpoint of every rank.
 
-    Returns a dict with per-rank timings and sizes. The elapsed wall time is
-    the max across ranks (they checkpoint concurrently, one per node).
+    Returns a dict with the elapsed time, the per-rank typed results and
+    each rank's total snapshot size. The elapsed time is the max across
+    ranks (they checkpoint concurrently, one per node).
     """
     sim = job.sim
     t0 = sim.now
@@ -46,14 +47,12 @@ def mpi_checkpoint(job: "MZJob", path_prefix: str):
     # 2. Capture every rank in parallel: one pre-issued operation per rank,
     #    demultiplexed by correlation id, awaited through the manager.
     mgr = OperationManager.of(sim)
-    snaps: Dict[int, snapify_t] = {}
     ops = []
     for rank in job.ranks:
         snap = snapify_t(
             snapshot_path=rank_snapshot_path(path_prefix, rank.rank),
             coiproc=rank.host_proc.runtime["coi_handle"],
         )
-        snaps[rank.rank] = snap
         ops.append(mgr.begin("checkpoint", snap))
 
         def _one(snap=snap):
@@ -68,19 +67,12 @@ def mpi_checkpoint(job: "MZJob", path_prefix: str):
     job.all_parked = None
     job.release_event = None
 
-    elapsed = sim.now - t0
     return {
-        "elapsed": elapsed,
+        "elapsed": sim.now - t0,
         "operations": results,
-        "per_rank": {
-            r: dict(snaps[r].timings, **{f"size_{k}": v for k, v in snaps[r].sizes.items()})
-            for r in snaps
-        },
         "rank_snapshot_bytes": {
-            r: snaps[r].sizes.get("host_snapshot", 0)
-            + snaps[r].sizes.get("offload_snapshot", 0)
-            + snaps[r].sizes.get("local_store", 0)
-            for r in snaps
+            rank.rank: r.host_snapshot_bytes + r.image_bytes + r.localstore_bytes
+            for rank, r in zip(job.ranks, results)
         },
     }
 

@@ -105,11 +105,10 @@ def agent_loop(proc: SimProcess, pipe_end):
                 sp.finish(error=str(exc))
                 continue
             sub.finish(bytes=ls_bytes)
-            reply = {"t": c.PAUSE_COMPLETE, "localstore_bytes": ls_bytes,
-                     "op_id": op_id}
-            if drainers:
-                reply["plugins_drained"] = len(drainers)
-            yield from pipe_end.send(reply)
+            yield from pipe_end.send(
+                {"t": c.PAUSE_COMPLETE, "localstore_bytes": ls_bytes,
+                 "plugins_drained": len(drainers), "op_id": op_id}
+            )
             sp.finish(localstore_bytes=ls_bytes)
         elif op == "capture":
             if msg.get("incremental"):
@@ -170,11 +169,11 @@ def _capture_with_retry(proc: SimProcess, pipe_end, msg, op_id: int, sp):
                            attempt=attempt, error=str(exc))
             yield from policy.backoff(sim, attempt)
             continue
-        reply = {"t": c.CAPTURE_COMPLETE, "image_bytes": ctx.image_bytes,
-                 "op_id": op_id, "attempts": attempt, "channel": "snapifyio"}
-        if ctx.plugin_images:
-            reply["plugins"] = len(ctx.plugin_images)
-        yield from pipe_end.send(reply)
+        yield from pipe_end.send(
+            {"t": c.CAPTURE_COMPLETE, "image_bytes": ctx.image_bytes,
+             "plugins": len(ctx.plugin_images), "op_id": op_id,
+             "attempts": attempt, "channel": "snapifyio"}
+        )
         sp.finish(bytes=ctx.image_bytes)
         return
     yield from pipe_end.send(
@@ -231,6 +230,7 @@ def _capture_incremental(proc: SimProcess, pipe_end, msg, op_id: int, sp):
     yield from pipe_end.send(
         {"t": c.CAPTURE_COMPLETE, "image_bytes": image.logical_bytes,
          "delta_bytes": image.delta_bytes, "epoch": image.epoch,
+         "plugins": len(image.plugin_images),
          "partner": placement.get("partner"), "op_id": op_id,
          "attempts": 1, "channel": "memtier"}
     )

@@ -15,13 +15,11 @@ Five functions over a ``snapify_t`` handle:
   a given device; returns the new ``COIProcess`` handle (the restored
   process stays blocked until ``snapify_resume``).
 
-Each function records its cost in ``snap.timings`` and sizes in
-``snap.sizes`` — the raw material of Figures 10 and 11. That ledger belongs
-to the handle, and its totals span several operations (a migration's
-swap-out and swap-in). Per-operation outcomes live in the typed
-:class:`~repro.snapify.ops.OperationResult` on ``snap.op.result``, whose
-transfer fields come from the operation's
-:class:`~repro.snapify.ops.Provenance`. When tracing is on,
+Each function records what it measured on its operation's
+:class:`~repro.snapify.ops.Provenance`, which becomes the typed
+:class:`~repro.snapify.ops.OperationResult` on ``snap.op.result`` — the raw
+material of Figures 10 and 11 (pause and capture times are the result's
+``phases``). When tracing is on,
 each function also opens a :class:`~repro.sim.trace.Span` (parented on
 ``snap.span``, the use-case root) and forwards its span id inside the
 SERVICE message, so the daemon- and agent-side work joins the same causal
@@ -31,7 +29,7 @@ Figure 9/10-style component tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..coi.engine import COIEngine
@@ -81,12 +79,10 @@ class snapify_t:
     #: full image over Snapify-IO. Off by default — the classic full-capture
     #: path (and its trace) is untouched unless a caller opts in.
     incremental: bool = False
-    #: Instrumentation for the benchmark harness.
-    timings: Dict[str, float] = field(default_factory=dict)
-    sizes: Dict[str, int] = field(default_factory=dict)
-
-    def host_os(self):
-        return self.coiproc.host_proc.os
+    #: Size of the offload image this handle last wrote to
+    #: ``snapshot_path``; a restore on the handle reports it as the image
+    #: it read back. None until the handle captures.
+    image_bytes: Optional[int] = None
 
 
 def _ensure_libs_file(host_os) -> None:
@@ -120,7 +116,6 @@ def snapify_pause(snap: snapify_t):
     _ensure_libs_file(host_os)
     yield from host_os.fs.read(c.LIBS_SOURCE_PATH)
     yield from host_os.fs.write(c.libs_path(snap.snapshot_path), c.COI_LIBS_SIZE)
-    snap.sizes["libs"] = c.COI_LIBS_SIZE
     sub.finish(bytes=c.COI_LIBS_SIZE)
 
     # Steps 1-3: service request; daemon opens the pipe and signals the
@@ -151,20 +146,14 @@ def snapify_pause(snap: snapify_t):
         raise op.fail_with(f"pause failed: {done.get('reason')}")
     if done.get("t") != c.PAUSE_COMPLETE:
         raise op.fail_with(f"pause did not complete: {done!r}")
-    snap.sizes["local_store"] = done.get("localstore_bytes", 0)
-    sub.finish(localstore_bytes=snap.sizes["local_store"])
-    snap.timings["pause"] = sim.now - t0
-    if done.get("plugins_drained"):
-        # Plugins ran their drain hooks at the boundary; record the count
-        # on the DRAINED transition (key absent when none did, which keeps
-        # the golden trace unchanged).
-        op.transition(DRAINED, localstore_bytes=snap.sizes["local_store"],
-                      plugins_drained=done["plugins_drained"])
-    else:
-        op.transition(DRAINED, localstore_bytes=snap.sizes["local_store"])
-    sp.finish(elapsed=snap.timings["pause"])
+    ls_bytes = op.prov.localstore_bytes = done["localstore_bytes"]
+    sub.finish(localstore_bytes=ls_bytes)
+    elapsed = sim.now - t0
+    op.transition(DRAINED, localstore_bytes=ls_bytes,
+                  plugins_drained=done["plugins_drained"])
+    sp.finish(elapsed=elapsed)
     sim.trace.emit("snapify.pause", pid=pid, path=snap.snapshot_path,
-                   elapsed=snap.timings["pause"])
+                   elapsed=elapsed)
 
 
 def snapify_capture(snap: snapify_t, terminate: bool):
@@ -179,7 +168,6 @@ def snapify_capture(snap: snapify_t, terminate: bool):
     op = mgr.adopt(snap)
     op.terminate = op.terminate or terminate
     snap.sem = Semaphore(sim, value=0, name="snapify.capture")
-    t0 = sim.now
     sp = sim.trace.span("snapify.capture", parent=snap.span,
                         pid=coiproc.offload_proc.pid, terminate=terminate,
                         proc=coiproc.host_proc.name)
@@ -219,25 +207,21 @@ def snapify_capture(snap: snapify_t, terminate: bool):
             sp.finish(error="capture-failed")
             snap.sem.post()
             return
-        snap.sizes["offload_snapshot"] = done.get("image_bytes", 0)
-        snap.timings["capture"] = sim.now - t0
         # Transfer provenance from the agent: which channel carried the
         # snapshot and how many attempts the stream took. For a delta
-        # capture image_bytes above is the LOGICAL image size and
-        # delta_bytes what actually moved.
+        # capture image_bytes is the LOGICAL image size and delta_bytes
+        # what actually moved.
         prov = op.prov
+        image_bytes = snap.image_bytes = prov.image_bytes = done["image_bytes"]
         prov.channel = done["channel"]
         prov.attempts = done["attempts"]
-        prov.plugin_images = done.get("plugins", 0)
+        prov.plugin_images = done["plugins"]
         prov.delta_bytes = done.get("delta_bytes")
-        if prov.delta_bytes is None:
-            shipped = snap.sizes["offload_snapshot"]
-        else:
-            shipped = snap.sizes["offload_delta"] = prov.delta_bytes
+        shipped = image_bytes if prov.delta_bytes is None else prov.delta_bytes
         op.transition(TRANSFERRING, bytes=shipped)
-        sp.finish(bytes=snap.sizes["offload_snapshot"])
+        sp.finish(bytes=image_bytes)
         sim.trace.emit("snapify.capture", pid=coiproc.offload_proc.pid,
-                       terminate=terminate, bytes=snap.sizes["offload_snapshot"])
+                       terminate=terminate, bytes=image_bytes)
         if terminate:
             coiproc.mark_dead()
         snap.sem.post()
@@ -286,8 +270,7 @@ def snapify_resume(snap: snapify_t):
     # The offload process released its locks and acknowledged; now ours.
     if coiproc.paused:
         coiproc.release()
-    snap.timings["resume"] = sim.now - t0
-    sp.finish(elapsed=snap.timings["resume"])
+    sp.finish(elapsed=sim.now - t0)
     sim.trace.emit("snapify.resume", pid=coiproc.offload_proc.pid)
     if not op.is_terminal:
         op.complete()
@@ -304,6 +287,7 @@ def snapify_restore(snap: snapify_t, engine: COIEngine, host_proc: SimProcess):
     sim = engine.sim
     mgr = OperationManager.of(sim)
     op = mgr.adopt(snap, kind="restore")
+    op.prov.image_bytes = snap.image_bytes
     t0 = sim.now
     old = snap.coiproc
     sp = sim.trace.span("snapify.restore", parent=snap.span,
@@ -352,9 +336,9 @@ def snapify_restore(snap: snapify_t, engine: COIEngine, host_proc: SimProcess):
             )
 
     snap.coiproc = new
-    snap.timings["restore"] = sim.now - t0
+    op.prov.restore_s = sim.now - t0
     op.pid = new.offload_proc.pid  # attribution now points at the restored pid
-    sp.finish(pid=new.offload_proc.pid, elapsed=snap.timings["restore"])
+    sp.finish(pid=new.offload_proc.pid, elapsed=op.prov.restore_s)
     sim.trace.emit("snapify.restore", pid=new.offload_proc.pid,
                    device=engine.device_id, path=snap.snapshot_path)
     return new

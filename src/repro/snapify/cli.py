@@ -69,7 +69,7 @@ def install_cli_handler(host_proc: SimProcess) -> None:
                     yield gate.acquire(owner="snapify-cli")
                 try:
                     coiproc = proc.runtime["coi_handle"]
-                    new, snap = yield from snapify_migration(coiproc, engine, path)
+                    new, _ = yield from snapify_migration(coiproc, engine, path)
                     proc.runtime["coi_handle"] = new
                 finally:
                     if gate is not None:

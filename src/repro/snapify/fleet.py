@@ -457,10 +457,10 @@ class FleetManager:
         from .usecases import snapify_migration
 
         def work():
-            _new, snap = yield from snapify_migration(
+            _new, (_swapout, swapin) = yield from snapify_migration(
                 coiproc, engine_to, snapshot_path
             )
-            return snap.op.result
+            return swapin
 
         return self.submit(key, "migrate", work, card=card, priority=priority,
                            proc=coiproc.host_proc)

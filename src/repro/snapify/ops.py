@@ -43,9 +43,11 @@ keyed: one that names no known operation is a :class:`SnapifyError`. A
 single in-flight operation degenerates to exactly one ``yield ep.recv()``,
 so a single-op run draws no extra events.
 
-Each operation ends in one frozen, typed :class:`OperationResult`. Its
-transfer fields come from the operation's :class:`Provenance` record,
-which the agent reply, the transfer manager and the fleet fill in.
+Each operation ends in one frozen, typed :class:`OperationResult`. Beyond
+its state and phase timings, every field comes from the operation's
+:class:`Provenance` record, which the API calls, the use cases, the agent
+reply, the transfer manager and the fleet fill in. It is the single
+source of the Figure 10/11 numbers.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ _NEXT = {
 
 @dataclass
 class Provenance:
-    """Where an operation's snapshot went, recorded while it runs."""
+    """What an operation moved and measured, recorded while it runs."""
 
     #: Transfer channel that carried the snapshot ("snapifyio" | "memtier"
     #: | "nfs" | "scp"); None for operations that moved no snapshot.
@@ -118,6 +120,20 @@ class Provenance:
     #: The FleetManager ticket key that issued the operation (None for
     #: directly-driven operations).
     fleet_key: Optional[str] = None
+    #: Offload image size: what this operation's capture wrote (the full
+    #: logical image, for a delta capture) or what its restore read back.
+    image_bytes: Optional[int] = None
+    #: Local-store bytes this operation's own pause saved.
+    localstore_bytes: Optional[int] = None
+    #: Checkpoint only: the host-side BLCR snapshot's time and size.
+    host_snapshot_s: Optional[float] = None
+    host_snapshot_bytes: Optional[int] = None
+    #: Restart only: time to restore the host process, which precedes the
+    #: operation (it starts once there is a host process to attach to).
+    host_restart_s: Optional[float] = None
+    #: Restore-type only: time to rebuild the offload process, without the
+    #: resume that follows.
+    restore_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -145,16 +161,19 @@ class OperationResult:
     card: Optional[str] = None
     #: See :class:`Provenance`; None for a full capture.
     delta_bytes: Optional[int] = None
-    #: The offload image size the handle holds when the operation ends:
-    #: what a capture wrote (the full logical image, for a delta capture)
-    #: or what a restore read back. None when the handle never held one.
+    #: See :class:`Provenance`: ``image_bytes`` is None unless the
+    #: operation captured or restored, ``localstore_bytes`` unless it paused.
     image_bytes: Optional[int] = None
-    #: Local-store bytes the handle's last pause saved.
     localstore_bytes: Optional[int] = None
     #: Bytes that actually crossed a channel or tier: ``delta_bytes`` for
     #: an incremental capture, else ``image_bytes``. Throughput math must
     #: use this, never assume the full image moved.
     shipped_bytes: Optional[int] = None
+    #: See :class:`Provenance`; None for kinds that have no such step.
+    host_snapshot_s: Optional[float] = None
+    host_snapshot_bytes: Optional[int] = None
+    host_restart_s: Optional[float] = None
+    restore_s: Optional[float] = None
 
     @property
     def elapsed(self) -> float:
@@ -291,8 +310,6 @@ class SnapifyOperation:
         for (st, t0), (_, t1) in zip(self.history, self.history[1:]):
             phases[st.lower()] = phases.get(st.lower(), 0.0) + (t1 - t0)
         prov = self.prov
-        sizes = getattr(self.snap, "sizes", None) or {}
-        image_bytes = sizes.get("offload_snapshot")
         self.result = OperationResult(
             op_id=self.op_id,
             kind=self.kind,
@@ -309,9 +326,14 @@ class SnapifyOperation:
             attempts=prov.attempts,
             card=self.card,
             delta_bytes=prov.delta_bytes,
-            image_bytes=image_bytes,
-            localstore_bytes=sizes.get("local_store"),
-            shipped_bytes=image_bytes if prov.delta_bytes is None else prov.delta_bytes,
+            image_bytes=prov.image_bytes,
+            localstore_bytes=prov.localstore_bytes,
+            shipped_bytes=(prov.image_bytes if prov.delta_bytes is None
+                           else prov.delta_bytes),
+            host_snapshot_s=prov.host_snapshot_s,
+            host_snapshot_bytes=prov.host_snapshot_bytes,
+            host_restart_s=prov.host_restart_s,
+            restore_s=prov.restore_s,
         )
         sim.trace.emit("op.end", op=self.op_id, kind=self.kind, state=state,
                        pid=self.pid, card=self.card, error=self.error)
@@ -323,7 +345,6 @@ class SnapifyOperation:
             flight = getattr(sim, "snapify_flight_recorder", None)
             if flight is not None:
                 flight.note_failure(self)
-        self.manager.last_result = self.result
         if not self.done.triggered:
             self.done.succeed(self.result)
         return self.result
@@ -358,7 +379,6 @@ class OperationManager:
         self._ids = itertools.count(1)
         #: every operation ever issued, by id (results included).
         self.operations: Dict[int, SnapifyOperation] = {}
-        self.last_result: Optional[OperationResult] = None
         self._demux: Dict[int, _EndpointDemux] = {}
 
     @classmethod

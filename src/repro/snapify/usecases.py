@@ -7,7 +7,8 @@ process (the ``snapify`` CLI and the BLCR callback both end up here).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..blcr import cr_checkpoint, cr_restart
 from ..coi.engine import COIEngine
@@ -20,10 +21,7 @@ from .api import (
     snapify_t,
 )
 from ..snapify_io.resilience import TransferManager
-from .ops import TRANSFERRING, OperationManager, capture_sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from .ops import TRANSFERRING, OperationManager, OperationResult, capture_sequence
 
 HOST_CONTEXT_FILE = "host_context"
 
@@ -42,7 +40,8 @@ def checkpoint_offload_app(snap: snapify_t):
 
     Pauses the offload process, captures it asynchronously, snapshots the
     host process with host-side BLCR in the meantime, waits for the offload
-    capture, and resumes. Returns (host_ctx, timing dict).
+    capture, and resumes. Returns the host process's BLCR context; the
+    checkpoint's numbers are on ``snap.op.result``.
     """
     coiproc = snap.coiproc
     host_proc = coiproc.host_proc
@@ -51,7 +50,7 @@ def checkpoint_offload_app(snap: snapify_t):
     root = sim.trace.span("snapify.checkpoint", parent=snap.span,
                           pid=coiproc.offload_proc.pid, proc=host_proc.name)
     snap.span = root
-    OperationManager.of(sim).begin("checkpoint", snap, span=root)
+    op = OperationManager.of(sim).begin("checkpoint", snap, span=root)
 
     box = {}
 
@@ -66,14 +65,13 @@ def checkpoint_offload_app(snap: snapify_t):
                            host_context_path(snap.snapshot_path), "w", sync=True)
         host_ctx = yield from cr_checkpoint(host_proc, fd)
         fd.close()
-        snap.timings["host_snapshot"] = sim.now - t_host0
-        snap.sizes["host_snapshot"] = host_ctx.image_bytes
+        op.prov.host_snapshot_s = sim.now - t_host0
+        op.prov.host_snapshot_bytes = host_ctx.image_bytes
         sp.finish(bytes=host_ctx.image_bytes)
         box["host_ctx"] = host_ctx
 
     yield from capture_sequence(snap, between=_host_snapshot())
-    snap.timings["checkpoint_total"] = sim.now - t0
-    root.finish(elapsed=snap.timings["checkpoint_total"])
+    root.finish(elapsed=sim.now - t0)
     return box["host_ctx"]
 
 
@@ -102,36 +100,24 @@ def restart_offload_app(
     sp.finish()
 
     snap = snapify_t(snapshot_path=snapshot_path, span=root)
-    OperationManager.of(sim).begin("restart", snap, span=root)
-    t1 = sim.now
+    op = OperationManager.of(sim).begin("restart", snap, span=root)
+    op.prov.host_restart_s = t_host
     new_handle = yield from snapify_restore(snap, engine, host_proc)
     host_proc.runtime["coi_restored_handle"] = new_handle
     yield from snapify_resume(snap)
-    t_offload = sim.now - t1
 
     host_proc.start()
-    snap.timings["host_restart"] = t_host
-    snap.timings["offload_restore"] = t_offload
-    snap.timings["restart_total"] = sim.now - t0
-    root.finish(elapsed=snap.timings["restart_total"])
-    return RestartResult(host_proc=host_proc, coiproc=new_handle, snap=snap)
+    root.finish(elapsed=sim.now - t0)
+    return RestartResult(host_proc=host_proc, coiproc=new_handle, result=op.result)
 
 
+@dataclass(frozen=True)
 class RestartResult:
-    def __init__(self, host_proc: SimProcess, coiproc: COIProcess, snap: snapify_t):
-        self.host_proc = host_proc
-        self.coiproc = coiproc
-        self.snap = snap
-
-    @property
-    def result(self):
-        """The restart's typed :class:`~repro.snapify.ops.OperationResult`."""
-        return snap_result(self.snap)
-
-
-def snap_result(snap: snapify_t):
-    """The OperationResult of a handle's (terminal) operation, or None."""
-    return snap.op.result if snap.op is not None else None
+    host_proc: SimProcess
+    coiproc: COIProcess
+    #: The restart's typed outcome: ``elapsed`` is the offload restore and
+    #: resume; ``host_restart_s`` the host restore that preceded it.
+    result: OperationResult
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +143,7 @@ def snapify_swapout(snapshot_path: str, coiproc: COIProcess,
     OperationManager.of(sim).begin("swapout", snap, span=root)
     t0 = sim.now
     yield from capture_sequence(snap, terminate=True)
-    snap.timings["swapout_total"] = sim.now - t0
-    root.finish(elapsed=snap.timings["swapout_total"])
+    root.finish(elapsed=sim.now - t0)
     return snap
 
 
@@ -178,8 +163,7 @@ def snapify_swapin(snap: snapify_t, engine: COIEngine, host_proc: Optional[SimPr
     OperationManager.of(sim).begin("swapin", snap, span=root)
     new = yield from snapify_restore(snap, engine, host_proc)
     yield from snapify_resume(snap)
-    snap.timings["swapin_total"] = sim.now - t0
-    root.finish(elapsed=snap.timings["swapin_total"])
+    root.finish(elapsed=sim.now - t0)
     return new
 
 
@@ -191,7 +175,9 @@ def snapify_swapin(snap: snapify_t, engine: COIEngine, host_proc: Optional[SimPr
 def snapify_migration(coiproc: COIProcess, engine_to: COIEngine,
                       snapshot_path: str = "/tmp/snapify_migration"):
     """Sub-generator: Fig. 7 verbatim — swap out of the current device,
-    swap in on ``engine_to``. Returns (new COIProcess, snapify_t)."""
+    swap in on ``engine_to``. Returns ``(new COIProcess, (swap-out result,
+    swap-in result))``; the migration spans from the swap-out's ``started``
+    to the swap-in's ``finished``."""
     sim = coiproc.sim
     t0 = sim.now
     root = sim.trace.span("snapify.migration", pid=coiproc.offload_proc.pid,
@@ -203,10 +189,10 @@ def snapify_migration(coiproc: COIProcess, engine_to: COIEngine,
         snapshot_path, coiproc, localstore_node=engine_to.phi.scif_node_id,
         parent=root,
     )
+    swapout = snap.op.result
     new = yield from snapify_swapin(snap, engine_to, parent=root)
-    snap.timings["migration_total"] = sim.now - t0
-    root.finish(elapsed=snap.timings["migration_total"])
-    return new, snap
+    root.finish(elapsed=sim.now - t0)
+    return new, (swapout, snap.op.result)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,15 @@ def test_checkpoint_and_continue_preserves_result():
 
     snap = server.run(driver(server.sim))
     assert app.verify()
-    # All three snapshot components exist on the host FS.
-    assert snap.sizes["host_snapshot"] > 0
-    assert snap.sizes["offload_snapshot"] > 0
-    assert snap.sizes["local_store"] > 0
+    # All three snapshot components exist on the host FS, and the typed
+    # result times each stage of Fig 10(a).
+    result = snap.op.result
+    assert result.host_snapshot_bytes > 0
+    assert result.image_bytes > 0
+    assert result.localstore_bytes > 0
+    assert result.phases["pausing"] > 0
+    assert result.phases["capturing"] > 0
+    assert result.host_snapshot_s > 0
 
 
 def test_full_failure_restart_roundtrip():

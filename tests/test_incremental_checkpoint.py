@@ -177,9 +177,10 @@ def test_incremental_capture_reports_delta_stats():
     assert 0 < delta.delta_bytes < delta.image_bytes
     assert delta.shipped_bytes == delta.delta_bytes
     # image_bytes keeps reporting the full logical image (trace/top
-    # consumers must use shipped_bytes for transfer math).
-    assert snap.sizes["offload_snapshot"] == delta.image_bytes
-    assert snap.sizes["offload_delta"] == delta.delta_bytes
+    # consumers must use shipped_bytes for transfer math), and the handle
+    # keeps it too: a restore reads the logical image back.
+    assert snap.image_bytes == delta.image_bytes
+    assert delta.image_bytes > delta.shipped_bytes
     assert "capturing_delta" in delta.phases
     assert "replicating" in delta.phases
     # Both links landed in the tier, replicated to the partner card.

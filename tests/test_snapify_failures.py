@@ -126,17 +126,17 @@ def test_full_migration_with_direct_path_is_correct():
         gate = app.host_proc.runtime["app_gate"]
         yield gate.acquire(owner="test")
         try:
-            new, snap = yield from snapify_migration(app.coiproc, server.engine(1),
-                                                     snapshot_path="/mig/full")
+            new, _ = yield from snapify_migration(app.coiproc, server.engine(1),
+                                                  snapshot_path="/mig/full")
             app.host_proc.runtime["coi_handle"] = new
         finally:
             gate.release()
         yield app.host_proc.main_thread.done
-        return snap
 
-    snap = server.run(driver(server.sim))
+    server.run(driver(server.sim))
     assert app.verify()
-    assert snap.localstore_node == server.node.phis[1].scif_node_id
+    # The direct path: the local store never touched the host FS.
+    assert not server.host_os.fs.exists(localstore_path("/mig/full"))
 
 
 def test_direct_path_changes_pause_restore_split():
@@ -151,19 +151,19 @@ def test_direct_path_changes_pause_restore_split():
         from repro.snapify.usecases import snapify_swapin
 
         yield from snapify_swapin(snap, server1.engine(1))
-        return snap
+        return snap.op.result
 
-    snap_swap = server1.run(swap_cycle(server1.sim))
+    swap_in = server1.run(swap_cycle(server1.sim))
 
     # Direct migration.
     server2 = XeonPhiServer()
     env2 = launch(server2, buffer_mb=512)
 
     def migrate(sim):
-        new, snap = yield from snapify_migration(env2["coiproc"], server2.engine(1),
-                                                 snapshot_path="/cmp/mig")
-        return snap
+        new, (_, swapin) = yield from snapify_migration(
+            env2["coiproc"], server2.engine(1), snapshot_path="/cmp/mig")
+        return swapin
 
-    snap_mig = server2.run(migrate(server2.sim))
+    mig_in = server2.run(migrate(server2.sim))
     # Restore is cheaper with the local store already on the target card.
-    assert snap_mig.timings["restore"] < snap_swap.timings["restore"]
+    assert mig_in.restore_s < swap_in.restore_s

@@ -15,21 +15,31 @@ failure), the typed results, the keyed-only reply rule (a reply or pipe
 status naming no operation is a typed error, never routed to whoever is
 receiving), wait/wait_all error aggregation, the
 two-card ``snapshot_application`` path with per-operation timelines, and
-the ``operations_quiescent`` fuzz oracle.
+the ``operations_quiescent`` fuzz oracle, and the typed fields every
+Figure 10/11 number is read from (each result reports only what its own
+operation saved, captured or restored).
 """
 
 import pytest
 
+from repro.apps import NAS_MZ_BENCHMARKS
+from repro.apps.nas_mz import MZJob
+from repro.blcr.plugins import PluginRegistry, SocketPlugin
 from repro.check.oracles import operations_quiescent
 from repro.coi import OffloadBinary, OffloadFunction
 from repro.hw import MB
+from repro.mpi import mpi_checkpoint
 from repro.obs import operation_timelines
 from repro.sim import Simulator
 from repro.snapify import (
     OperationManager,
+    checkpoint_offload_app,
+    restart_offload_app,
     snapify_capture,
     snapify_pause,
     snapify_resume,
+    snapify_swapin,
+    snapify_swapout,
     snapify_t,
     snapify_wait,
     snapshot_application,
@@ -37,7 +47,7 @@ from repro.snapify import (
 from repro.snapify.constants import CAPTURE_COMPLETE, PAUSE_ACK
 from repro.snapify.monitor import SnapifyError, SnapifyService
 from repro.snapify.ops import CAPTURING, DRAINED, FAILED, PAUSING, TRANSFERRING
-from repro.testbed import XeonPhiServer
+from repro.testbed import XeonPhiCluster, XeonPhiServer, offload_app
 
 
 def _binary(name, image_mb):
@@ -189,7 +199,7 @@ def _solo_capture_size(image_mb):
         return snap
 
     snap = server.run(driver(server.sim))
-    return snap.sizes["offload_snapshot"]
+    return snap.op.result.image_bytes
 
 
 def test_overlapping_captures_on_one_endpoint_keep_their_completions():
@@ -218,11 +228,11 @@ def test_overlapping_captures_on_one_endpoint_keep_their_completions():
         return a, b
 
     a, b = server.run(driver(server.sim))
-    assert a.sizes["offload_snapshot"] == _solo_capture_size(32)
-    assert b.sizes["offload_snapshot"] == _solo_capture_size(8)
-    assert a.sizes["offload_snapshot"] > b.sizes["offload_snapshot"]
-
     ra, rb = a.op.result, b.op.result
+    assert ra.image_bytes == _solo_capture_size(32)
+    assert rb.image_bytes == _solo_capture_size(8)
+    assert ra.image_bytes > rb.image_bytes
+
     assert ra.ok and rb.ok
     assert ra.op_id != rb.op_id
     assert ra.pid == big.offload_proc.pid
@@ -335,6 +345,91 @@ def test_snapshot_application_across_cards_attributes_results():
         phases = tl.phases()
         assert phases["pausing"] > 0 and phases["capturing"] > 0
         assert tl.elapsed == pytest.approx(r.elapsed)
+
+
+# ---------------------------------------------------------------------------
+# Typed sources of the Figure 10/11 numbers
+# ---------------------------------------------------------------------------
+
+
+def test_swapin_reports_the_swapped_out_image_but_no_local_store():
+    server = XeonPhiServer()
+    [coiproc] = _launch(server, [16], prefix="own")
+
+    def driver(sim):
+        snap = yield from snapify_swapout("/snap/own", coiproc)
+        swapout = snap.op.result
+        yield from snapify_swapin(snap, server.engine(1))
+        return swapout, snap.op.result
+
+    swapout, swapin = server.run(driver(server.sim))
+    assert swapout.localstore_bytes == 4 * MB
+    assert swapin.localstore_bytes is None  # the swap-in never paused
+    assert swapin.image_bytes == swapin.shipped_bytes == swapout.image_bytes > 0
+    assert 0 < swapin.restore_s < swapin.elapsed
+
+
+def test_restart_from_a_fresh_handle_reports_no_image():
+    server = XeonPhiServer()
+    app = offload_app(server, "MC", iterations=10_000)
+
+    def driver(sim):
+        yield from app.launch()
+        yield sim.timeout(0.2)
+        snap = snapify_t("/snap/fresh", coiproc=app.coiproc)
+        yield from checkpoint_offload_app(snap)
+        app.host_proc.terminate(code=1)
+        yield sim.timeout(0.05)
+        restarted = yield from restart_offload_app(server.host_os, "/snap/fresh",
+                                                   server.engine(0))
+        return snap.op.result, restarted.result
+
+    checkpoint, restart = server.run(driver(server.sim))
+    assert checkpoint.image_bytes > 0
+    assert checkpoint.host_snapshot_bytes > 0 and checkpoint.host_snapshot_s > 0
+    assert restart.image_bytes is None and restart.shipped_bytes is None
+    assert restart.localstore_bytes is None
+    assert restart.host_restart_s > 0
+    assert 0 < restart.restore_s < restart.elapsed
+
+
+def test_mpi_rank_snapshot_bytes_sum_the_typed_results():
+    cluster = XeonPhiCluster(n_nodes=2)
+    job = MZJob(cluster, NAS_MZ_BENCHMARKS["BT-MZ"], 2, iterations=8)
+
+    def driver(sim):
+        yield from job.launch()
+        yield sim.timeout(0.5)
+        report = yield from mpi_checkpoint(job, "/snap/mpi-typed")
+        yield from job.join()
+        return report
+
+    report = cluster.run(driver(cluster.sim))
+    results = report["operations"]
+    assert all(r.host_snapshot_bytes and r.image_bytes and r.localstore_bytes
+               for r in results)
+    assert report["rank_snapshot_bytes"] == {
+        rank: r.host_snapshot_bytes + r.image_bytes + r.localstore_bytes
+        for rank, r in enumerate(results)
+    }
+
+
+@pytest.mark.parametrize("socket_plugin, drained", [(False, 0), (True, 1)])
+def test_drained_record_always_counts_drain_plugins(socket_plugin, drained):
+    server = XeonPhiServer(sim=Simulator(trace=True))
+    if socket_plugin:
+        PluginRegistry.of(server.phi_os(0)).register(SocketPlugin())
+    [coiproc] = _launch(server, [8], prefix="drain")
+
+    def driver(sim):
+        snap = snapify_t("/snap/drain", coiproc=coiproc)
+        yield from snapify_pause(snap)
+        yield from snapify_resume(snap)
+
+    server.run(driver(server.sim))
+    [record] = [r for r in server.sim.trace.records
+                if r.category == "op.state" and r.fields["state"] == DRAINED]
+    assert record.fields["plugins_drained"] == drained
 
 
 # ---------------------------------------------------------------------------

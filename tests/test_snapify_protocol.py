@@ -66,8 +66,8 @@ def test_pause_empties_channels_and_saves_local_store():
     host_fs = server.host_os.fs
     assert host_fs.stat(localstore_path("/snap/t1")).size >= 128 * MB
     assert host_fs.exists(libs_path("/snap/t1"))
-    assert snap.sizes["local_store"] == 128 * MB
-    assert snap.timings["pause"] > 0
+    assert snap.op.result.localstore_bytes == 128 * MB
+    assert snap.op.result.phases["pausing"] > 0
 
 
 def test_pause_blocks_new_offload_calls_until_resume():
@@ -116,7 +116,7 @@ def test_capture_is_nonblocking_and_wait_joins():
     # Non-blocking: returns in microseconds; the wait takes real time.
     assert times["capture_returned"] < 0.01
     assert times["wait_done"] > times["capture_returned"]
-    assert server.host_os.fs.stat(context_path("/snap/t3")).size == snap.sizes["offload_snapshot"]
+    assert server.host_os.fs.stat(context_path("/snap/t3")).size == snap.op.result.image_bytes
     assert coiproc.offload_proc.alive  # terminate=False
 
 

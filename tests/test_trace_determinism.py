@@ -16,8 +16,13 @@ was captured with the pre-optimization kernel:
 Regenerate after an *intentional* behavior change with::
 
     PYTHONPATH=src python tests/test_trace_determinism.py --regen
+
+Review such a change first with ``--diff``, which prints every record,
+``final_time``, ``scheduled_events`` and thread-table entry that departs
+from the golden file (exit status 1 when anything does).
 """
 
+import difflib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -61,6 +66,25 @@ def _canonical(digest):
     return json.loads(json.dumps(digest))
 
 
+def diff_against_golden(digest, golden):
+    """One line per departure of ``digest`` from ``golden``: removed (-) and
+    added (+) records and threads by index, then changed scalars."""
+    digest = _canonical(digest)
+    lines = []
+    for key in ("records", "threads"):
+        old = [json.dumps(x) for x in golden[key]]
+        new = [json.dumps(x) for x in digest[key]]
+        matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag != "equal":
+                lines += [f"- {key}[{i}] {old[i]}" for i in range(i1, i2)]
+                lines += [f"+ {key}[{j}] {new[j]}" for j in range(j1, j2)]
+    for key in ("final_time", "scheduled_events"):
+        if digest[key] != golden[key]:
+            lines.append(f"{key}: {golden[key]} -> {digest[key]}")
+    return lines
+
+
 def test_snapshot_cycle_trace_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert _canonical(snapshot_cycle_digest()) == golden
@@ -68,6 +92,18 @@ def test_snapshot_cycle_trace_matches_golden():
 
 def test_snapshot_cycle_digest_is_stable_across_runs():
     assert snapshot_cycle_digest() == snapshot_cycle_digest()
+
+
+def test_diff_names_each_departure_from_golden():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert diff_against_golden(golden, golden) == []
+    changed = json.loads(GOLDEN_PATH.read_text())
+    changed["records"][5][2].append(["extra", "0"])
+    changed["scheduled_events"] += 1
+    lines = diff_against_golden(changed, golden)
+    assert [line[:13] for line in lines[:2]] == ["- records[5] ", "+ records[5] "]
+    assert lines[2:] == [f"scheduled_events: {golden['scheduled_events']} -> "
+                         f"{golden['scheduled_events'] + 1}"]
 
 
 if __name__ == "__main__":
@@ -78,5 +114,10 @@ if __name__ == "__main__":
         digest = snapshot_cycle_digest()
         GOLDEN_PATH.write_text(json.dumps(digest, indent=1) + "\n")
         print(f"regenerated {GOLDEN_PATH} ({digest['scheduled_events']} scheduled events)")
+    elif "--diff" in sys.argv:
+        lines = diff_against_golden(snapshot_cycle_digest(),
+                                    json.loads(GOLDEN_PATH.read_text()))
+        print("\n".join(lines) if lines else f"no differences from {GOLDEN_PATH.name}")
+        sys.exit(1 if lines else 0)
     else:
         print(__doc__)

@@ -282,7 +282,8 @@ def test_all_channels_down_fails_cleanly_with_cause_chain():
     # The aggregated cause chain names every channel that was tried.
     msg = str(failure)
     assert "snapifyio" in msg and "nfs" in msg and "scp" in msg
-    result = OperationManager.of(server.sim).last_result
+    [op] = OperationManager.of(server.sim).operations.values()
+    result = op.result
     assert result.kind == "transfer" and not result.ok
     assert result.state == "FAILED"
     # Nothing was ever committed: the fallback attempts may leave a voided
