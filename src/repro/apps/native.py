@@ -95,7 +95,7 @@ def malloc_loop_main(proc: SimProcess):
     """240-thread OpenMP spin loop; progress lives in the store."""
     proc.store.setdefault("spins", 0)
     while True:
-        yield proc.sim.timeout(0.01)
+        yield proc.sim.sleep(0.01)
         proc.store["spins"] += 1
 
 
@@ -187,4 +187,4 @@ class MallocLoopBenchmark:
 
 def _spin(proc: SimProcess):
     while True:
-        yield proc.sim.timeout(1.0)
+        yield proc.sim.sleep(1.0)

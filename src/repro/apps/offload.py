@@ -151,7 +151,7 @@ class OffloadApplication:
             yield gate.acquire(owner=f"iter{i}")
             try:
                 coiproc = proc.runtime["coi_handle"]
-                yield self.sim.timeout(self.profile.host_compute)
+                yield self.sim.sleep(self.profile.host_compute)
                 buf = coiproc.buffers[buf_ids[i % len(buf_ids)]]
                 yield from coiproc.buffer_write(
                     buf, payload=i, nbytes=min(self.profile.transfer_in, buf.size)

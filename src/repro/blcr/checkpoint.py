@@ -49,7 +49,7 @@ def cr_checkpoint(proc: SimProcess, fd: FileDescriptor):
     sim = proc.sim
     per_byte = page_walk_cost(proc.os)
     for nbytes, record in ctx.write_plan():
-        yield sim.timeout(RECORD_CPU_COST + per_byte * nbytes)
+        yield sim.sleep(RECORD_CPU_COST + per_byte * nbytes)
         yield from fd.write(nbytes, record)
     return ctx
 
@@ -94,7 +94,7 @@ def cr_checkpoint_incremental(
     sim = proc.sim
     per_byte = page_walk_cost(proc.os)
     for nbytes, record in image.write_plan():
-        yield sim.timeout(RECORD_CPU_COST + per_byte * nbytes)
+        yield sim.sleep(RECORD_CPU_COST + per_byte * nbytes)
         if fd is not None:
             yield from fd.write(nbytes, record)
     return image

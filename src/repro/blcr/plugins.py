@@ -213,7 +213,7 @@ class SocketPlugin(CheckpointPlugin):
             isinstance(fd, UnixSocket) and not fd.closed and fd._rx.qsize > 0
             for fd in proc.open_fds
         ):
-            yield sim.timeout(100e-6)
+            yield sim.sleep(100e-6)
 
     def pre_checkpoint(self, proc: "SimProcess") -> Optional[PluginImage]:
         open_socks = [

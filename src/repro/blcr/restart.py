@@ -80,7 +80,7 @@ def _rebuild_process(
             remaining = region.size
             while remaining > 0:
                 chunk = min(remaining, BULK_CHUNK)
-                yield sim.timeout(per_byte * chunk)
+                yield sim.sleep(per_byte * chunk)
                 if fd is not None:
                     yield from fd.read(chunk)
                 remaining -= chunk
@@ -98,7 +98,7 @@ def _rebuild_process(
             remaining = image.bulk_bytes
             while remaining > 0:
                 chunk = min(remaining, BULK_CHUNK)
-                yield sim.timeout(per_byte * chunk)
+                yield sim.sleep(per_byte * chunk)
                 if fd is not None:
                     yield from fd.read(chunk)
                 remaining -= chunk
@@ -133,7 +133,7 @@ def cr_restart(
     reads_done = 0
     scan_limit = _metadata_scan_limit(fd)
     while reads_done < scan_limit:
-        yield sim.timeout(RECORD_CPU_COST)
+        yield sim.sleep(RECORD_CPU_COST)
         record = yield from fd.read(SMALL_RECORD)
         reads_done += 1
         if isinstance(record, ProcessContext):
@@ -146,7 +146,7 @@ def cr_restart(
             "truncated or not a BLCR context"
         )
     for _ in range(max(0, ctx.n_small_records - reads_done)):
-        yield sim.timeout(RECORD_CPU_COST)
+        yield sim.sleep(RECORD_CPU_COST)
         yield from fd.read(SMALL_RECORD)
 
     proc = yield from _rebuild_process(os, ctx, name, fd=fd)
@@ -170,7 +170,7 @@ def cr_restore_context(
     """
     sim = os.sim
     for _ in range(ctx.n_small_records):
-        yield sim.timeout(RECORD_CPU_COST)
+        yield sim.sleep(RECORD_CPU_COST)
 
     proc = yield from _rebuild_process(os, ctx, name, fd=None)
     if start:

@@ -146,7 +146,7 @@ def _verify_violation(app: OffloadApplication) -> List[Violation]:
 def _checkpoint(server, app, injector, phase, faults):
     sim = server.sim
     yield from app.launch()
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     snap = snapify_t("/fz/ckpt", coiproc=app.coiproc)
     yield from checkpoint_offload_app(snap)
     yield app.host_proc.main_thread.done
@@ -156,12 +156,12 @@ def _checkpoint(server, app, injector, phase, faults):
 def _restart(server, app, injector, phase, faults):
     sim = server.sim
     yield from app.launch()
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     snap = snapify_t("/fz/restart", coiproc=app.coiproc)
     yield from checkpoint_offload_app(snap)
-    yield sim.timeout(0.05)
+    yield sim.sleep(0.05)
     app.host_proc.terminate(code=1)
-    yield sim.timeout(0.05)
+    yield sim.sleep(0.05)
     result = yield from restart_offload_app(server.host_os, "/fz/restart", server.engine(0))
     yield result.host_proc.main_thread.done
     store = result.host_proc.store
@@ -174,9 +174,9 @@ def _restart(server, app, injector, phase, faults):
 def _swap(server, app, injector, phase, faults):
     sim = server.sim
     yield from app.launch()
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     yield snapify_command(app.host_proc, SWAP_OUT, snapshot_path="/fz/swap")
-    yield sim.timeout(0.2)
+    yield sim.sleep(0.2)
     yield snapify_command(app.host_proc, SWAP_IN, engine=server.engine(0))
     yield app.host_proc.main_thread.done
     return {"outcome": "completed", "violations": _verify_violation(app)}
@@ -185,7 +185,7 @@ def _swap(server, app, injector, phase, faults):
 def _migrate(server, app, injector, phase, faults):
     sim = server.sim
     yield from app.launch()
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     yield snapify_command(app.host_proc, MIGRATE, engine=server.engine(1))
     yield app.host_proc.main_thread.done
     return {"outcome": "completed", "violations": _verify_violation(app)}
@@ -203,7 +203,7 @@ def _checkpoint_fault(server, app, injector, phase, faults):
         raise ValueError(f"unknown checkpoint_fault phase {phase!r}")
     sim = server.sim
     yield from app.launch()
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     phi = server.node.phis[0]
     snap = snapify_t("/fz/ckptf", coiproc=app.coiproc)
     try:
@@ -265,7 +265,7 @@ def _concurrent_checkpoint(server, app, injector, phase, faults):
         buf = yield from cp.buffer_create(8 * MB)
         yield from cp.buffer_write(buf, payload=dev + 1)
         dual.append(cp)
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
 
     snaps = [
         snapify_t("/fz/cc/app1", coiproc=app.coiproc),
@@ -319,7 +319,7 @@ def _transfer_fault(server, app, injector, phase, faults):
     src_path, dst_path = "/fz/tf_src", "/fz/tf_dst"
     size = 256 * MB
     yield from src_os.fs.write(src_path, size, payload=["tf-payload"])
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     # Tuned so the fuzzer's fault windows land inside the retry horizon:
     # 4 attempts spanning roughly a second of backoff per channel.
     policy = RetryPolicy(attempts=4, base_delay=0.04, multiplier=2.0,
@@ -526,7 +526,7 @@ def _incremental(server, app, injector, phase, faults):
     tier = MemoryTier.of(sim)
     tier.register_server(server)
     yield from app.launch()
-    yield sim.timeout(0.3)
+    yield sim.sleep(0.3)
     snap = snapify_t("/fz/inc", coiproc=app.coiproc, incremental=True)
     proc = app.coiproc.offload_proc
     bad: List[Violation] = []
@@ -542,7 +542,7 @@ def _incremental(server, app, injector, phase, faults):
             span = max(1, region.size // 25)
             offset = (epoch * 7919 * 4096) % max(1, region.size - span)
             region.write(offset, span)
-        yield sim.timeout(0.1)
+        yield sim.sleep(0.1)
 
     entry = tier.lookup("/fz/inc")
     if entry is None or len(entry.links) != 3:
@@ -663,13 +663,13 @@ def _plugin(server, app, injector, phase, faults):
         yield from scif_register(ep, MB)
         yield from scif_register(ep, 2 * MB)
 
-    yield sim.timeout(0.05)
+    yield sim.sleep(0.05)
     ckpt_path = f"/fz/plug_{phase}"
     wfd = RegularFileFD(sim, server.host_os.fs, ckpt_path, "w")
     yield from cr_checkpoint(proc, wfd)
     wfd.close()
     proc.terminate(code=0)
-    yield sim.timeout(0.05)
+    yield sim.sleep(0.05)
 
     rfd = RegularFileFD(sim, server.host_os.fs, ckpt_path, "r")
     expect_refusal = cross and phase in ("socket_restore", "rdma_migrate")
@@ -728,7 +728,7 @@ def _plugin(server, app, injector, phase, faults):
         if sig.SIGUSR1 not in restored.blocked_signals:
             bad.append(Violation("plugin", "blocked mask lost across restore"))
         restored.unblock_signal(sig.SIGUSR1)
-        yield sim.timeout(0.01)
+        yield sim.sleep(0.01)
         if restored.store.get("sig_count", 0) != 2:
             bad.append(Violation(
                 "plugin",

@@ -99,7 +99,7 @@ class CardRuntime:
         store["_coi_binary"] = self.binary
         install_signal_handler(self.proc)
         # Dynamic load of the offload library shipped by the host.
-        yield self.sim.timeout(self._phi_params().dyld_latency)
+        yield self.sim.sleep(self._phi_params().dyld_latency)
         self.proc.map_region("image", self.binary.image_size, kind="text")
         yield from self._accept_channels(store["_listen_port"])
         self._start_servers()
@@ -205,7 +205,7 @@ class CardRuntime:
             or self.cmd_server.busy
             or self.control_server.busy
         ):
-            yield self.sim.timeout(100e-6)
+            yield self.sim.sleep(100e-6)
         yield self.pipeline_result_mutex.acquire(owner="snapify")
         reg.counter("snapify.drain.case4").inc()
         self.paused = True
@@ -308,7 +308,7 @@ class CardRuntime:
             "started_at": self.sim.now, "duration": duration,
             "async": msg.get("async", False),
         }
-        yield self.sim.timeout(duration)
+        yield self.sim.sleep(duration)
         yield from self._complete(msg["fn"], msg["args"], msg["seq"], msg.get("async", False))
 
     def _complete(self, fn_name: str, args: Any, seq: int, is_async: bool):
@@ -329,7 +329,7 @@ class CardRuntime:
         # Case-4 send site: blocking (rendezvous) send under the result lock.
         reply = {"type": m.FUNCTION_RESULT, "seq": seq, "value": result}
         if self.snapify_enabled:
-            yield self.sim.timeout(SNAPIFY_LOCK_OVERHEAD)
+            yield self.sim.sleep(SNAPIFY_LOCK_OVERHEAD)
             yield self.pipeline_result_mutex.acquire(owner="result-send")
             try:
                 yield from self.eps["pipeline"].send_sync(reply, nbytes=256)
@@ -349,7 +349,7 @@ class CardRuntime:
             captured_at = self.proc.store.get("_blcr_captured_at", inflight["started_at"])
             elapsed = max(0.0, captured_at - inflight["started_at"])
             remaining = max(0.0, inflight["duration"] - elapsed)
-            yield self.sim.timeout(remaining)
+            yield self.sim.sleep(remaining)
             yield from self._complete(
                 inflight["fn"], inflight["args"], inflight["seq"], inflight["async"]
             )
@@ -499,7 +499,7 @@ class COIProcess:
         seq = self.next_seq()
         ev = self.wait_result(seq)
         if self.snapify_enabled:
-            yield self.sim.timeout(2 * SNAPIFY_LOCK_OVERHEAD)
+            yield self.sim.sleep(2 * SNAPIFY_LOCK_OVERHEAD)
         yield self.pipeline_send_mutex.acquire(owner="run")
         try:
             if key is not None:
@@ -574,7 +574,7 @@ class COIProcess:
         """Sub-generator: host -> card RDMA into the buffer (case-2 site)."""
         self._check_alive()
         if self.snapify_enabled:
-            yield self.sim.timeout(SNAPIFY_LOCK_OVERHEAD)
+            yield self.sim.sleep(SNAPIFY_LOCK_OVERHEAD)
         yield self.dma_mutex.acquire(owner="write")
         try:
             offset = self.translate_offset(buf.rdma_offset)
@@ -593,7 +593,7 @@ class COIProcess:
         """Sub-generator: card -> host RDMA out of the buffer; returns payload."""
         self._check_alive()
         if self.snapify_enabled:
-            yield self.sim.timeout(SNAPIFY_LOCK_OVERHEAD)
+            yield self.sim.sleep(SNAPIFY_LOCK_OVERHEAD)
         yield self.dma_mutex.acquire(owner="read")
         try:
             offset = self.translate_offset(buf.rdma_offset)

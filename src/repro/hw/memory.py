@@ -87,4 +87,4 @@ class PhysicalMemory:
 
     def memcpy(self, nbytes: int):
         """Sub-generator that charges the copy time to the caller."""
-        yield self.sim.timeout(self.memcpy_time(nbytes))
+        yield self.sim.sleep(self.memcpy_time(nbytes))

@@ -48,7 +48,7 @@ class BandwidthLink:
         yield self._mutex.acquire()
         try:
             duration = extra_latency + nbytes / self.bandwidth
-            yield self.sim.timeout(duration)
+            yield self.sim.sleep(duration)
             self.bytes_transferred += nbytes
             self.transfer_count += 1
             self.busy_time += duration

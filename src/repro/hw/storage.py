@@ -67,7 +67,7 @@ class HostDisk:
                 yield self._work_available
                 continue
             chunk = min(self.dirty, _FLUSH_CHUNK)
-            yield self.sim.timeout(self.params.op_latency + chunk / self.params.write_bw)
+            yield self.sim.sleep(self.params.op_latency + chunk / self.params.write_bw)
             self.dirty -= chunk
             self._wake_drain_waiters()
 
@@ -95,7 +95,7 @@ class HostDisk:
             raise ValueError("negative write")
         self._ensure_flusher()
         if sync:
-            yield self.sim.timeout(self.params.op_latency + nbytes / self.params.write_bw)
+            yield self.sim.sleep(self.params.op_latency + nbytes / self.params.write_bw)
             self.bytes_written += nbytes
             return
         remaining = nbytes
@@ -108,7 +108,7 @@ class HostDisk:
                 yield ev
                 continue
             take = min(remaining, room)
-            yield self.sim.timeout(take / self.memcpy_bw)
+            yield self.sim.sleep(take / self.memcpy_bw)
             self.dirty += take
             self.bytes_written += take
             remaining -= take
@@ -127,7 +127,7 @@ class HostDisk:
         if nbytes < 0:
             raise ValueError("negative read")
         if cached:
-            yield self.sim.timeout(nbytes / self.memcpy_bw)
+            yield self.sim.sleep(nbytes / self.memcpy_bw)
         else:
-            yield self.sim.timeout(self.params.op_latency + nbytes / self.params.read_bw)
+            yield self.sim.sleep(self.params.op_latency + nbytes / self.params.read_bw)
         self.bytes_read += nbytes

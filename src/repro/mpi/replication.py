@@ -566,7 +566,7 @@ class HeartbeatDetector:
     # -- probe loop -------------------------------------------------------------
     def _run(self):
         while not self._stopped and not self._all_terminal():
-            yield self.sim.timeout(self.interval)
+            yield self.sim.sleep(self.interval)
             if self._stopped:
                 break
             self.m_beats.inc()

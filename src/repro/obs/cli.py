@@ -64,7 +64,7 @@ def _metrics_sampler(sim, interval: float):
     registry = MetricsRegistry.of(sim)
     while True:
         registry.sample(sim.trace)
-        yield sim.timeout(interval)
+        yield sim.sleep(interval)
 
 
 def run_traced_scenario(scenario: str, iterations: int = 40,
@@ -92,7 +92,7 @@ def run_traced_scenario(scenario: str, iterations: int = 40,
 
     def driver(s):
         yield from app.launch()
-        yield s.timeout(0.3)
+        yield s.sleep(0.3)
         if scenario == "swapout":
             snap_done = snapify_command(app.host_proc, SWAP_OUT,
                                         snapshot_path="/snapshots/trace")
@@ -286,7 +286,7 @@ def run_top(topology: str = "rack8", ops_per_card: int = 2,
         result = yield from fleet_sweep(fleet, manager,
                                         ops_per_card=ops_per_card)
         health = yield from manager.health_sweep()
-        yield sim.timeout(settle)
+        yield sim.sleep(settle)
         recorder.stop()
         return result, health
 

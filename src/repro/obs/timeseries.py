@@ -15,7 +15,7 @@ Design rules, matching the rest of ``repro.obs``:
   recorder by default; instrumented sites reach it through
   ``getattr(sim, "snapify_telemetry", None)`` — one attribute read when
   telemetry is off, zero trace records, golden trace byte-identical.
-* **Deterministic.** The sampler ticks on ``sim.timeout`` like any other
+* **Deterministic.** The sampler ticks on ``sim.sleep`` like any other
   thread, so a telemetry-enabled run is exactly as reproducible as the
   run itself; no wall-clock, no randomness.
 * **Bounded.** Series are ``deque(maxlen=...)`` rings; percentile digests
@@ -198,7 +198,7 @@ class TimeSeriesRecorder:
     discover it with :meth:`peek` — a plain ``getattr`` that costs nothing
     when telemetry is off. Call :meth:`stop` before letting a driver
     settle with ``sim.run(check_deadlock=True)``: the sampler's pending
-    timeout would otherwise keep the event heap non-empty forever.
+    sleep would otherwise keep the event heap non-empty forever.
     """
 
     _ATTR = "snapify_telemetry"
@@ -248,7 +248,7 @@ class TimeSeriesRecorder:
     def _sampler(self):
         interval = self.config.interval
         while not self._stopped:
-            yield self.sim.timeout(interval)
+            yield self.sim.sleep(interval)
             if self._stopped:
                 break
             self.sample_tick()

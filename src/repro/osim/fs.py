@@ -188,7 +188,7 @@ class RamFileSystem(FileSystem):
         # processes genuinely cannot fit (Table 4 'Local' at 4 GB).
         self.memory.allocate(nbytes, "ramfs")
         try:
-            yield self.sim.timeout(self.memory.memcpy_time(nbytes) * self.write_factor)
+            yield self.sim.sleep(self.memory.memcpy_time(nbytes) * self.write_factor)
         except BaseException:
             # Torn write: the writer died (card failure kills its thread
             # mid-copy) — roll the charge back so the pool matches the
@@ -203,5 +203,5 @@ class RamFileSystem(FileSystem):
     def read(self, path: str, nbytes: Optional[int] = None):
         f = self.stat(path)
         n = f.size if nbytes is None else min(nbytes, f.size)
-        yield self.sim.timeout(self.memory.memcpy_time(n))
+        yield self.sim.sleep(self.memory.memcpy_time(n))
         return f.payload

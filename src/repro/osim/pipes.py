@@ -35,7 +35,7 @@ class PipeEnd:
         """Sub-generator: write one message."""
         if not self.writable:
             raise RuntimeError("send on the read end of a pipe")
-        yield self.sim.timeout(PIPE_LATENCY)
+        yield self.sim.sleep(PIPE_LATENCY)
         sent = self._channel.send(msg)
         if self.on_send is not None:
             self.on_send()

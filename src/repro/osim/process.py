@@ -303,7 +303,7 @@ class OSInstance:
         start: bool = True,
     ):
         """Sub-generator: fork+exec a process; returns the SimProcess."""
-        yield self.sim.timeout(self.spawn_latency)
+        yield self.sim.sleep(self.spawn_latency)
         proc = SimProcess(self, next(self._pids), name, main_factory=main_factory)
         self.processes[proc.pid] = proc
         if image_size:

@@ -65,7 +65,7 @@ class UnixSocket(FileDescriptor):
             raise SocketError(f"{self.name}: not connected")
         if self.peer.closed:
             raise SocketError(f"{self.name}: peer closed (EPIPE)")
-        yield self.sim.timeout(nbytes / self.bandwidth)
+        yield self.sim.sleep(nbytes / self.bandwidth)
         yield self.peer._rx.send(_Datagram(nbytes, record))
         self.bytes_written += nbytes
 

@@ -191,7 +191,7 @@ class FaultInjector:
             def reboot(sim):
                 from ..snapify_io.daemon import SnapifyIODaemon
 
-                yield sim.timeout(restart_after)
+                yield sim.sleep(restart_after)
                 yield from SnapifyIODaemon.boot(os)
 
             self.sim.spawn(reboot(self.sim), name=f"io-daemon-restart:{os.name}",

@@ -128,7 +128,7 @@ class ResilientRunner:
             proc = self._host_proc()
             if proc is not None and proc.alive:
                 proc.terminate(code=1)
-            yield self.sim.timeout(self.detection_latency)
+            yield self.sim.sleep(self.detection_latency)
             try:
                 if self.latest_snapshot is None:
                     # No checkpoint yet: rerun the whole job on a healthy card.

@@ -109,7 +109,7 @@ def _babysit_cr(job, fleet, state):
     latest: Dict[int, str] = {}
     epoch: Dict[int, int] = {t: 0 for t in range(job.n_teams)}
     while not state["stop"]:
-        yield sim.timeout(CR_INTERVAL)
+        yield sim.sleep(CR_INTERVAL)
         if state["stop"]:
             break
         for team in range(job.n_teams):
@@ -224,7 +224,7 @@ def run_mode(mode: str, *, faulted: bool, seed: int = 0,
             except ReplicationError:
                 if mode != "checkpoint_restart":
                     raise
-                yield sim.timeout(CR_INTERVAL)
+                yield sim.sleep(CR_INTERVAL)
         else:
             raise RuntimeError("C/R restart never revived the failed team")
         elapsed = sim.now - t0

@@ -213,7 +213,7 @@ class ScifEndpoint:
         for link, direction in _segments(self.os, peer.os):
             yield from link.message(direction, nbytes)
         if not _segments(self.os, peer.os):
-            yield self.sim.timeout(1e-6)  # loopback
+            yield self.sim.sleep(1e-6)  # loopback
         self._m_msgs.inc()
         yield peer._rx.send(msg)
 

@@ -33,7 +33,7 @@ def _rdma_transfer(ep: ScifEndpoint, nbytes: int, toward_peer: bool):
     segs = _segments(src_os, dst_os)
     if not segs:
         # Loopback RDMA: charge a memcpy on the local pool.
-        yield ep.sim.timeout(ep.os.memory.memcpy_time(nbytes))
+        yield ep.sim.sleep(ep.os.memory.memcpy_time(nbytes))
         return
     t0 = ep.sim.now
     for link, direction in segs:
@@ -45,7 +45,7 @@ def _rdma_transfer(ep: ScifEndpoint, nbytes: int, toward_peer: bool):
         floor = nbytes / p2p_bw
         elapsed = ep.sim.now - t0
         if elapsed < floor:
-            yield ep.sim.timeout(floor - elapsed)
+            yield ep.sim.sleep(floor - elapsed)
 
 
 def scif_vwriteto(ep: ScifEndpoint, remote_offset: int, nbytes: int, payload: Any = None):

@@ -75,7 +75,7 @@ def scif_register(ep: ScifEndpoint, nbytes: int):
     cost = params.register_latency_fixed + params.register_latency_per_mb * (
         nbytes / (1024 * 1024)
     )
-    yield ep.sim.timeout(cost)
+    yield ep.sim.sleep(cost)
     ep.os.memory.allocate(nbytes, "rdma_staging")
     offset = RdmaRegistry.of(ep.os).allocate_offset(nbytes)
     ep.windows[offset] = nbytes

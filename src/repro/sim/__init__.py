@@ -1,13 +1,14 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the substrate of the whole reproduction: simulated threads
-(generators yielding :class:`Event` objects), a deterministic scheduler,
-synchronization primitives with FIFO handoff, and message channels.
+(generators yielding :class:`Event` objects or ``sim.sleep(d)`` delays), a
+deterministic scheduler, synchronization primitives with FIFO handoff, and
+message channels.
 """
 
 from .channel import Channel, ChannelClosed
 from .errors import DeadlockError, Interrupted, SimError, SimTimeLimit, ThreadKilled
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, AnyOf, Event
 from .kernel import Simulator, Thread
 from .sync import Barrier, Condition, Mutex, Semaphore
 from .trace import NULL_SPAN, Span, TraceRecord, Tracer
@@ -31,7 +32,6 @@ __all__ = [
     "Span",
     "Thread",
     "ThreadKilled",
-    "Timeout",
     "TraceRecord",
     "Tracer",
 ]

@@ -5,9 +5,13 @@ resumes the thread when the event *triggers* — either successfully (the
 thread's ``yield`` expression evaluates to the event's value) or with a
 failure (the stored exception is re-raised at the ``yield`` site).
 
-All higher-level primitives (timeouts, locks, channels, pipes, RDMA
-completions, process exits) bottom out in events, which keeps the kernel's
-scheduling rules in one place and makes the whole stack deterministic.
+All higher-level primitives (locks, channels, pipes, RDMA completions,
+process exits) bottom out in events, which keeps the kernel's scheduling
+rules in one place and makes the whole stack deterministic. The one
+exception is a plain cost sleep: ``yield sim.sleep(d)`` blocks the thread
+on a bare heap entry and allocates no event at all (see
+:mod:`repro.sim.kernel`); ``sim.timeout(d)`` remains the event form for
+code that must compose a delay with other events.
 
 Hot-path notes
 --------------
@@ -22,6 +26,9 @@ is tuned accordingly:
   resume closure per wait; :meth:`Event._fire` hands them straight back to
   the scheduler.
 * State comparisons use ``is`` against the interned module-level constants.
+* ``Simulator.timeout`` builds a plain event with the static name
+  ``"timeout"`` (no per-call f-string) on a single heap entry; cost sleeps
+  skip events entirely through ``Simulator.sleep``.
 
 Ordering is load-bearing: waiters and callbacks live in one list and fire
 in registration order, so optimizations here must never reorder wakeups —
@@ -168,28 +175,6 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Event {self.name!r} {self._state}>"
-
-
-class Timeout(Event):
-    """An event that triggers after a fixed simulated delay.
-
-    The name is the static string ``"timeout"`` rather than an interpolated
-    ``timeout(1.5)`` — timer storms allocate millions of these and the
-    f-string was measurable on the hot path. ``repr()`` still shows the
-    delay for debugging.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
-        super().__init__(sim, name="timeout")
-        self.delay = delay
-        sim.schedule(delay, self.succeed, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Timeout {self.delay:g} {self._state}>"
 
 
 class AnyOf(Event):

@@ -1,7 +1,8 @@
 """The discrete-event simulation kernel.
 
 The kernel runs *simulated threads* — Python generators that ``yield``
-:class:`~repro.sim.events.Event` objects to block. Scheduling is strictly
+:class:`~repro.sim.events.Event` objects to block, or the delay returned by
+:meth:`Simulator.sleep` to pass simulated time. Scheduling is strictly
 deterministic: ties in simulated time are broken by a per-simulator sequence
 counter, so a given seed and workload always produce the same interleaving.
 
@@ -18,6 +19,15 @@ and the run loops below, so this module trades a little beauty for speed:
   closure is allocated per wait.
 * Yielding an already-triggered event skips waiter registration entirely
   and re-schedules the thread straight onto the heap.
+* ``yield sim.sleep(d)`` allocates no event. ``sleep`` only validates the
+  delay and returns it as a float; ``_step`` pushes
+  ``(now + d, k, _wake, (thread, k))`` and ``_wake`` pushes the usual
+  ``(now, k', thread._bstep, (None, None))`` resume. These are the two
+  entries, with the same sequence draws, that ``yield sim.timeout(d)``
+  makes (the timer's ``succeed``, then the waiter's resume), so the two
+  forms order identically. The key ``k`` is the sleep's token: a thread
+  interrupted or killed mid-sleep ignores the stale wake, even if it has
+  gone back to sleep since.
 * ``_ready``/``spawn`` push heap entries inline instead of going through
   :meth:`Simulator.schedule`, and the run loops bind ``heappop`` locally.
 * The bound ``_step`` method is created once per thread (``_bstep``), not
@@ -53,10 +63,23 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from .errors import DeadlockError, Interrupted, SimTimeLimit, ThreadKilled
-from .events import PENDING, SUCCEEDED, AllOf, AnyOf, Event, Timeout, _ThreadWaiter
+from .events import PENDING, SUCCEEDED, AllOf, AnyOf, Event, _ThreadWaiter
 from .trace import Tracer
 
 SimGen = Generator[Event, Any, Any]
+
+#: What a sleeping thread is blocked on. It never triggers and never gets a
+#: waiter; it only names the wait ``"sleep"`` in ``blocked_on``,
+#: ``wait_for_graph()`` and deadlock dumps.
+_SLEEP = Event(None, name="sleep")  # type: ignore[arg-type]
+
+
+def _wake(thread: "Thread", key: Any) -> None:
+    """Timer entry of ``sim.sleep``: resume ``thread`` if still in sleep ``key``."""
+    if thread._waiting_on is _SLEEP and thread._sleep_key is key:
+        thread._waiting_on = None
+        sim = thread.sim
+        heappush(sim._heap, (sim.now, next(sim._seq), thread._bstep, (None, None)))
 
 
 def _perturbed_seq(seed: int):
@@ -82,7 +105,17 @@ class Thread(_ThreadWaiter):
     fails with its uncaught exception — making ``join`` a plain event wait.
     """
 
-    __slots__ = ("sim", "gen", "tid", "name", "done", "daemon", "_waiting_on", "_bstep")
+    __slots__ = (
+        "sim",
+        "gen",
+        "tid",
+        "name",
+        "done",
+        "daemon",
+        "_waiting_on",
+        "_sleep_key",
+        "_bstep",
+    )
 
     def __init__(self, sim: "Simulator", gen: SimGen, name: str = ""):
         self.sim = sim
@@ -91,6 +124,7 @@ class Thread(_ThreadWaiter):
         self.name = name or f"thread-{self.tid}"
         self.done = Event(sim, name=f"done:{self.name}")
         self._waiting_on: Optional[Event] = None
+        self._sleep_key: Any = None  # heap key of the current sleep's wake
         self.daemon = False  # daemon threads don't count for quiescence
         self._bstep = self._step  # bind once; scheduled on every resume
 
@@ -124,6 +158,14 @@ class Thread(_ThreadWaiter):
             if self.sim.strict:
                 raise
             return
+        if target.__class__ is float:
+            # sim.sleep(d): one timer entry, no event (see _wake).
+            sim = self.sim
+            key = next(sim._seq)
+            self._waiting_on = _SLEEP
+            self._sleep_key = key
+            heappush(sim._heap, (sim.now + target, key, _wake, (self, key)))
+            return
         if isinstance(target, Event):
             state = target._state
             if state is PENDING:
@@ -145,6 +187,7 @@ class Thread(_ThreadWaiter):
             return
         exc2 = TypeError(
             f"thread {self.name!r} yielded {target!r}; threads must yield Event objects"
+            " or sim.sleep() delays"
         )
         self.sim._dead_threads.append((self, exc2))
         self.done.fail(exc2)
@@ -200,7 +243,7 @@ class Simulator:
         sim = Simulator()
 
         def worker(sim):
-            yield sim.timeout(1.5)
+            yield sim.sleep(1.5)
             return "done"
 
         t = sim.spawn(worker(sim), name="worker")
@@ -252,13 +295,29 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def sleep(self, delay: float) -> float:
+        """Pass ``delay`` simulated seconds: ``yield sim.sleep(delay)``.
+
+        Returns the delay as a float for the yielding thread's ``_step``,
+        which blocks the thread on a bare heap entry instead of an event.
+        Ordering is exactly that of ``yield sim.timeout(delay)``; use
+        :meth:`timeout` only where the delay must compose with other
+        events (``any_of``) or carry a value.
+        """
+        if delay < 0:
+            raise ValueError(f"negative sleep: {delay}")
+        return float(delay)
+
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """Event that succeeds with ``value`` after ``delay`` simulated seconds."""
+        ev = Event(self, name="timeout")
+        self.schedule(delay, ev.succeed, value)
+        return ev
 
     def at(self, when: float, value: Any = None) -> Event:
         """Event that succeeds at the absolute simulated time ``when``.
 
-        ``timeout(when - now)`` need not land on ``when`` bit for bit (the
+        ``sleep(when - now)`` need not land on ``when`` bit for bit (the
         subtraction and re-addition round), so a thread rejoining a time
         grid it computed itself waits on this instead. Same-time entries
         order by sequence number, exactly as :meth:`schedule` orders them.
@@ -329,9 +388,10 @@ class Simulator:
                     f"event {event.name!r} can never trigger (heap empty)",
                     waitfor=self.wait_for_graph(),
                 )
-            t, _, fn, args = pop(heap)
-            if t > limit:
+            if heap[0][0] > limit:
+                # Peek, not pop: the entry must survive for a later run().
                 raise SimTimeLimit(f"exceeded t={limit:g} waiting for {event.name!r}")
+            t, _, fn, args = pop(heap)
             self.now = t
             fn(*args)
         return event.value

@@ -160,13 +160,13 @@ class SnapifyService:
                         )
                         relayed = True
             if relayed:
-                yield sim.timeout(interval)
+                yield sim.sleep(interval)
                 continue
             last = sim.now
             self.wake = sim.event("snapify-monitor-wake")
             yield self.wake
             # Rebuild the grid with the same float additions the polling
-            # loop's timeouts make. A kick landing exactly on a tick came
+            # loop's sleeps make. A kick landing exactly on a tick came
             # after that tick had polled and found nothing.
             t = last + interval
             while t <= sim.now:

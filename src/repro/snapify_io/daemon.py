@@ -258,7 +258,7 @@ class SnapifyIODaemon:
                 if filled + nbytes > self.params.buffer_size:
                     yield from flush()
                 # Copy from the socket into the staging buffer.
-                yield self.sim.timeout(nbytes / self.os.sockets.default_bandwidth)
+                yield self.sim.sleep(nbytes / self.os.sockets.default_bandwidth)
                 self.m_bytes.inc(nbytes)
                 filled += nbytes
                 total += nbytes

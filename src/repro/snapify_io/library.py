@@ -196,7 +196,7 @@ def snapifyio_open(
         raise SnapifyIOError(
             f"{os.name}: no Snapify-IO daemon listening on SCIF node {node}"
         )
-    yield os.sim.timeout(daemon.params.connect_latency)
+    yield os.sim.sleep(daemon.params.connect_latency)
     sock = yield from os.sockets.connect(SOCKET_ADDR)
     yield from sock.write(64, record={"node": node, "path": path, "mode": mode,
                                       "span": span, "resume": resume})

@@ -247,7 +247,7 @@ class MemoryTier:
             if not self._healthy(src):
                 raise TierError(f"source {src} died mid-replication")
             chunk = min(remaining, BULK_CHUNK)
-            yield self.sim.timeout(chunk / bw)
+            yield self.sim.sleep(chunk / bw)
             remaining -= chunk
 
     # -- capture path ----------------------------------------------------------
@@ -425,7 +425,7 @@ class MemoryTier:
             except TierError as exc:
                 last = exc
                 if attempt <= retries:
-                    yield self.sim.timeout(backoff * attempt)
+                    yield self.sim.sleep(backoff * attempt)
         raise last  # noqa: B904 — the retry chain *is* the cause
 
     # -- health-driven re-homing -----------------------------------------------

@@ -86,7 +86,7 @@ class NFSMount(FileSystem):
         self._check_available()
         sync = sync or self.sync_writes
         if sync:
-            yield self.sim.timeout(self._rpc_time(nbytes, self.params.write_bw))
+            yield self.sim.sleep(self._rpc_time(nbytes, self.params.write_bw))
         else:
             # Write-back: absorb into the client cache while it has room.
             room = max(0, self.params.client_cache - self._cached_bytes)
@@ -94,11 +94,11 @@ class NFSMount(FileSystem):
             spilled = nbytes - absorbed
             self._cached_bytes += absorbed
             if absorbed:
-                yield self.sim.timeout(
+                yield self.sim.sleep(
                     absorbed / self.phi_os.memory.params.memcpy_bw
                 )
             if spilled:
-                yield self.sim.timeout(self._rpc_time(spilled, self.params.write_bw))
+                yield self.sim.sleep(self._rpc_time(spilled, self.params.write_bw))
         # Server-side: land in the host page cache (flushed asynchronously).
         yield from self.host_fs.write(path, nbytes, payload=payload)
 
@@ -124,7 +124,7 @@ class NFSMount(FileSystem):
             cost += self.params.op_latency + min(self.params.rpc_size, f.size) / self.params.read_bw
         self._readahead[path] = end if end < f.size else 0  # rewind at EOF
         self._readahead[(path, "fetched")] = fetched if end < f.size else 0
-        yield self.sim.timeout(cost)
+        yield self.sim.sleep(cost)
         return f.payload
 
 
@@ -180,7 +180,7 @@ class NFSUserBufferedFD(NFSKernelBufferedFD):
 
     def write(self, nbytes: int, record: Any = None):
         # Extra hop through the utility's stdin, mostly overlapped.
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             self.PIPE_HOP
             + self.RESIDUAL_COPY * nbytes / self.mount.phi_os.memory.params.memcpy_bw
         )

@@ -123,7 +123,7 @@ class RetryPolicy:
 
     def backoff(self, sim: "Simulator", attempt: int):
         """Sub-generator: sleep the (jittered) backoff for ``attempt``."""
-        yield sim.timeout(self.delay(sim, attempt))
+        yield sim.sleep(self.delay(sim, attempt))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def scp_copy(
     f = src_os.fs.stat(src_path)
     sim = src_os.sim
     segments = _segments(src_os, dst_os)
-    yield sim.timeout(params.connection_setup + params.per_file_overhead)
+    yield sim.sleep(params.connection_setup + params.per_file_overhead)
     remaining = f.size
     while remaining > 0:
         chunk = min(remaining, _CHUNK)
@@ -50,6 +50,6 @@ def scp_copy(
         # exceed the cipher pace — then the link is what we wait for.
         pace = chunk / params.bandwidth - (sim.now - t0)
         if pace > 0:
-            yield sim.timeout(pace)
+            yield sim.sleep(pace)
         remaining -= chunk
     yield from dst_os.fs.write(dst_path, f.size, payload=f.payload)

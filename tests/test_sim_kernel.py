@@ -317,6 +317,20 @@ def test_run_until_time_limit_guard():
         sim.run_until(ev, limit=100)
 
 
+def test_run_until_time_limit_keeps_the_entry_past_the_limit():
+    """Regression: the first entry past ``limit`` was popped and lost, so
+    a later ``run()`` never fired it."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(200.0, fired.append, "late")
+    with pytest.raises(SimTimeLimit):
+        sim.run_until(sim.event("never"), limit=100)
+    assert sim.now == 0.0
+    sim.run()
+    assert fired == ["late"]
+    assert sim.now == 200.0
+
+
 def test_any_of_returns_first():
     sim = Simulator()
 
