@@ -5,9 +5,9 @@ Runs the kernel microbenchmark workloads (event dispatch, channel ping-pong
 with and without back-pressure, timer storm, and a full snapshot cycle),
 writes a machine-readable ``BENCH_kernel.json``, and — when given a baseline
 — fails with exit code 1 if any workload's throughput drops below
-``threshold`` times the baseline. ``snapshot_cycle`` and ``fleet_sweep``
-also report ``peak_alloc_kb``, their traced allocation peak, beside
-throughput; it is informational and not gated.
+``threshold`` times the baseline. Full-stack workloads live elsewhere:
+``benchmarks/e2e`` measures them end to end, and their simulated bounds are
+tier-1 tests.
 
 Raw ops/sec depends on the machine, so scores are *normalized* against a
 fixed pure-Python calibration loop measured in the same process: the gate
@@ -28,7 +28,6 @@ import json
 import platform
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -131,342 +130,13 @@ def wl_snapshot_cycle():
     return next(sim._seq)  # total kernel events scheduled
 
 
-def wl_concurrent_checkpoints(n_procs=4):
-    """N offload processes on one card checkpointed concurrently through
-    the operation manager: pause/capture pipelines overlapping on one
-    daemon, completions demultiplexed by correlation id. Exercises the
-    ops-layer hot path (state transitions, endpoint demux, wait_all) on
-    top of the full stack; ops = kernel events, like wl_snapshot_cycle.
-    """
-    from repro.coi import OffloadBinary, OffloadFunction
-    from repro.hw import MB
-    from repro.snapify import snapify_t, snapshot_application
-    from repro.testbed import XeonPhiServer, offload_process
-
-    sim = Simulator()
-    server = XeonPhiServer(sim=sim)
-    snaps = []
-
-    def setup(s):
-        for i in range(n_procs):
-            binary = OffloadBinary(
-                f"cc{i}.so", 8 * MB,
-                {"step": OffloadFunction("step", duration=0.05)},
-            )
-            coiproc, _ = yield from offload_process(
-                server, f"cc{i}", binary, buffers=[(4 * MB, i + 1)]
-            )
-            snaps.append(snapify_t(snapshot_path=f"/bench/cc{i}", coiproc=coiproc))
-
-    server.run(setup(sim))
-
-    def driver(s):
-        return (yield from snapshot_application(snaps, kind="checkpoint"))
-
-    results = server.run(driver(sim))
-    assert all(r.ok for r in results), "concurrent checkpoint failed"
-    return next(sim._seq)  # total kernel events scheduled
-
-
-def wl_remote_checkpoint(n_files=6):
-    """Fault-free resilient transfers off a card through TransferManager:
-    proves the retry/fallback machinery adds no overhead when nothing
-    fails (every file must go first-try over Snapify-IO). ops = kernel
-    events, like wl_snapshot_cycle.
-    """
-    from repro.hw import MB
-    from repro.snapify import transfer_snapshot
-    from repro.testbed import XeonPhiServer
-
-    sim = Simulator()
-    server = XeonPhiServer(sim=sim)
-
-    def driver(s):
-        src_os = server.phi_os(0)
-        yield from src_os.fs.write("/bench/src", 64 * MB, payload=["rc"])
-        results = []
-        for i in range(n_files):
-            res = yield from transfer_snapshot(
-                src_os, 0, "/bench/src", f"/bench/dst{i}", kind="remote-checkpoint"
-            )
-            results.append(res)
-        return results
-
-    results = server.run(driver(sim))
-    assert all(
-        r.ok and r.channel == "snapifyio" and r.attempts == 1 for r in results
-    ), "fault-free transfer retried or degraded"
-    return next(sim._seq)  # total kernel events scheduled
-
-
-def wl_incremental_checkpoint(n_epochs=5, buffer_mb=64):
-    """Incremental capture economics: a ~5%-dirty delta epoch must cost
-    well under a full capture of the same process.
-
-    Runs one full (classic, Snapify-IO) capture, then an incremental base
-    plus ``n_epochs`` delta captures into the memory tier, dirtying ~5% of
-    every region between epochs. The gate asserts the mean delta epoch's
-    *capture cost* (the post-drain phases: page walk + replication or
-    transfer; the pause phase is a fixed protocol cost identical on both
-    paths) is >= 3x cheaper in simulated seconds than the full capture —
-    the whole point of dirty-page tracking — and that deltas ship a small
-    fraction of the logical image. ops = kernel events, like
-    wl_snapshot_cycle; the simulated costs and speedup ride in ``extras``.
-    """
-    from repro.coi import OffloadBinary, OffloadFunction
-    from repro.hw import MB
-    from repro.snapify import snapify_t
-    from repro.snapify.ops import capture_sequence
-    from repro.snapify_io.memtier import MemoryTier
-    from repro.testbed import XeonPhiServer, offload_process
-
-    sim = Simulator()
-    server = XeonPhiServer(sim=sim)
-    binary = OffloadBinary(
-        "inc.so", 8 * MB, {"step": OffloadFunction("step", duration=0.05)}
-    )
-
-    def setup(s):
-        coiproc, _ = yield from offload_process(
-            server, "inc", binary, buffers=[(buffer_mb * MB, 1)]
-        )
-        return coiproc
-
-    coiproc = server.run(setup(sim))
-    MemoryTier.of(sim).register_server(server)
-
-    def capture_cost(result):
-        # The phases dirty tracking changes: everything after the drain
-        # (page walk + replicate/transfer). Pausing is a fixed protocol
-        # cost identical on both paths.
-        return sum(
-            result.phases.get(p, 0.0)
-            for p in ("capturing", "capturing_delta", "replicating", "transferring")
-        )
-
-    def driver(s):
-        snap_full = snapify_t("/bench/inc_full", coiproc=coiproc)
-        full_cost = capture_cost((yield from capture_sequence(snap_full)))
-        snap = snapify_t("/bench/inc_tier", coiproc=coiproc, incremental=True)
-        base_cost = capture_cost((yield from capture_sequence(snap)))
-        delta_cost, frac = [], []
-        for epoch in range(n_epochs):
-            for region in coiproc.offload_proc.regions.values():
-                span = max(1, region.size // 20)  # ~5% of the region
-                offset = (epoch * 7919 * 4096) % max(1, region.size - span)
-                region.write(offset, span)
-            result = yield from capture_sequence(snap)
-            delta_cost.append(capture_cost(result))
-            frac.append(result.delta_bytes / result.image_bytes)
-        return full_cost, base_cost, delta_cost, frac
-
-    full_cost, base_cost, delta_cost, frac = server.run(driver(sim))
-    mean_delta = sum(delta_cost) / len(delta_cost)
-    speedup = full_cost / mean_delta
-    assert speedup >= 3.0, (
-        f"5%-dirty delta capture only {speedup:.2f}x cheaper than full "
-        f"({mean_delta:.4f}s vs {full_cost:.4f}s simulated)"
-    )
-    assert max(frac) < 0.5, f"delta shipped {max(frac):.0%} of the logical image"
-    wl_incremental_checkpoint.extras = {
-        "full_capture_sim_s": round(full_cost, 6),
-        "base_capture_sim_s": round(base_cost, 6),
-        "mean_delta_sim_s": round(mean_delta, 6),
-        "delta_speedup_x": round(speedup, 2),
-        "mean_dirty_frac": round(sum(frac) / len(frac), 4),
-    }
-    return next(sim._seq)  # total kernel events scheduled
-
-
-def wl_fleet_sweep(topology="rack32", ops_per_card=4):
-    """The fleet control plane at scale: a rack of cards driven through one
-    admission-controlled FleetManager (mixed checkpoint/swap/migrate load,
-    cards * ops_per_card keyed operations). ops = kernel events, like
-    wl_snapshot_cycle; the p99 queue wait (simulated seconds a ticket sat
-    in the priority queues) rides along in ``extras`` for the CI summary.
-    """
-    from repro.snapify.fleet import FleetManager, fleet_sweep
-    from repro.testbed import XeonPhiFleet
-
-    fleet = XeonPhiFleet(topology)
-    manager = FleetManager(fleet, max_in_flight=16, per_card_limit=2)
-
-    def driver():
-        return (yield from fleet_sweep(fleet, manager, ops_per_card=ops_per_card))
-
-    result = fleet.run(driver())
-    assert result.ok, f"fleet sweep failed: {result.summary()}"
-    assert manager.hwm_in_flight <= manager.max_in_flight, "admission cap breached"
-    waits = sorted(t.queue_wait for t in result.tickets.values()
-                   if t.queue_wait is not None)
-    p99 = waits[min(len(waits) - 1, int(len(waits) * 0.99))] if waits else 0.0
-    wl_fleet_sweep.extras = {
-        "fleet_ops": len(result),
-        "p99_queue_wait_sim_s": round(p99, 6),
-    }
-    return next(fleet.sim._seq)  # total kernel events scheduled
-
-
-def wl_telemetry_overhead(topology="rack8", ops_per_card=4, interval=0.05):
-    """The telemetry tax: the same fleet sweep with the sampler off and on.
-
-    Runs ``wl_fleet_sweep``'s workload twice — stock, then with the
-    :class:`~repro.obs.timeseries.TimeSeriesRecorder` installed at a
-    production interval — and asserts the enabled sampler inflates the
-    kernel event count by < 5%. The score is the telemetry-on run's event
-    count, so a chatty sampler shows up both in the assertion and as a
-    throughput regression.
-    """
-    from repro.obs.timeseries import TelemetryConfig, TimeSeriesRecorder
-    from repro.snapify.fleet import FleetManager, fleet_sweep
-    from repro.testbed import XeonPhiFleet
-
-    def sweep(telemetry):
-        fleet = XeonPhiFleet(topology)
-        recorder = None
-        if telemetry:
-            recorder = TimeSeriesRecorder.install(
-                fleet.sim, TelemetryConfig(interval=interval)
-            )
-        manager = FleetManager(fleet, max_in_flight=16, per_card_limit=2)
-
-        def driver():
-            result = yield from fleet_sweep(fleet, manager,
-                                            ops_per_card=ops_per_card)
-            if recorder is not None:
-                recorder.stop()
-            return result
-
-        result = fleet.run(driver())
-        assert result.ok, f"fleet sweep failed: {result.summary()}"
-        return next(fleet.sim._seq)
-
-    events_off = sweep(telemetry=False)
-    events_on = sweep(telemetry=True)
-    overhead = (events_on - events_off) / events_off
-    assert overhead < 0.05, (
-        f"telemetry sampler overhead {overhead:.1%} >= 5% "
-        f"({events_on} vs {events_off} kernel events)"
-    )
-    wl_telemetry_overhead.extras = {
-        "events_off": events_off,
-        "events_on": events_on,
-        "overhead_pct": round(overhead * 100, 3),
-    }
-    return events_on
-
-
-def wl_plugin_dispatch(iterations=20):
-    """The checkpoint-content plugin tax: the same fault-free checkpoint
-    cycle with the default, empty registry and with every standard content
-    plugin registered (the app owns none of the plugged resources, so the
-    plugins all decline). The registry walk, the agent's drain phase, and
-    the COI metadata image must together inflate the kernel event count by
-    < 2%. The score is the plugins-on run's event count, so dispatch bloat
-    shows up both in the assertion and as a throughput regression.
-    """
-    from dataclasses import replace
-
-    from repro.apps import OPENMP_BENCHMARKS, OffloadApplication
-    from repro.blcr.plugins import register_standard_plugins
-    from repro.snapify import checkpoint_offload_app, snapify_t
-    from repro.testbed import XeonPhiServer
-
-    def cycle(with_plugins):
-        sim = Simulator()
-        server = XeonPhiServer(sim=sim)
-        if with_plugins:
-            register_standard_plugins(server.phi_os(0))
-            register_standard_plugins(server.phi_os(1))
-        profile = replace(OPENMP_BENCHMARKS["MC"], iterations=iterations)
-        app = OffloadApplication(server, profile)
-
-        def driver(s):
-            yield from app.launch()
-            yield s.timeout(0.3)
-            snap = snapify_t("/bench/plug", coiproc=app.coiproc)
-            yield from checkpoint_offload_app(snap)
-            yield app.host_proc.main_thread.done
-
-        server.run(driver(sim))
-        assert app.verify(), "plugin dispatch run corrupted the application"
-        return next(sim._seq)
-
-    events_off = cycle(with_plugins=False)
-    events_on = cycle(with_plugins=True)
-    overhead = (events_on - events_off) / events_off
-    assert overhead < 0.02, (
-        f"plugin dispatch overhead {overhead:.2%} >= 2% on the fault-free "
-        f"checkpoint path ({events_on} vs {events_off} kernel events)"
-    )
-    wl_plugin_dispatch.extras = {
-        "events_off": events_off,
-        "events_on": events_on,
-        "overhead_pct": round(overhead * 100, 3),
-    }
-    return events_on
-
-
-def wl_replication():
-    """Useful-work throughput of a replicated (R=2) job surviving a card
-    failure: the faulted replication arm of the resilience study. Asserts
-    the failure costs zero restarts and that the team-message ledger and
-    dedup accounting balance. ops = kernel events, like wl_snapshot_cycle;
-    the study's headline numbers ride in ``extras`` for the CI summary.
-    """
-    from repro.sched.study import run_mode
-
-    clean = run_mode("replication", faulted=False)
-    fault = run_mode("replication", faulted=True,
-                     fault_at=0.6 * clean["elapsed"])
-    assert fault["verified"], "replicated job finished with a bad checksum"
-    assert fault["restarts"] == 0, "replication needed a restart"
-    assert fault["drops"] == 1, f"expected one replica drop, got {fault['drops']}"
-    assert fault["ledger_balanced"], "team-message copy ledger out of balance"
-    assert fault["duplicate_deliveries"] == 0, "a logical message delivered twice"
-    slowdown = fault["elapsed"] / clean["elapsed"]
-    assert slowdown < 1.1, f"card failure cost {slowdown:.2f}x under replication"
-    wl_replication.extras = {
-        "clean_sim_s": round(clean["elapsed"], 6),
-        "faulted_sim_s": round(fault["elapsed"], 6),
-        "slowdown_x": round(slowdown, 3),
-        "useful_iterations": fault["iterations"],
-        "executed_iterations": fault["executed"],
-    }
-    return fault["events"]
-
-
 WORKLOADS = {
     "event_dispatch": wl_event_dispatch,
     "ping_pong": wl_ping_pong,
     "ping_pong_bounded": wl_ping_pong_bounded,
     "timer_storm": wl_timer_storm,
     "snapshot_cycle": wl_snapshot_cycle,
-    "concurrent_checkpoints": wl_concurrent_checkpoints,
-    "remote_checkpoint": wl_remote_checkpoint,
-    "incremental_checkpoint": wl_incremental_checkpoint,
-    "fleet_sweep": wl_fleet_sweep,
-    "telemetry_overhead": wl_telemetry_overhead,
-    "plugin_dispatch": wl_plugin_dispatch,
-    "replication": wl_replication,
 }
-
-
-#: Workloads that also report ``peak_alloc_kb``, the peak bytes allocated
-#: by one run under ``tracemalloc``. Informational: it is measured in a
-#: separate run after the timed repetitions, and it is never gated.
-FOOTPRINT_WORKLOADS = ("snapshot_cycle", "fleet_sweep")
-
-
-def peak_alloc_kb(fn):
-    """Peak traced allocation of one run of ``fn``, in KiB."""
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return round(peak / 1024)
 
 
 def calibrate(n=400_000):
@@ -511,11 +181,6 @@ def run_benchmarks(repeat=3):
             "ops_per_sec": round(best_ops_per_sec, 1),
             "normalized": round(best_ops_per_sec / cal, 6),
         }
-        extras = getattr(fn, "extras", None)
-        if extras:
-            results[name].update(extras)
-        if name in FOOTPRINT_WORKLOADS:
-            results[name]["peak_alloc_kb"] = peak_alloc_kb(fn)
     return {
         "schema": SCHEMA,
         "python": platform.python_version(),
@@ -547,21 +212,12 @@ def markdown_summary(report, failures=None, threshold=None):
     lines = [
         "### Kernel performance gate",
         "",
-        "| workload | ops/s | normalized | notes |",
-        "| --- | ---: | ---: | --- |",
+        "| workload | ops/s | normalized |",
+        "| --- | ---: | ---: |",
     ]
     for name, res in report["results"].items():
-        notes = ", ".join(
-            f"{k}={v}" for k, v in res.items()
-            if k not in ("ops", "ops_per_sec", "normalized")
-        )
-        lines.append(
-            f"| {name} | {res['ops_per_sec']:,.0f} | "
-            f"{res['normalized']:.4f} | {notes} |"
-        )
-    lines.append(
-        f"| _calibration_ | {report['calibration_ops_per_sec']:,.0f} | 1.0000 | |"
-    )
+        lines.append(f"| {name} | {res['ops_per_sec']:,.0f} | {res['normalized']:.4f} |")
+    lines.append(f"| _calibration_ | {report['calibration_ops_per_sec']:,.0f} | 1.0000 |")
     lines.append("")
     if failures:
         lines.append(f"**PERFGATE FAIL** (threshold {threshold:.2f}x of baseline):")

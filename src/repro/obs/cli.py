@@ -1,13 +1,16 @@
 """The ``snapify`` command-line front end (``snapify trace``, ``snapify fuzz``).
 
-``snapify trace`` runs a fully traced Snapify operation on the simulated
-testbed and turns the span tree into the paper's Figure 9/10-style phase
-breakdown table, optionally exporting the whole run as Chrome trace-event
-JSON (loadable in Perfetto / ``chrome://tracing``):
+``snapify trace`` runs one scenario of the fuzz catalogue
+(:func:`repro.check.scenarios.run_scenario`) with tracing on, checks every
+invariant oracle, and turns the span tree into the paper's Figure
+9/10-style phase breakdown table (one per distinct root span name),
+optionally exporting the whole run as Chrome trace-event JSON (loadable in
+Perfetto / ``chrome://tracing``). It exits 1 if an oracle fails:
 
     snapify trace                              # swap-out + swap-in breakdown
     snapify trace --scenario checkpoint        # Fig. 5 checkpoint path
     snapify trace --scenario migrate --json trace.json
+    snapify trace --scenario concurrent_checkpoint
 
 ``snapify fuzz`` sweeps the protocol scenarios across perturbed schedules
 and fault plans, checking every invariant oracle (see :mod:`repro.check`),
@@ -44,90 +47,34 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .export import validate_trace_events, write_chrome_trace
-from .phases import PhaseBreakdown, operation_table
+from .phases import PhaseBreakdown, build_span_tree, operation_table
 from .registry import MetricsRegistry
-
-#: scenario name -> root span names whose breakdowns are printed.
-SCENARIOS = {
-    "swapout": ["snapify.swapout", "snapify.swapin"],
-    "checkpoint": ["snapify.checkpoint"],
-    "migrate": ["snapify.migration"],
-}
-
-
-def _metrics_sampler(sim, interval: float):
-    """Daemon thread: periodically sample the registry into the trace, so
-    the export grows counter tracks alongside the span lanes."""
-    registry = MetricsRegistry.of(sim)
-    while True:
-        registry.sample(sim.trace)
-        yield sim.sleep(interval)
-
-
-def run_traced_scenario(scenario: str, iterations: int = 40,
-                        sample_interval: float = 0.01):
-    """Run ``scenario`` with tracing on; returns the booted server.
-
-    The returned server's ``sim.trace`` holds the complete record stream
-    (spans included) and ``MetricsRegistry.of(sim)`` the final instruments.
-    """
-    from ..sim import Simulator
-    from ..snapify import (
-        MIGRATE, SWAP_IN, SWAP_OUT, checkpoint_offload_app, snapify_command, snapify_t,
-    )
-    from ..testbed import XeonPhiServer, offload_app
-
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r} (choose from {sorted(SCENARIOS)})")
-
-    sim = Simulator(trace=True)
-    server = XeonPhiServer(sim=sim)
-    app = offload_app(server, "MC", iterations=iterations)
-    if sample_interval > 0:
-        sim.spawn(_metrics_sampler(sim, sample_interval), name="metrics-sampler",
-                  daemon=True)
-
-    def driver(s):
-        yield from app.launch()
-        yield s.sleep(0.3)
-        if scenario == "swapout":
-            snap_done = snapify_command(app.host_proc, SWAP_OUT,
-                                        snapshot_path="/snapshots/trace")
-            yield snap_done
-            back = snapify_command(app.host_proc, SWAP_IN, engine=server.engine(0))
-            yield back
-        elif scenario == "checkpoint":
-            snap = snapify_t(snapshot_path="/snapshots/trace", coiproc=app.coiproc)
-            yield from checkpoint_offload_app(snap)
-        elif scenario == "migrate":
-            done = snapify_command(app.host_proc, MIGRATE, engine=server.engine(1))
-            yield done
-        yield app.host_proc.main_thread.done
-
-    server.run(driver(sim))
-    assert app.verify(), f"{scenario} scenario corrupted the application state"
-    return server
 
 
 def trace_command(args: argparse.Namespace) -> int:
-    server = run_traced_scenario(
-        args.scenario, iterations=args.iterations,
-        sample_interval=args.sample_interval,
-    )
-    tracer = server.sim.trace
+    from ..check.scenarios import run_scenario
 
-    breakdowns: List[Tuple[str, PhaseBreakdown]] = []
-    for root_name in SCENARIOS[args.scenario]:
-        try:
-            breakdowns.append((root_name, PhaseBreakdown.from_trace(tracer, root_name)))
-        except ValueError as exc:
-            # A trace with no finished root span (or none at all) is a
-            # report, not a crash: say so and keep going.
-            print(f"(no phase breakdown for {root_name!r}: {exc})")
-    for _, breakdown in breakdowns:
+    result = run_scenario(args.scenario, capture_trace=True,
+                          sample_interval=args.sample_interval)
+    sim = result.sim
+    tracer = sim.trace
+
+    # One breakdown per distinct root span name (its first finished
+    # occurrence). A trace with no finished root span is a report, not a
+    # crash: say so and keep going.
+    roots, _ = build_span_tree(tracer)
+    breakdowns: Dict[str, PhaseBreakdown] = {}
+    for root in roots:
+        if root.end is not None and root.name not in breakdowns:
+            breakdowns[root.name] = PhaseBreakdown(root)
+    for name in dict.fromkeys(r.name for r in roots if r.name not in breakdowns):
+        print(f"(no phase breakdown for {name!r}: its root span never finished)")
+    if not roots:
+        print(f"(no phase breakdown: {args.scenario!r} recorded no root span)")
+    for breakdown in breakdowns.values():
         print()
         print(breakdown.render())
 
@@ -139,7 +86,7 @@ def trace_command(args: argparse.Namespace) -> int:
     print(operation_table(tracer).render())
 
     if args.metrics:
-        snap = MetricsRegistry.of(server.sim).snapshot()
+        snap = MetricsRegistry.of(sim).snapshot()
         print(f"\n== Metrics at t={snap['time']:.6f}s ==")
         for name, value in snap["counters"].items():
             print(f"  counter    {name:40s} {value}")
@@ -154,9 +101,12 @@ def trace_command(args: argparse.Namespace) -> int:
         print(f"\nwrote {args.json}: {n} trace events "
               f"({len(tracer.records)} records) — load it at ui.perfetto.dev")
 
+    if not result.ok:
+        print(f"\n{result.summary()}")
+        return 1
     # The accounting identity the breakdown promises: union of components
     # plus the unattributed gap reproduces the end-to-end latency.
-    for root_name, breakdown in breakdowns:
+    for root_name, breakdown in breakdowns.items():
         drift = abs(breakdown.accounted - breakdown.total)
         limit = 0.01 * breakdown.total
         if drift > limit:
@@ -444,7 +394,23 @@ def fuzz_command(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {text})")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {text})")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    from ..check.scenarios import scenario_names
+
     parser = argparse.ArgumentParser(
         prog="snapify", description="Snapify reproduction command-line tools"
     )
@@ -454,15 +420,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run a traced Snapify operation and print its phase breakdown",
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    tr.add_argument("--scenario", choices=sorted(SCENARIOS), default="swapout",
-                    help="operation to run (default: swapout)")
-    tr.add_argument("--iterations", type=int, default=40,
-                    help="application iterations before the operation (default 40)")
+    tr.add_argument("--scenario", choices=scenario_names(), default="swap",
+                    metavar="NAME",
+                    help="fuzz-catalogue scenario to run (default: swap; "
+                         "any name `snapify fuzz` runs, e.g. checkpoint, "
+                         "migrate, concurrent_checkpoint, fleet:rack8)")
     tr.add_argument("--json", metavar="PATH", default=None,
                     help="write Chrome trace-event JSON to PATH")
     tr.add_argument("--metrics", action="store_true",
                     help="print the final metrics-registry snapshot")
-    tr.add_argument("--sample-interval", type=float, default=0.01,
+    tr.add_argument("--sample-interval", type=_non_negative, default=0.01,
                     help="simulated seconds between metric samples "
                          "(0 disables counter tracks; default 0.01)")
     tr.set_defaults(fn=trace_command)
@@ -471,7 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="sweep protocol scenarios across perturbed schedules and check "
              "invariant oracles",
     )
-    fz.add_argument("--seeds", type=int, default=10,
+    fz.add_argument("--seeds", type=_positive_int, default=10,
                     help="schedule seeds per scenario: 0..N-1 (default 10)")
     fz.add_argument("--scenario", default=None,
                     help="restrict to one scenario (e.g. migrate, "

@@ -777,7 +777,7 @@ class FleetManager:
 
 
 # ---------------------------------------------------------------------------
-# The standard mixed-load sweep (CLI, perfgate, fuzz scenario, README demo)
+# The standard mixed-load sweep (CLI, fuzz scenario, tier-1 tests, README demo)
 # ---------------------------------------------------------------------------
 
 

@@ -444,6 +444,36 @@ def test_agent_invokes_drain_hooks_at_pause():
     assert app.verify()
 
 
+def test_standard_plugins_add_under_two_percent_kernel_events():
+    """The plugin tax on a fault-free checkpoint cycle: registering every
+    standard plugin on both cards (the app owns none of their resources,
+    so they all decline) adds < 2% scheduled kernel events — registry
+    walk, drain phase and COI metadata image together."""
+    from repro.snapify import checkpoint_offload_app, snapify_t
+    from repro.testbed import XeonPhiServer, offload_app
+
+    def cycle_events(with_plugins):
+        server = XeonPhiServer()
+        sim = server.sim
+        if with_plugins:
+            register_standard_plugins(server.phi_os(0))
+            register_standard_plugins(server.phi_os(1))
+        app = offload_app(server, "MC", iterations=20)
+
+        def driver():
+            yield from app.launch()
+            yield sim.sleep(0.3)
+            yield from checkpoint_offload_app(snapify_t("/t/tax", coiproc=app.coiproc))
+            yield app.host_proc.main_thread.done
+
+        server.run(driver(), name="driver")
+        assert app.verify()
+        return next(sim._seq)
+
+    off, on = cycle_events(False), cycle_events(True)
+    assert off < on < 1.02 * off
+
+
 # ---------------------------------------------------------------------------
 # Fuzz scenarios exist and hold
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from repro.obs import (
     validate_trace_events,
     write_chrome_trace,
 )
-from repro.obs.cli import main as cli_main, run_traced_scenario
+from repro.check.scenarios import run_scenario
+from repro.obs.cli import main as cli_main
 from repro.sim import NULL_SPAN, Simulator
 
 
@@ -313,8 +314,9 @@ def test_validator_rejects_malformed_docs():
 
 
 def test_traced_swapout_breakdown_and_export(tmp_path):
-    server = run_traced_scenario("swapout", iterations=10)
-    tracer = server.sim.trace
+    result = run_scenario("swap", capture_trace=True, sample_interval=0.01)
+    assert result.ok, result.summary()
+    tracer = result.sim.trace
 
     for root_name in ("snapify.swapout", "snapify.swapin"):
         bd = PhaseBreakdown.from_trace(tracer, root_name)
@@ -338,8 +340,7 @@ def test_traced_swapout_breakdown_and_export(tmp_path):
 
 
 def test_cli_trace_checkpoint(capsys):
-    rc = cli_main(["trace", "--scenario", "checkpoint", "--iterations", "10",
-                   "--sample-interval", "0"])
+    rc = cli_main(["trace", "--scenario", "checkpoint", "--sample-interval", "0"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "Phase breakdown: snapify.checkpoint" in out

@@ -3,8 +3,10 @@
 The ``snapify top`` dashboard and its ``--export prom``/``--export json``
 payloads are exercised end to end through ``main()``; ``snapify trace`` is
 pinned to its friendly degraded paths (no finished root span, zero op.*
-records) instead of a stack trace; the histogram bucket export round-trips
-through the Prometheus text parser/validator.
+records) instead of a stack trace, runs fuzz-catalogue scenarios (exit 1
+when an oracle fails), and settles its metrics sampler; bad ``--seeds`` /
+``--sample-interval`` values are argparse errors; the histogram bucket
+export round-trips through the Prometheus text parser/validator.
 """
 
 import json
@@ -37,27 +39,124 @@ def test_operation_table_with_zero_op_records_renders_note():
 
 def test_trace_command_with_empty_trace_exits_zero(monkeypatch, capsys):
     """A run that produced no spans and no operations still prints the
-    (empty) operation table and a friendly note per missing breakdown."""
-    import repro.obs.cli as cli
+    (empty) operation table and a friendly note instead of a breakdown."""
+    import repro.check.scenarios as scenarios
 
-    def fake_run(scenario, iterations=40, sample_interval=0.01):
-        return types.SimpleNamespace(sim=Simulator(trace=True))
+    def fake_run(name, capture_trace=False, sample_interval=0.0):
+        return types.SimpleNamespace(ok=True, sim=Simulator(trace=True))
 
-    monkeypatch.setattr(cli, "run_traced_scenario", fake_run)
+    monkeypatch.setattr(scenarios, "run_scenario", fake_run)
     rc = cli_main(["trace", "--scenario", "checkpoint"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "no phase breakdown for 'snapify.checkpoint'" in out
+    assert "no phase breakdown" in out
     assert "no op.* records" in out
 
 
 def test_trace_command_prints_card_column(capsys):
-    rc = cli_main(["trace", "--scenario", "checkpoint", "--iterations", "10",
-                   "--sample-interval", "0"])
+    rc = cli_main(["trace", "--scenario", "checkpoint", "--sample-interval", "0"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "card" in out        # operation-table column
     assert "n0.mic0" in out     # the op ran on card 0 of node 0
+
+
+# ---------------------------------------------------------------------------
+# snapify trace runs the fuzz catalogue (oracle-checked scenarios)
+# ---------------------------------------------------------------------------
+
+
+def test_trace_concurrent_checkpoint_prints_its_breakdowns(capsys):
+    rc = cli_main(["trace", "--scenario", "concurrent_checkpoint"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    # One breakdown per distinct root span name, four operations in the table.
+    for root in ("snapify.pause", "snapify.capture", "snapify.resume"):
+        assert out.count(f"Phase breakdown: {root} ") == 1
+    assert out.count("| checkpoint |") == 4
+
+
+def test_trace_plugin_scenario_without_root_span_exits_zero(capsys):
+    rc = cli_main(["trace", "--scenario", "plugin:socket_restore"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "no phase breakdown: 'plugin:socket_restore' recorded no root span" in out
+    assert "Phase breakdown:" not in out
+
+
+def test_trace_exits_one_with_summary_when_an_oracle_fails(monkeypatch, capsys):
+    import repro.check.scenarios as scenarios
+    from repro.check.oracles import Violation
+
+    real_run = scenarios.run_scenario
+
+    def failing_run(name, **kwargs):
+        result = real_run(name, **kwargs)
+        result.ok = False
+        result.violations.append(Violation("result_correct", "planted by the test"))
+        return result
+
+    monkeypatch.setattr(scenarios, "run_scenario", failing_run)
+    rc = cli_main(["trace", "--scenario", "checkpoint"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "Phase breakdown: snapify.checkpoint" in out
+    assert "checkpoint seed=None: FAIL (completed)" in out
+    assert "planted by the test" in out
+
+
+def test_trace_rejects_negative_sample_interval(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["trace", "--sample-interval", "-1"])
+    assert exc.value.code == 2
+    assert "--sample-interval" in capsys.readouterr().err
+
+
+def test_fuzz_rejects_zero_seeds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fuzz", "--seeds", "0"])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
+def test_sampler_ends_so_a_blocked_thread_deadlocks():
+    """The sampler returns on waking to an empty heap, so a non-daemon
+    thread blocked forever beside it surfaces as DeadlockError instead of
+    the sampler ticking forever."""
+    from repro.check.scenarios import _metrics_sampler
+    from repro.sim.errors import DeadlockError
+
+    sim = Simulator(trace=True)
+    MetricsRegistry.of(sim).counter("probe").inc()
+    sim.spawn(_metrics_sampler(sim, 0.01), name="metrics-sampler", daemon=True)
+
+    def stuck(s):
+        yield s.event("never")
+
+    sim.spawn(stuck(sim), name="stuck")
+    with pytest.raises(DeadlockError, match="stuck"):
+        sim.run(check_deadlock=True)
+    assert sim.trace.find("metric.sample")
+
+
+def test_sampled_scenario_settles_with_metric_samples():
+    from repro.check.scenarios import run_scenario
+
+    result = run_scenario("checkpoint", capture_trace=True, sample_interval=0.01)
+    assert result.ok and result.outcome == "completed", result.summary()
+    assert result.sim is not None
+    assert result.sim.trace.find("metric.sample")
+
+
+def test_run_result_keeps_no_simulator_without_trace():
+    from repro.check.scenarios import run_scenario
+
+    result = run_scenario("checkpoint", seed=0)
+    assert result.ok and result.sim is None
+    with pytest.raises(ValueError, match="capture_trace"):
+        run_scenario("checkpoint", sample_interval=0.01)
+    with pytest.raises(ValueError, match="negative"):
+        run_scenario("checkpoint", capture_trace=True, sample_interval=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -381,13 +381,20 @@ def test_worst_case_replication_seeds_stay_green(scenario, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_run_mode_replication_clean():
-    out = run_mode("replication", faulted=False, iterations=4)
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+def test_run_mode_replication_clean(faulted):
+    """Clean, and with team 0's first replica's card failing 60% into the
+    clean runtime: the survivor carries the team, so the failure costs no
+    restart, one drop, no duplicate delivery and < 10% slowdown."""
+    clean = run_mode("replication", faulted=False, iterations=4)
+    out = (run_mode("replication", faulted=True, iterations=4,
+                    fault_at=0.6 * clean["elapsed"]) if faulted else clean)
     assert out["verified"]
-    assert out["restarts"] == 0 and out["drops"] == 0
+    assert out["restarts"] == 0 and out["drops"] == int(faulted)
     assert out["ledger_balanced"] and out["duplicate_deliveries"] == 0
     assert out["cards"] == 4  # 2 teams x R=2
     assert out["elapsed"] > 0 and isinstance(out["events"], int)
+    assert out["elapsed"] < 1.1 * clean["elapsed"]
 
 
 def test_run_mode_rejects_unknown_mode():

@@ -291,14 +291,40 @@ def test_sampler_ticks_on_sim_clock_and_stops():
 
 def test_uninstalled_telemetry_is_inert():
     """The default path: no recorder, no alert records, no extra events."""
-    from repro.obs.cli import run_traced_scenario
+    from repro.check.scenarios import run_scenario
 
-    server = run_traced_scenario("checkpoint", iterations=10)
-    sim = server.sim
+    result = run_scenario("checkpoint", capture_trace=True, sample_interval=0.01)
+    assert result.ok
+    sim = result.sim
     assert TimeSeriesRecorder.peek(sim) is None
     assert sim.trace.find("alert.fire") == []
     assert sim.trace.find("alert.resolve") == []
     assert not any(r.category.startswith("telemetry") for r in sim.trace.records)
+
+
+def test_sampler_adds_under_five_percent_kernel_events_on_rack8_sweep():
+    """The telemetry tax: the same rack8 fleet sweep with the sampler off
+    and at a production interval adds < 5% scheduled kernel events."""
+    from repro.snapify.fleet import FleetManager, fleet_sweep
+    from repro.testbed import XeonPhiFleet
+
+    def sweep_events(telemetry):
+        fleet = XeonPhiFleet("rack8")
+        rec = (TimeSeriesRecorder.install(fleet.sim, TelemetryConfig(interval=0.05))
+               if telemetry else None)
+        manager = FleetManager(fleet, max_in_flight=16, per_card_limit=2)
+
+        def driver():
+            result = yield from fleet_sweep(fleet, manager, ops_per_card=4)
+            if rec is not None:
+                rec.stop()
+            return result
+
+        assert fleet.run(driver()).ok
+        return next(fleet.sim._seq)
+
+    off, on = sweep_events(False), sweep_events(True)
+    assert off < on < 1.05 * off
 
 
 def test_operation_feed_counts_phases_per_card():
