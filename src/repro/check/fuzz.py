@@ -217,6 +217,7 @@ def fuzz(
     for scenario in scenarios:
         for seed in seeds:
             result = run_scenario(scenario, seed=seed, faults=faults_for(scenario, seed))
+            result.sim = None  # a sweep keeps no simulators
             report.runs.append(result)
             if progress is not None:
                 progress(result)

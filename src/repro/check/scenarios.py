@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps import OffloadApplication, expected_checksum
 from ..blcr.plugins import PluginError
@@ -110,8 +110,9 @@ class RunResult:
     #: alert state + metric snapshot), attached only to failed runs — see
     #: :func:`repro.obs.recorder.postmortem_bundle`.
     postmortem: Optional[Dict[str, Any]] = None
-    #: The run's kernel (its ``trace`` and metrics registry), kept only
-    #: when the run captured a trace, so a fuzz sweep holds no simulators.
+    #: The run's kernel (its ``trace``, metrics registry and fleet
+    #: managers); :func:`~repro.check.fuzz.fuzz` drops it so a sweep holds
+    #: no simulators.
     sim: Optional[Simulator] = field(default=None, repr=False, compare=False)
 
     def summary(self) -> str:
@@ -790,22 +791,6 @@ def scenario_names() -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _metrics_sampler(sim: Simulator, interval: float):
-    """Daemon thread: sample the metrics registry into the trace every
-    ``interval`` simulated seconds, so an exported trace grows counter
-    tracks beside its span lanes. It returns once it wakes to an otherwise
-    empty heap — nothing else can run any more — so the settle step ends
-    and a thread still blocked surfaces as :class:`DeadlockError`."""
-    from ..obs.registry import MetricsRegistry
-
-    registry = MetricsRegistry.of(sim)
-    while True:
-        registry.sample(sim.trace)
-        yield sim.sleep(interval)
-        if not sim._heap:
-            return
-
-
 def _trace_digest(sim: Simulator) -> str:
     """Digest of the full event trace + final clock: byte-identical replay
     of a (seed, scenario, faults) triple means byte-identical digests."""
@@ -828,7 +813,7 @@ def run_scenario(
     faults: Sequence[Dict[str, Any]] = (),
     *,
     capture_trace: bool = False,
-    sample_interval: float = 0.0,
+    instrument: Optional[Callable[[Simulator], Any]] = None,
 ) -> RunResult:
     """Run one scenario under one schedule seed and fault plan.
 
@@ -847,14 +832,11 @@ def run_scenario(
     resolves them against its own placement. Entries with ``"phase"``
     select the injection boundary of the ``checkpoint_fault`` scenario.
 
-    ``capture_trace`` records the full trace and keeps the kernel on
-    :attr:`RunResult.sim`; ``sample_interval > 0`` also samples the metrics
-    registry into that trace every ``sample_interval`` simulated seconds.
+    ``capture_trace`` records the full trace (and its digest).
+    ``instrument``, when given, is called with the booted kernel before the
+    driver starts — e.g. to install a
+    :class:`~repro.obs.timeseries.TimeSeriesRecorder`.
     """
-    if sample_interval < 0:
-        raise ValueError(f"negative sample_interval: {sample_interval}")
-    if sample_interval and not capture_trace:
-        raise ValueError("sample_interval needs capture_trace=True")
     base, _, phase = name.partition(":")
     try:
         builder = SCENARIOS[base]
@@ -902,9 +884,8 @@ def run_scenario(
             )
         else:
             raise ValueError(f"unknown fault kind {kind!r}")
-    if sample_interval:
-        sim.spawn(_metrics_sampler(sim, sample_interval), name="metrics-sampler",
-                  daemon=True)
+    if instrument is not None:
+        instrument(sim)
 
     outcome = "crash"
     error = error_type = None
@@ -955,5 +936,5 @@ def run_scenario(
         trace_digest=_trace_digest(sim) if capture_trace else None,
         operations=operations,
         postmortem=postmortem,
-        sim=sim if capture_trace else None,
+        sim=sim,
     )

@@ -143,22 +143,6 @@ class SnapifyIOParams:
     #: Ack the RDMA pull before the host file write (the paper's design).
     #: Ablation: False serializes the file write into the transfer loop.
     async_flush: bool = True
-    #: Transfer-resilience knobs. With these at their defaults and no faults
-    #: injected the pipeline takes exactly the legacy code path (golden-trace
-    #: rule): the retry loop only diverges on an exception, and timeouts of
-    #: ``None`` schedule no extra events.
-    #: Attempts per channel before the fallback chain degrades.
-    retry_attempts: int = 3
-    #: Exponential backoff: base delay, growth factor, cap.
-    retry_base_delay: float = 5e-3
-    retry_multiplier: float = 2.0
-    retry_max_delay: float = 0.25
-    #: Jitter fraction (+/-) applied to each backoff delay; drawn from a
-    #: per-simulator RNG seeded by ``schedule_seed`` so runs stay replayable.
-    retry_jitter: float = 0.25
-    #: Daemon-side wait bound on peer acks/commits; ``None`` = wait forever
-    #: (legacy behavior, no extra events on the fault-free path).
-    reply_timeout: float | None = None
 
 
 @dataclass(frozen=True)

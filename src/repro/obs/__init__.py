@@ -50,12 +50,7 @@ from .slo import (
     parse_slo,
     robust_zscores,
 )
-from .timeseries import (
-    PercentileDigest,
-    Series,
-    TelemetryConfig,
-    TimeSeriesRecorder,
-)
+from .timeseries import PercentileDigest, Series, TimeSeriesRecorder
 
 __all__ = [
     "BurnRateSLO",
@@ -72,7 +67,6 @@ __all__ = [
     "Series",
     "SpanNode",
     "StragglerSLO",
-    "TelemetryConfig",
     "TimeSeriesRecorder",
     "build_span_tree",
     "chrome_trace",

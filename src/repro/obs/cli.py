@@ -22,20 +22,21 @@ and replays failure artifacts:
     snapify fuzz --seeds 200 --artifact-dir fuzz_artifacts
     snapify fuzz --replay fuzz_artifacts/repro_migrate_seed7.json
 
-``snapify fleet`` boots a named fleet topology, drives a mixed
-checkpoint/swap/migrate sweep through the admission-controlled
-:class:`~repro.snapify.fleet.FleetManager`, and prints the per-card
-outcome table plus the closing health sweep:
-
-    snapify fleet                              # rack8, 4 ops per card
-    snapify fleet --topology rack32 --ops-per-card 2
-    snapify fleet --max-in-flight 16 --per-card 2 --metrics
-
-``snapify top`` runs the same sweep with the telemetry sampler installed
+``snapify fleet`` and ``snapify top`` run the catalogue's oracle-checked
+``fleet:<topology>`` scenario — health sweep, a mixed checkpoint/swap/migrate
+sweep through the admission-controlled
+:class:`~repro.snapify.fleet.FleetManager` (4 ops per card, 8 in flight,
+2 per card), closing health sweep — and exit 1 if an oracle fails.
+``fleet`` prints the per-card outcome table plus the closing health sweep;
+``top`` installs the telemetry sampler
 (:class:`~repro.obs.timeseries.TimeSeriesRecorder` + the stock SLOs) and
-renders a refreshing per-card dashboard — in-flight operations, queue
-depth, phase p99s, firing alerts — plus Prometheus-text / JSON exports:
+renders a per-card dashboard — in-flight operations, queue depth, phase
+p99s, firing alerts — plus Prometheus-text / JSON exports. ``--fail-card``
+adds the same ``fleet_card_failure`` fault-plan entry the fuzzer uses; the
+resulting partial failure is a passing ``faulted`` run:
 
+    snapify fleet                              # rack8
+    snapify fleet --topology rack32 --metrics
     snapify top                                # rack8 dashboard frames
     snapify top --export prom --out metrics.prom
     snapify top --fail-card 3 --export json    # inject a card failure
@@ -56,9 +57,13 @@ from .registry import MetricsRegistry
 
 def trace_command(args: argparse.Namespace) -> int:
     from ..check.scenarios import run_scenario
+    from .timeseries import TimeSeriesRecorder
+
+    def instrument(sim):
+        TimeSeriesRecorder.install(sim, args.sample_interval)
 
     result = run_scenario(args.scenario, capture_trace=True,
-                          sample_interval=args.sample_interval)
+                          instrument=instrument if args.sample_interval else None)
     sim = result.sim
     tracer = sim.trace
 
@@ -117,131 +122,57 @@ def trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_fleet_sweep(topology: str = "rack8", ops_per_card: int = 4,
-                    max_in_flight: int = 8, per_card: int = 2):
-    """Boot ``topology`` and drive a mixed sweep through one manager.
-
-    Returns ``(manager, result, health)`` — the manager (for metrics and
-    high-water marks), the collected :class:`~repro.snapify.fleet.
-    FleetResult`, and the closing :class:`~repro.snapify.fleet.HealthReport`.
-    """
-    from ..snapify.fleet import FleetManager, fleet_sweep
-    from ..testbed import XeonPhiFleet
-
-    fleet = XeonPhiFleet(topology)
-    manager = FleetManager(fleet, max_in_flight=max_in_flight,
-                           per_card_limit=per_card)
-
-    def driver():
-        result = yield from fleet_sweep(fleet, manager,
-                                        ops_per_card=ops_per_card)
-        health = yield from manager.health_sweep()
-        return result, health
-
-    result, health = fleet.run(driver())
-    return manager, result, health
-
-
 def fleet_command(args: argparse.Namespace) -> int:
+    from ..check.scenarios import run_scenario
     from ..metrics import ResultTable, fmt_time
-    from ..snapify.fleet import DONE
+    from ..snapify.fleet import DONE, FleetManager, FleetResult
 
-    manager, result, health = run_fleet_sweep(
-        args.topology, ops_per_card=args.ops_per_card,
-        max_in_flight=args.max_in_flight, per_card=args.per_card,
-    )
-    status = {h.card: h for h in health.entries}
-    stragglers = {h.card for h in health.stragglers()}
-    table = ResultTable(
-        f"Fleet sweep: {args.topology}, {len(result)} ops "
-        f"(caps: {manager.max_in_flight} in flight, "
-        f"{manager.per_card_limit}/card)",
-        ["card", "ops", "ok", "failed", "mean wait", "mean service", "health"],
-    )
-    for card, tickets in sorted(result.by_card().items()):
-        done = [t for t in tickets if t.state == DONE]
-        waits = [t.queue_wait for t in tickets if t.queue_wait is not None]
-        services = [t.service_time for t in done if t.service_time is not None]
-        h = status.get(card)
-        verdict = ("-" if h is None else
-                   f"FAILED: {h.error}" if not h.ok else
-                   "straggler" if card in stragglers else "ok")
-        table.add_row(
-            card, len(tickets), len(done), len(tickets) - len(done),
-            fmt_time(sum(waits) / len(waits)) if waits else "-",
-            fmt_time(sum(services) / len(services)) if services else "-",
-            verdict,
+    run = run_scenario(f"fleet:{args.topology}")
+    for manager in FleetManager.all_of(run.sim):
+        health = manager.last_health
+        result = FleetResult({t.key: t for t in manager.tickets
+                              if t.kind != "probe"})
+        status = {h.card: h for h in health.entries}
+        stragglers = {h.card for h in health.stragglers()}
+        table = ResultTable(
+            f"Fleet sweep: {args.topology}, {len(result)} ops "
+            f"(caps: {manager.max_in_flight} in flight, "
+            f"{manager.per_card_limit}/card)",
+            ["card", "ops", "ok", "failed", "mean wait", "mean service", "health"],
         )
-    table.add_note(f"in-flight high-water {manager.hwm_in_flight}, "
-                   f"busiest card {max(manager.hwm_per_card.values(), default=0)}")
-    print()
-    print(table.render())
-    print()
-    print(result.summary())
-    print(health.summary())
+        for card, tickets in sorted(result.by_card().items()):
+            done = [t for t in tickets if t.state == DONE]
+            waits = [t.queue_wait for t in tickets if t.queue_wait is not None]
+            services = [t.service_time for t in done if t.service_time is not None]
+            h = status.get(card)
+            verdict = ("-" if h is None else
+                       f"FAILED: {h.error}" if not h.ok else
+                       "straggler" if card in stragglers else "ok")
+            table.add_row(
+                card, len(tickets), len(done), len(tickets) - len(done),
+                fmt_time(sum(waits) / len(waits)) if waits else "-",
+                fmt_time(sum(services) / len(services)) if services else "-",
+                verdict,
+            )
+        table.add_note(f"in-flight high-water {manager.hwm_in_flight}, "
+                       f"busiest card {max(manager.hwm_per_card.values(), default=0)}")
+        print()
+        print(table.render())
+        print()
+        print(result.summary())
+        print(health.summary())
 
-    if args.metrics:
-        snap = MetricsRegistry.of(manager.sim).snapshot()
-        print(f"\n== Metrics at t={snap['time']:.6f}s ==")
-        for name, value in sorted(snap["counters"].items()):
-            if name.startswith(manager.name):
-                print(f"  counter    {name:40s} {value}")
-        for name, summary in sorted(snap["histograms"].items()):
-            if name.startswith(manager.name):
-                print(f"  histogram  {name:40s} {summary}")
-    return 0 if result.ok and not health.failed else 1
-
-
-def run_top(topology: str = "rack8", ops_per_card: int = 2,
-            max_in_flight: int = 8, per_card: int = 2,
-            interval: float = 0.05, settle: float = 1.0,
-            fail_card: Optional[int] = None, fail_at: float = 1.0,
-            slos: Optional[List[str]] = None,
-            on_frame=None, frame_every: int = 0):
-    """Run a telemetry-enabled fleet sweep; returns the live objects.
-
-    Boots ``topology``, installs the :class:`~repro.obs.timeseries.
-    TimeSeriesRecorder` (stock SLOs unless ``slos`` gives parseable
-    overrides), optionally schedules one card failure, drives
-    ``fleet_sweep`` + a health sweep, then idles ``settle`` simulated
-    seconds so windowed alerts can resolve before the sampler stops.
-    Returns ``(recorder, manager, result, health)``.
-    """
-    from ..sched.faults import FaultInjector
-    from ..snapify.fleet import FleetManager, fleet_sweep
-    from ..testbed import XeonPhiFleet
-    from .slo import default_slos, parse_slo
-    from .timeseries import TelemetryConfig, TimeSeriesRecorder
-
-    fleet = XeonPhiFleet(topology)
-    sim = fleet.sim
-    rules = [parse_slo(s) for s in slos] if slos else default_slos()
-    recorder = TimeSeriesRecorder.install(
-        sim, TelemetryConfig(interval=interval), slos=rules)
-    manager = FleetManager(fleet, max_in_flight=max_in_flight,
-                           per_card_limit=per_card)
-    if on_frame is not None and frame_every > 0:
-        def _frame(rec):
-            if rec.stats.ticks % frame_every == 0:
-                on_frame(rec, manager)
-        recorder.on_tick.append(_frame)
-    if fail_card is not None:
-        cards = fleet.cards()
-        victim = cards[fail_card % len(cards)]
-        injector = FaultInjector(sim)
-        injector.schedule_card_failure(fleet.phi(victim),
-                                       at=sim.now + fail_at)
-
-    def driver():
-        result = yield from fleet_sweep(fleet, manager,
-                                        ops_per_card=ops_per_card)
-        health = yield from manager.health_sweep()
-        yield sim.sleep(settle)
-        recorder.stop()
-        return result, health
-
-    result, health = fleet.run(driver())
-    return recorder, manager, result, health
+        if args.metrics:
+            snap = MetricsRegistry.of(run.sim).snapshot()
+            print(f"\n== Metrics at t={snap['time']:.6f}s ==")
+            for name, value in sorted(snap["counters"].items()):
+                if name.startswith(manager.name):
+                    print(f"  counter    {name:40s} {value}")
+            for name, summary in sorted(snap["histograms"].items()):
+                if name.startswith(manager.name):
+                    print(f"  histogram  {name:40s} {summary}")
+    print(run.summary())
+    return 0 if run.ok else 1
 
 
 def render_top_frame(recorder, manager) -> str:
@@ -287,25 +218,39 @@ def render_top_frame(recorder, manager) -> str:
 def top_command(args: argparse.Namespace) -> int:
     import json as _json
 
+    from ..check.scenarios import run_scenario
+    from ..snapify.fleet import FleetManager
     from .export import prometheus_text, validate_prometheus_text
+    from .slo import default_slos, parse_slo
+    from .timeseries import TimeSeriesRecorder
 
-    def on_frame(recorder, manager):
+    slos = [parse_slo(s) for s in args.slo] if args.slo else default_slos()
+    frames: List[str] = []  # one dashboard per tick once the fleet is driven
+
+    def on_tick(recorder):
+        for manager in FleetManager.all_of(recorder.sim):
+            frames.append(render_top_frame(recorder, manager))
+
+    def instrument(sim):
+        recorder = TimeSeriesRecorder.install(sim, args.interval, slos=slos)
+        if args.frames > 0:
+            recorder.on_tick.append(on_tick)
+
+    faults = ([] if args.fail_card is None else
+              [{"kind": "fleet_card_failure", "card": args.fail_card,
+                "at": args.fail_at}])
+    run = run_scenario(f"fleet:{args.topology}", faults=faults,
+                       instrument=instrument)
+    recorder = TimeSeriesRecorder.peek(run.sim)
+    if frames:  # exactly --frames of them, evenly spaced over the ticks
+        for k in range(1, args.frames + 1):
+            print()
+            print(frames[k * len(frames) // (args.frames + 1)])
+    for manager in FleetManager.all_of(run.sim):
         print()
         print(render_top_frame(recorder, manager))
-
-    recorder, manager, result, health = run_top(
-        topology=args.topology, ops_per_card=args.ops_per_card,
-        max_in_flight=args.max_in_flight, per_card=args.per_card,
-        interval=args.interval, settle=args.settle,
-        fail_card=args.fail_card, fail_at=args.fail_at,
-        slos=args.slo or None,
-        on_frame=on_frame if args.frames > 0 else None,
-        frame_every=max(1, recorder_ticks_per_frame(args)) if args.frames > 0 else 0,
-    )
-    print()
-    print(render_top_frame(recorder, manager))
     engine = recorder.engine
-    if engine is not None and engine.history:
+    if engine.history:
         print()
         print("alert history:")
         for t, event, snap in engine.history:
@@ -314,20 +259,16 @@ def top_command(args: argparse.Namespace) -> int:
                   f"  {t:8.3f}s {event:7s} {snap['key']}")
 
     if args.export == "prom":
-        text = prometheus_text(manager.sim, telemetry=recorder)
+        text = prometheus_text(run.sim, telemetry=recorder)
         validate_prometheus_text(text)
         _write_or_print(text, args.out)
     elif args.export == "json":
         doc = recorder.describe()
-        doc["fleet"] = manager.describe()
+        for manager in FleetManager.all_of(run.sim):
+            doc["fleet"] = manager.describe()
         _write_or_print(_json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-    return 0 if result.ok or args.fail_card is not None else 1
-
-
-def recorder_ticks_per_frame(args: argparse.Namespace) -> int:
-    """Sample ticks between dashboard frames (~sweep seconds / frames)."""
-    approx_run_s = 4.0 + args.settle
-    return int(approx_run_s / max(args.interval, 1e-6) / max(args.frames, 1))
+    print(run.summary())
+    return 0 if run.ok else 1
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -401,6 +342,13 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 (got {text})")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -410,6 +358,7 @@ def _positive_int(text: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from ..check.scenarios import scenario_names
+    from ..testbed import FLEET_TOPOLOGIES
 
     parser = argparse.ArgumentParser(
         prog="snapify", description="Snapify reproduction command-line tools"
@@ -452,49 +401,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     fz.add_argument("--verbose", action="store_true",
                     help="print every run, not just failures")
     fz.set_defaults(fn=fuzz_command)
+    topologies = sorted(FLEET_TOPOLOGIES)
     fl = sub.add_parser(
         "fleet",
-        help="drive a mixed checkpoint/swap/migrate sweep across a fleet "
-             "topology and print the per-card outcome table",
+        help="run the fleet:<topology> scenario (a mixed checkpoint/swap/"
+             "migrate sweep, oracle-checked) and print the per-card table",
     )
-    fl.add_argument("--topology", default="rack8",
-                    help="fleet topology name (default rack8; see "
-                         "repro.testbed.FLEET_TOPOLOGIES)")
-    fl.add_argument("--ops-per-card", type=int, default=4,
-                    help="operations submitted per card (default 4)")
-    fl.add_argument("--max-in-flight", type=int, default=8,
-                    help="global admission cap (default 8)")
-    fl.add_argument("--per-card", type=int, default=2,
-                    help="per-card admission cap (default 2)")
+    fl.add_argument("--topology", choices=topologies, default="rack8",
+                    help="fleet topology name (default rack8)")
     fl.add_argument("--metrics", action="store_true",
                     help="print the fleet's metrics instruments")
     fl.set_defaults(fn=fleet_command)
     tp = sub.add_parser(
         "top",
-        help="telemetry-enabled fleet sweep with a live per-card dashboard "
-             "(phase p99s, queue depths, firing alerts) and prom/json export",
+        help="run the fleet:<topology> scenario with telemetry: a per-card "
+             "dashboard (phase p99s, queue depths, firing alerts) and "
+             "prom/json export",
     )
-    tp.add_argument("--topology", default="rack8",
+    tp.add_argument("--topology", choices=topologies, default="rack8",
                     help="fleet topology name (default rack8)")
-    tp.add_argument("--ops-per-card", type=int, default=2,
-                    help="operations submitted per card (default 2)")
-    tp.add_argument("--max-in-flight", type=int, default=8,
-                    help="global admission cap (default 8)")
-    tp.add_argument("--per-card", type=int, default=2,
-                    help="per-card admission cap (default 2)")
-    tp.add_argument("--interval", type=float, default=0.05,
+    tp.add_argument("--interval", type=_positive, default=0.05,
                     help="simulated seconds between telemetry samples "
                          "(default 0.05)")
-    tp.add_argument("--settle", type=float, default=1.0,
-                    help="idle simulated seconds after the sweep so windowed "
-                         "alerts can resolve (default 1.0)")
     tp.add_argument("--frames", type=int, default=3,
-                    help="dashboard frames printed during the run "
-                         "(0 = final frame only; default 3)")
+                    help="dashboard frames printed, evenly spaced over the "
+                         "run, before the final one (default 3)")
     tp.add_argument("--fail-card", type=int, default=None, metavar="N",
                     help="inject a failure of the N-th fleet card")
     tp.add_argument("--fail-at", type=float, default=1.0,
-                    help="simulated seconds after boot to fail the card "
+                    help="simulated seconds after fleet boot to fail the card "
                          "(default 1.0)")
     tp.add_argument("--slo", action="append", default=[], metavar="SPEC",
                     help='SLO override, repeatable (e.g. "pausing p99 < 50ms",'

@@ -175,18 +175,18 @@ class MetricsRegistry:
             "histograms": {n: h.summary() for n, h in sorted(self.histograms.items())},
         }
 
-    def sample(self, tracer: Any, prefix: Optional[str] = None) -> None:
-        """Emit one ``metric.sample`` trace record per numeric instrument.
+    def sample(self, tracer: Any) -> Dict[str, Any]:
+        """Emit one ``metric.sample`` trace record per numeric instrument
+        and return the :meth:`snapshot` they were read from.
 
         This is the bridge from the registry to the trace: sampled values
         become counter tracks in the Chrome trace-event export. Sampling is
-        explicit (a sampler thread, a phase boundary) — the registry never
-        emits on its own.
+        explicit (the telemetry sampler's tick) — the registry never emits
+        on its own.
         """
         snap = self.snapshot()
         for kind in ("counters", "gauges"):
             for name, value in snap[kind].items():
-                if prefix is not None and not name.startswith(prefix):
-                    continue
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     tracer.emit("metric.sample", name=name, value=value)
+        return snap

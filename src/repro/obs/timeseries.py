@@ -18,9 +18,13 @@ Design rules, matching the rest of ``repro.obs``:
 * **Deterministic.** The sampler ticks on ``sim.sleep`` like any other
   thread, so a telemetry-enabled run is exactly as reproducible as the
   run itself; no wall-clock, no randomness.
-* **Bounded.** Series are ``deque(maxlen=...)`` rings; percentile digests
-  keep a sorted list capped at ``TelemetryConfig.percentile_cap`` samples
-  (exact until the cap, which no simulated run here approaches).
+* **Bounded.** Series are ``deque(maxlen=RING)`` rings; percentile digests
+  keep a sorted list capped at ``PERCENTILE_CAP`` samples (exact until the
+  cap, which no simulated run here approaches).
+* **Self-ending.** The sampler returns once the event heap has been
+  otherwise empty for the longest SLO window, so a driver settling with
+  ``sim.run(check_deadlock=True)`` ends, and a thread still blocked beside
+  it surfaces as :class:`~repro.sim.errors.DeadlockError`.
 
 This module imports only from ``repro.sim``-free code plus the local
 registry, keeping the obs package cycle-free.
@@ -39,18 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .slo import SLOEngine, SLORule
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Knobs for the sampler; defaults suit second-scale Snapify runs."""
-
-    #: Simulated seconds between samples.
-    interval: float = 0.05
-    #: Ring length per series (samples retained).
-    ring: int = 512
-    #: Hard cap on retained percentile samples per (phase, card) digest.
-    percentile_cap: int = 100_000
-    #: EWMA smoothing factor used by :meth:`Series.ewma` when unspecified.
-    ewma_alpha: float = 0.3
+#: Ring length per series (samples retained).
+RING = 512
+#: Hard cap on retained percentile samples per (phase, card) digest.
+PERCENTILE_CAP = 100_000
+#: EWMA smoothing factor :meth:`TimeSeriesRecorder.describe` reports with.
+EWMA_ALPHA = 0.3
 
 
 class Series:
@@ -58,7 +56,7 @@ class Series:
 
     __slots__ = ("name", "_buf")
 
-    def __init__(self, name: str, maxlen: int = 512):
+    def __init__(self, name: str, maxlen: int = RING):
         self.name = name
         self._buf: deque = deque(maxlen=maxlen)
 
@@ -104,7 +102,7 @@ class Series:
             return 0.0
         return (pts[-1][1] - pts[0][1]) / dt
 
-    def ewma(self, alpha: float = 0.3) -> Optional[float]:
+    def ewma(self, alpha: float = EWMA_ALPHA) -> Optional[float]:
         """Exponentially weighted moving average over the whole ring."""
         acc: Optional[float] = None
         for _, v in self._buf:
@@ -122,7 +120,7 @@ class PercentileDigest:
 
     __slots__ = ("name", "cap", "count", "total", "saturated", "_sorted")
 
-    def __init__(self, name: str, cap: int = 100_000):
+    def __init__(self, name: str, cap: int = PERCENTILE_CAP):
         self.name = name
         self.cap = cap
         self.count = 0
@@ -196,24 +194,31 @@ class TimeSeriesRecorder:
     Install with :meth:`install` (spawns the daemon sampler thread and
     parks the recorder on ``sim.snapify_telemetry``); instrumented sites
     discover it with :meth:`peek` — a plain ``getattr`` that costs nothing
-    when telemetry is off. Call :meth:`stop` before letting a driver
-    settle with ``sim.run(check_deadlock=True)``: the sampler's pending
-    sleep would otherwise keep the event heap non-empty forever.
+    when telemetry is off. Each tick folds one registry snapshot into the
+    series rings and into ``metric.sample`` trace records (the counter
+    tracks of a Chrome trace export).
     """
 
     _ATTR = "snapify_telemetry"
 
-    def __init__(self, sim: Any, config: Optional[TelemetryConfig] = None,
+    def __init__(self, sim: Any, interval: float = 0.05,
                  slos: Optional[List["SLORule"]] = None):
+        if not interval > 0:
+            raise ValueError(f"sample interval must be > 0 (got {interval})")
         self.sim = sim
-        self.config = config or TelemetryConfig()
+        #: Simulated seconds between samples.
+        self.interval = interval
+        #: Quiet simulated seconds the sampler keeps ticking once nothing
+        #: else is scheduled: the longest SLO window, so windowed alerts
+        #: drain and resolve before it returns.
+        self.settle = max((getattr(r, "window", 0.0) for r in slos or ()),
+                          default=0.0)
         self.series: Dict[str, Series] = {}
         #: (phase, card-or-None) -> digest of phase latencies in sim seconds.
         self.phase_latency: Dict[Tuple[str, Optional[str]], PercentileDigest] = {}
         self.stats = TickStats()
         #: Frame callbacks invoked after each sample tick (``snapify top``).
         self.on_tick: List[Callable[["TimeSeriesRecorder"], None]] = []
-        self._stopped = False
         # Internal outcome counters the burn-rate SLO reads as series.
         self.ops_total = 0
         self.ops_failed = 0
@@ -228,10 +233,10 @@ class TimeSeriesRecorder:
 
     # -- lifecycle ----------------------------------------------------------------
     @classmethod
-    def install(cls, sim: Any, config: Optional[TelemetryConfig] = None,
+    def install(cls, sim: Any, interval: float = 0.05,
                 slos: Optional[List["SLORule"]] = None) -> "TimeSeriesRecorder":
         """Create, park on the sim, and start the sampler thread."""
-        rec = cls(sim, config, slos)
+        rec = cls(sim, interval, slos)
         setattr(sim, cls._ATTR, rec)
         sim.spawn(rec._sampler(), name="telemetry.sampler", daemon=True)
         return rec
@@ -241,29 +246,33 @@ class TimeSeriesRecorder:
         """The installed recorder, or None — the zero-cost discovery path."""
         return getattr(sim, cls._ATTR, None)
 
-    def stop(self) -> None:
-        """Stop sampling after the current tick; keeps collected data readable."""
-        self._stopped = True
-
     def _sampler(self):
-        interval = self.config.interval
-        while not self._stopped:
-            yield self.sim.sleep(interval)
-            if self._stopped:
-                break
+        sim = self.sim
+        quiet_since = None
+        while True:
+            yield sim.sleep(self.interval)
             self.sample_tick()
+            # Waking to an empty heap means nothing else can ever run: only
+            # this thread could schedule more, and it only reads.
+            if not sim._heap:
+                if quiet_since is None:
+                    quiet_since = sim.now
+                # Slack for the float sum of sleeps (0.1 * 3 < 0.3).
+                if sim.now - quiet_since >= self.settle - 1e-9:
+                    return
 
     # -- sampling -----------------------------------------------------------------
     def _series(self, name: str) -> Series:
         s = self.series.get(name)
         if s is None:
-            s = Series(name, maxlen=self.config.ring)
+            s = Series(name)
             self.series[name] = s
         return s
 
     def sample_tick(self) -> None:
-        """Fold one registry snapshot into the rings; evaluate SLOs."""
-        snap = MetricsRegistry.of(self.sim).snapshot()
+        """Fold one registry snapshot into the rings and the trace; evaluate
+        SLOs."""
+        snap = MetricsRegistry.of(self.sim).sample(self.sim.trace)
         now = snap["time"]
         for kind in ("counters", "gauges"):
             for name, value in snap[kind].items():
@@ -324,7 +333,7 @@ class TimeSeriesRecorder:
         d = self.phase_latency.get(key)
         if d is None:
             label = phase if card is None else f"{phase}@{card}"
-            d = PercentileDigest(label, cap=self.config.percentile_cap)
+            d = PercentileDigest(label)
             self.phase_latency[key] = d
         return d
 
@@ -347,11 +356,11 @@ class TimeSeriesRecorder:
         doc: Dict[str, Any] = {
             "time": getattr(self.sim, "now", 0.0),
             "ticks": self.stats.ticks,
-            "interval": self.config.interval,
+            "interval": self.interval,
             "series": {
                 name: {
                     "latest": s.latest(),
-                    "ewma": s.ewma(self.config.ewma_alpha),
+                    "ewma": s.ewma(),
                     "points": len(s),
                 }
                 for name, s in sorted(self.series.items())

@@ -133,19 +133,18 @@ def _capture_with_retry(proc: SimProcess, pipe_end, msg, op_id: int, sp):
 
     A broken stream (connection reset, link flap, daemon restart) aborts
     the current descriptor — the remote keeps its durable partial — backs
-    off per the daemon's :class:`~repro.snapify_io.resilience.RetryPolicy`,
+    off per the default :class:`~repro.snapify_io.resilience.RetryPolicy`,
     then re-opens with ``resume=True`` and re-runs the checkpoint; the
     descriptor silently skips the bytes already durable. Exhausted retries
     report ``SNAPIFY_FAILED`` over the pipe (a clean operation failure on
     the host) rather than killing the agent. The fault-free first attempt
     is event-for-event identical to the pre-resilience code.
     """
-    from ..snapify_io.daemon import SnapifyIODaemon
     from ..snapify_io.resilience import TRANSIENT_ERRORS, RetryPolicy
 
     sim = proc.sim
     path = c.context_path(msg["path"])
-    policy = RetryPolicy.from_params(SnapifyIODaemon.of(proc.os).params)
+    policy = RetryPolicy()
     attempts = max(1, policy.attempts)
     last_exc = None
     for attempt in range(1, attempts + 1):

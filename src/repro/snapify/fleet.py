@@ -345,6 +345,8 @@ class FleetManager:
         self.hwm_in_flight = 0
         self.hwm_per_card: Dict[str, int] = {}
         self._probe_ids = itertools.count(1)
+        #: The most recent :meth:`health_sweep` report (None before one).
+        self.last_health: Optional[HealthReport] = None
         registry = MetricsRegistry.of(self.sim)
         self._registry = registry
         self.m_submitted = registry.counter(f"{name}.submitted")
@@ -734,7 +736,7 @@ class FleetManager:
             else:
                 entries.append(CardHealth(card=card.key, ok=False,
                                           latency=None, error=ticket.error))
-        report = HealthReport(entries, when=self.sim.now)
+        report = self.last_health = HealthReport(entries, when=self.sim.now)
         self.sim.trace.emit("fleet.health", cards=len(entries),
                             failed=len(report.failed),
                             stragglers=len(report.stragglers()))

@@ -7,7 +7,6 @@ from .daemon import (
     SOCKET_ADDR,
     SnapifyIODaemon,
     SnapifyIOError,
-    TransferTimeout,
     resume_digest,
 )
 from .library import SnapifyIOFile, snapifyio_open
@@ -52,7 +51,6 @@ __all__ = [
     "TransferFailed",
     "TransferManager",
     "TransferOutcome",
-    "TransferTimeout",
     "chain_path",
     "resume_digest",
     "scp_copy",

@@ -39,10 +39,6 @@ class SnapifyIOError(SimError):
     """Snapify-IO protocol failure."""
 
 
-class TransferTimeout(SnapifyIOError):
-    """A peer reply did not arrive within ``SnapifyIOParams.reply_timeout``."""
-
-
 def resume_digest(path: str, offset: int) -> int:
     """Checksum token of a durable file prefix, for the resume handshake.
 
@@ -193,39 +189,22 @@ class SnapifyIODaemon:
             if mode == "w" and resume:
                 # Relay the remote's resume handshake to the client, which
                 # verifies the digest and skips the durable prefix.
-                info = yield from self._recv_reply(ep)
+                info = yield ep.recv()
                 base = info.get("offset", 0)
                 yield from sock.write(1, record=info)
             if mode == "w":
                 yield from self._local_write_loop(sock, ep, base=base)
             else:
                 yield from self._local_read_loop(sock, ep)
-        except (ConnectionReset, SocketError, TransferTimeout, ChannelClosed):
-            # Peer daemon or client vanished (or timed out) mid-stream; the
-            # teardown below resets the connection and frees the staging
-            # buffer — the client or TransferManager decides what's next.
+        except (ConnectionReset, SocketError, ChannelClosed):
+            # Peer daemon or client vanished mid-stream; the teardown below
+            # resets the connection and frees the staging buffer — the
+            # client or TransferManager decides what's next.
             pass
         finally:
             self.proc.close_fd(ep)
             self.proc.close_fd(sock)
             sp.finish()
-
-    def _recv_reply(self, ep: ScifEndpoint):
-        """Sub-generator: one peer reply, bounded by ``reply_timeout``.
-
-        With the default ``reply_timeout=None`` this is exactly one bare
-        ``ep.recv()`` — no extra events, preserving the golden trace.
-        """
-        ev = ep.recv()
-        t = self.params.reply_timeout
-        if t is None:
-            return (yield ev)
-        idx, first = yield self.sim.any_of([ev, self.sim.timeout(t)])
-        if idx == 0:
-            return first._value
-        raise TransferTimeout(
-            f"{self.os.name}: no peer reply within {t}s (hung transfer)"
-        )
 
     def _local_write_loop(self, sock: UnixSocket, ep: ScifEndpoint, base: int = 0):
         """Socket -> staging buffer -> (remote pulls via RDMA) -> remote file."""
@@ -238,7 +217,7 @@ class SnapifyIODaemon:
             if filled == 0:
                 return
             yield from ep.send({"type": "chunk", "n": filled, "records": records})
-            ack = yield from self._recv_reply(ep)  # remote finished the RDMA pull
+            ack = yield ep.recv()  # remote finished the RDMA pull
             if not (isinstance(ack, dict) and ack.get("type") == "ack"):
                 raise SnapifyIOError(f"bad chunk ack: {ack!r}")
             filled, records = 0, []
@@ -270,7 +249,7 @@ class SnapifyIODaemon:
             yield from flush()
             # Declare the byte total so the remote can refuse a short stream.
             yield from ep.send({"type": "eof", "total": total})
-            done = yield from self._recv_reply(ep)  # remote committed the file
+            done = yield ep.recv()  # remote committed the file
             ok = not isinstance(done, dict) or done.get("ok", True)
             if not sock.closed:
                 if ok:
@@ -348,9 +327,9 @@ class SnapifyIODaemon:
         records: List[Any] = []
         while True:
             try:
-                msg = yield from self._recv_reply(ep)
-            except (ConnectionReset, Interrupted, TransferTimeout):
-                return  # writer vanished/hung; keep the partial for a future resume
+                msg = yield ep.recv()
+            except (ConnectionReset, Interrupted):
+                return  # writer vanished; keep the partial for a future resume
             if msg["type"] == "abort":
                 return  # stream abandoned: keep the partial, never commit
             if msg["type"] == "eof":

@@ -33,8 +33,7 @@ from ..osim.process import OSInstance
 from ..osim.sockets import SocketError
 from ..scif.endpoint import ScifError, ScifNetwork
 from ..sim.channel import ChannelClosed
-from ..sim.errors import SimError
-from .daemon import SnapifyIOError, TransferTimeout
+from .daemon import SnapifyIOError
 from .library import snapifyio_open
 from .nfs import NFSMount
 from .scp import scp_copy
@@ -48,7 +47,6 @@ __all__ = [
     "TransferFailed",
     "TransferManager",
     "TransferOutcome",
-    "TransferTimeout",
 ]
 
 #: Errors a retry can plausibly cure (or a fallback channel can route
@@ -99,19 +97,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 0.25
     jitter: float = 0.25
-    #: Wall-clock bound per attempt; ``None`` disables the deadline (and
-    #: its watcher events) entirely.
-    timeout: Optional[float] = None
-
-    @staticmethod
-    def from_params(params) -> "RetryPolicy":
-        return RetryPolicy(
-            attempts=params.retry_attempts,
-            base_delay=params.retry_base_delay,
-            multiplier=params.retry_multiplier,
-            max_delay=params.retry_max_delay,
-            jitter=params.retry_jitter,
-        )
 
     def delay(self, sim: "Simulator", attempt: int) -> float:
         """Backoff delay before re-attempt number ``attempt`` (1-based)."""
@@ -148,7 +133,7 @@ class TransferManager:
 
     def __init__(self, policy: Optional[RetryPolicy] = None,
                  channels: Optional[Sequence[str]] = None):
-        self.policy = policy
+        self.policy = policy or RetryPolicy()
         self.channels = tuple(channels or self.CHANNELS)
 
     # -- plumbing ---------------------------------------------------------------
@@ -156,11 +141,6 @@ class TransferManager:
     def _node_of(os: OSInstance) -> ServerNode:
         hw = os.hw  # type: ignore[attr-defined]
         return hw if isinstance(hw, ServerNode) else hw.node
-
-    def _policy_for(self, src_os: OSInstance) -> RetryPolicy:
-        if self.policy is not None:
-            return self.policy
-        return RetryPolicy.from_params(self._node_of(src_os).params.snapify_io)
 
     # -- the chain ---------------------------------------------------------------
     def send_file(self, src_os: OSInstance, dst_node: int, src_path: str,
@@ -178,7 +158,7 @@ class TransferManager:
         node = self._node_of(src_os)
         dst_os = ScifNetwork.of(node).os_for_scif_node(dst_node)
         f = src_os.fs.stat(src_path)  # missing source = permanent, no retry
-        policy = self._policy_for(src_os)
+        policy = self.policy
         reg = MetricsRegistry.of(sim)
         causes: List[Tuple[str, str, Exception]] = []
         attempts = 0
@@ -190,12 +170,10 @@ class TransferManager:
             for attempt in range(1, policy.attempts + 1):
                 attempts += 1
                 try:
-                    gen = self._attempt(
+                    nbytes = yield from self._attempt(
                         channel, src_os, dst_os, dst_node, src_path, dst_path,
                         f, resume=attempt > 1, proc=proc, span=span,
                     )
-                    nbytes = yield from self._with_deadline(
-                        sim, gen, policy.timeout, f"{channel}:{dst_path}")
                 except ChannelUnavailable as exc:
                     causes.append((channel, "n/a", exc))
                     break  # no point retrying an inapplicable channel
@@ -222,38 +200,6 @@ class TransferManager:
         if op is not None:
             op.prov.attempts = attempts
         raise TransferFailed(dst_path, attempts, causes)
-
-    @staticmethod
-    def _with_deadline(sim, gen, timeout, label):
-        """Sub-generator: run ``gen``, bounded by ``timeout`` sim-seconds.
-
-        ``timeout=None`` (the default policy) is a plain ``yield from`` —
-        no watcher events, preserving the golden trace. With a deadline the
-        attempt runs on a sacrificial thread raced against a timer; a hung
-        attempt is killed (its generator's ``finally`` teardown runs, so
-        the descriptor aborts and the daemons reset) and reported as
-        :class:`TransferTimeout` — a transient error the caller retries.
-        """
-        if timeout is None:
-            return (yield from gen)
-        done = sim.event(f"attempt:{label}")
-
-        def runner():
-            try:
-                res = yield from gen
-            except SimError as exc:
-                if not done.triggered:
-                    done.fail(exc)
-                return
-            if not done.triggered:
-                done.succeed(res)
-
-        th = sim.spawn(runner(), name=f"transfer-attempt:{label}", daemon=True)
-        idx, first = yield sim.any_of([done, sim.timeout(timeout)])
-        if idx == 0:
-            return first._value
-        th.kill()
-        raise TransferTimeout(f"{label}: attempt exceeded {timeout}s deadline")
 
     # -- per-channel attempts ---------------------------------------------------
     def _attempt(self, channel, src_os, dst_os, dst_node, src_path, dst_path,

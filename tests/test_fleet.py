@@ -383,13 +383,12 @@ def test_wait_map_returns_keyed_results_and_names_failed_keys():
 def test_cli_fleet_smoke(capsys):
     from repro.obs.cli import main
 
-    rc = main(["fleet", "--topology", "dev2", "--ops-per-card", "1",
-               "--max-in-flight", "2", "--metrics"])
+    rc = main(["fleet", "--topology", "dev2", "--metrics"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "Fleet sweep: dev2" in out
     assert "n0.mic0" in out and "n0.mic1" in out
-    assert "2 ops, 2 ok, 0 failed" in out
+    assert "8 ops, 8 ok, 0 failed" in out
     assert "fleet.submitted" in out
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     PhaseBreakdown,
+    TimeSeriesRecorder,
     build_span_tree,
     chrome_trace,
     validate_trace_events,
@@ -192,11 +193,10 @@ def test_registry_sample_emits_metric_records():
     reg.counter("a.n").inc()
     reg.gauge("b.depth", lambda: 2)
     reg.gauge("b.label", lambda: "text")  # non-numeric: not sampled
-    reg.sample(sim.trace)
+    snap = reg.sample(sim.trace)
     names = {r.fields["name"] for r in sim.trace.find("metric.sample")}
     assert names == {"a.n", "b.depth"}
-    reg.sample(sim.trace, prefix="b.")
-    assert len(sim.trace.find("metric.sample")) == 3
+    assert snap["counters"] == {"a.n": 1}   # the snapshot the records came from
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,10 @@ def test_validator_rejects_malformed_docs():
 
 
 def test_traced_swapout_breakdown_and_export(tmp_path):
-    result = run_scenario("swap", capture_trace=True, sample_interval=0.01)
+    result = run_scenario(
+        "swap", capture_trace=True,
+        instrument=lambda sim: TimeSeriesRecorder.install(sim, 0.01),
+    )
     assert result.ok, result.summary()
     tracer = result.sim.trace
 

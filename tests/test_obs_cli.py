@@ -3,10 +3,11 @@
 The ``snapify top`` dashboard and its ``--export prom``/``--export json``
 payloads are exercised end to end through ``main()``; ``snapify trace`` is
 pinned to its friendly degraded paths (no finished root span, zero op.*
-records) instead of a stack trace, runs fuzz-catalogue scenarios (exit 1
-when an oracle fails), and settles its metrics sampler; bad ``--seeds`` /
-``--sample-interval`` values are argparse errors; the histogram bucket
-export round-trips through the Prometheus text parser/validator.
+records) instead of a stack trace. ``trace``, ``fleet`` and ``top`` all run
+fuzz-catalogue scenarios (exit 1 when an oracle fails) and settle their
+telemetry sampler; bad ``--seeds`` / ``--sample-interval`` / ``--interval``
+/ ``--topology`` values are argparse errors; the histogram bucket export
+round-trips through the Prometheus text parser/validator.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.obs.export import (
 )
 from repro.obs.phases import operation_table
 from repro.obs.registry import MetricsRegistry
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim import Simulator
 
 
@@ -42,7 +44,7 @@ def test_trace_command_with_empty_trace_exits_zero(monkeypatch, capsys):
     (empty) operation table and a friendly note instead of a breakdown."""
     import repro.check.scenarios as scenarios
 
-    def fake_run(name, capture_trace=False, sample_interval=0.0):
+    def fake_run(name, capture_trace=False, instrument=None):
         return types.SimpleNamespace(ok=True, sim=Simulator(trace=True))
 
     monkeypatch.setattr(scenarios, "run_scenario", fake_run)
@@ -123,12 +125,11 @@ def test_sampler_ends_so_a_blocked_thread_deadlocks():
     """The sampler returns on waking to an empty heap, so a non-daemon
     thread blocked forever beside it surfaces as DeadlockError instead of
     the sampler ticking forever."""
-    from repro.check.scenarios import _metrics_sampler
     from repro.sim.errors import DeadlockError
 
     sim = Simulator(trace=True)
     MetricsRegistry.of(sim).counter("probe").inc()
-    sim.spawn(_metrics_sampler(sim, 0.01), name="metrics-sampler", daemon=True)
+    TimeSeriesRecorder.install(sim, 0.01)
 
     def stuck(s):
         yield s.event("never")
@@ -142,21 +143,23 @@ def test_sampler_ends_so_a_blocked_thread_deadlocks():
 def test_sampled_scenario_settles_with_metric_samples():
     from repro.check.scenarios import run_scenario
 
-    result = run_scenario("checkpoint", capture_trace=True, sample_interval=0.01)
+    result = run_scenario(
+        "checkpoint", capture_trace=True,
+        instrument=lambda sim: TimeSeriesRecorder.install(sim, 0.01),
+    )
     assert result.ok and result.outcome == "completed", result.summary()
     assert result.sim is not None
     assert result.sim.trace.find("metric.sample")
 
 
-def test_run_result_keeps_no_simulator_without_trace():
+def test_fuzz_report_keeps_no_simulators():
+    from repro.check import fuzz
     from repro.check.scenarios import run_scenario
 
-    result = run_scenario("checkpoint", seed=0)
-    assert result.ok and result.sim is None
-    with pytest.raises(ValueError, match="capture_trace"):
-        run_scenario("checkpoint", sample_interval=0.01)
-    with pytest.raises(ValueError, match="negative"):
-        run_scenario("checkpoint", capture_trace=True, sample_interval=-1)
+    assert run_scenario("checkpoint", seed=0).sim is not None
+    report = fuzz(["checkpoint"], seeds=[0, 1])
+    assert report.ok and len(report.runs) == 2
+    assert all(r.sim is None for r in report.runs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +233,14 @@ def test_prometheus_validator_rejects_malformed_text():
 
 
 def test_cli_fleet_metrics_prints_card_counters(capsys):
-    rc = cli_main(["fleet", "--topology", "dev2", "--ops-per-card", "1",
-                   "--metrics"])
+    rc = cli_main(["fleet", "--topology", "dev2", "--metrics"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "fleet.card.n0.mic0.completed" in out
 
 
 def test_cli_top_renders_dashboard_and_alert_history(capsys):
-    rc = cli_main(["top", "--topology", "dev2", "--ops-per-card", "1",
-                   "--frames", "2"])
+    rc = cli_main(["top", "--topology", "dev2", "--frames", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "snapify top" in out
@@ -250,7 +251,7 @@ def test_cli_top_renders_dashboard_and_alert_history(capsys):
 
 def test_cli_top_export_prom_to_file(tmp_path, capsys):
     out_path = tmp_path / "metrics.prom"
-    rc = cli_main(["top", "--topology", "dev2", "--ops-per-card", "1",
+    rc = cli_main(["top", "--topology", "dev2",
                    "--frames", "0", "--export", "prom",
                    "--out", str(out_path)])
     assert rc == 0
@@ -263,7 +264,7 @@ def test_cli_top_export_prom_to_file(tmp_path, capsys):
 
 def test_cli_top_export_json_with_failure_and_custom_slo(tmp_path, capsys):
     out_path = tmp_path / "top.json"
-    rc = cli_main(["top", "--topology", "rack8", "--ops-per-card", "2",
+    rc = cli_main(["top", "--topology", "rack8",
                    "--frames", "0", "--fail-card", "1", "--fail-at", "0.05",
                    "--slo", "burn_rate < 0.1", "--slo", "pausing p99 < 150ms",
                    "--export", "json", "--out", str(out_path)])
@@ -282,3 +283,63 @@ def test_cli_top_rejects_bad_slo():
     with pytest.raises(ValueError, match="unparseable"):
         cli_main(["top", "--topology", "dev2", "--frames", "0",
                   "--slo", "gibberish"])
+
+
+@pytest.mark.parametrize("interval", ["-0.1", "0"])
+def test_top_rejects_non_positive_interval(interval, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["top", "--topology", "dev2", "--interval", interval])
+    assert exc.value.code == 2
+    assert "--interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fleet", "top"])
+def test_unknown_topology_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--topology", "nope"])
+    assert exc.value.code == 2
+    assert "--topology" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 5])
+def test_top_prints_exactly_the_frames_asked_for(frames, capsys):
+    rc = cli_main(["top", "--topology", "dev2", "--frames", str(frames)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    headers = [line for line in out.splitlines()
+               if line.startswith("== snapify top")]
+    assert len(headers) == frames + 1  # N intermediate frames + the final one
+    ticks = [int(h.split("tick ")[1].split()[0]) for h in headers]
+    assert ticks == sorted(set(ticks))  # distinct, in run order
+
+
+@pytest.mark.parametrize("command", ["fleet", "top"])
+def test_fleet_commands_exit_one_with_summary_when_an_oracle_fails(
+        command, monkeypatch, capsys):
+    import repro.check.scenarios as scenarios
+    from repro.check.oracles import Violation
+
+    real_run = scenarios.run_scenario
+
+    def failing_run(name, **kwargs):
+        result = real_run(name, **kwargs)
+        result.ok = False
+        result.violations.append(Violation("fleet_result", "planted by the test"))
+        return result
+
+    monkeypatch.setattr(scenarios, "run_scenario", failing_run)
+    argv = [command, "--topology", "dev2"]
+    rc = cli_main(argv + ["--frames", "0"] if command == "top" else argv)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "fleet:dev2 seed=None: FAIL (completed)" in out
+    assert "planted by the test" in out
+
+
+def test_top_with_a_failed_card_passes_every_oracle(capsys):
+    rc = cli_main(["top", "--topology", "rack8", "--fail-card", "1",
+                   "--fail-at", "0.05", "--frames", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "fleet:rack8 seed=None: ok (faulted)" in out
+    assert "resolve burn_rate" in out

@@ -23,12 +23,7 @@ from repro.obs.slo import (
     parse_slo,
     robust_zscores,
 )
-from repro.obs.timeseries import (
-    PercentileDigest,
-    Series,
-    TelemetryConfig,
-    TimeSeriesRecorder,
-)
+from repro.obs.timeseries import PercentileDigest, Series, TimeSeriesRecorder
 from repro.sim import Simulator
 
 
@@ -230,7 +225,7 @@ def test_burn_rate_fires_on_windowed_ticket_failures():
 
     sim = Simulator()
     rec = TimeSeriesRecorder(
-        sim, TelemetryConfig(interval=0.1),
+        sim, interval=0.1,
         slos=[BurnRateSLO(max_rate=0.25, window=0.5, min_events=2)],
     )
 
@@ -275,30 +270,59 @@ def test_percentile_slo_respects_min_samples():
 
 
 def test_sampler_ticks_on_sim_clock_and_stops():
+    """Ticks every interval while anything else is scheduled, takes one
+    last tick on waking to an empty heap, and returns — so the settle
+    ends without anyone stopping it."""
     sim = Simulator()
-    rec = TimeSeriesRecorder.install(sim, TelemetryConfig(interval=0.1))
+    rec = TimeSeriesRecorder.install(sim, interval=0.1)
     assert TimeSeriesRecorder.peek(sim) is rec
 
     def driver(s):
         yield s.timeout(0.55)
-        rec.stop()
 
     sim.spawn(driver(sim))
     sim.run(check_deadlock=True)  # a live sampler would never settle
-    assert rec.stats.ticks == 5
+    assert rec.stats.ticks == 6
+    assert rec.stats.last_time == pytest.approx(0.6)
     assert "telemetry.ops_total" in rec.series
 
 
+def test_sampler_settles_for_the_longest_slo_window():
+    """With SLOs installed the sampler keeps ticking through one full
+    (longest) alert window of quiet, so windowed alerts can resolve."""
+    sim = Simulator()
+    rec = TimeSeriesRecorder.install(
+        sim, interval=0.1, slos=[BurnRateSLO(window=0.3), PercentileSLO("pausing")])
+    assert rec.settle == 0.3
+
+    def driver(s):
+        yield s.timeout(0.55)
+
+    sim.spawn(driver(sim))
+    assert sim.run(check_deadlock=True) == pytest.approx(0.9)
+    assert rec.stats.ticks == 9
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.1])
+def test_install_rejects_non_positive_interval(interval):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="interval"):
+        TimeSeriesRecorder.install(sim, interval=interval)
+    assert TimeSeriesRecorder.peek(sim) is None
+
+
 def test_uninstalled_telemetry_is_inert():
-    """The default path: no recorder, no alert records, no extra events."""
+    """The default path: no instrument, no recorder, no alert records, no
+    extra events."""
     from repro.check.scenarios import run_scenario
 
-    result = run_scenario("checkpoint", capture_trace=True, sample_interval=0.01)
+    result = run_scenario("checkpoint", capture_trace=True)
     assert result.ok
     sim = result.sim
     assert TimeSeriesRecorder.peek(sim) is None
     assert sim.trace.find("alert.fire") == []
     assert sim.trace.find("alert.resolve") == []
+    assert sim.trace.find("metric.sample") == []
     assert not any(r.category.startswith("telemetry") for r in sim.trace.records)
 
 
@@ -310,17 +334,10 @@ def test_sampler_adds_under_five_percent_kernel_events_on_rack8_sweep():
 
     def sweep_events(telemetry):
         fleet = XeonPhiFleet("rack8")
-        rec = (TimeSeriesRecorder.install(fleet.sim, TelemetryConfig(interval=0.05))
-               if telemetry else None)
+        if telemetry:
+            TimeSeriesRecorder.install(fleet.sim, interval=0.05)
         manager = FleetManager(fleet, max_in_flight=16, per_card_limit=2)
-
-        def driver():
-            result = yield from fleet_sweep(fleet, manager, ops_per_card=4)
-            if rec is not None:
-                rec.stop()
-            return result
-
-        assert fleet.run(driver()).ok
+        assert fleet.run(fleet_sweep(fleet, manager, ops_per_card=4)).ok
         return next(fleet.sim._seq)
 
     off, on = sweep_events(False), sweep_events(True)
@@ -334,7 +351,7 @@ def test_operation_feed_counts_phases_per_card():
     from repro.testbed import XeonPhiServer, offload_process
 
     sim = Simulator()
-    rec = TimeSeriesRecorder.install(sim, TelemetryConfig(interval=0.05))
+    rec = TimeSeriesRecorder.install(sim, interval=0.05)
     server = XeonPhiServer(sim=sim)
 
     def driver(s):
@@ -345,7 +362,6 @@ def test_operation_feed_counts_phases_per_card():
                                                 buffers=[(4 * MB, 1)])
         snap = snapify_t(snapshot_path="/t/ckpt", coiproc=coiproc)
         results = yield from snapshot_application([snap], kind="checkpoint")
-        rec.stop()
         return results
 
     results = server.run(driver(sim))
@@ -471,17 +487,23 @@ def test_failing_run_carries_postmortem_into_artifact(tmp_path):
 
 
 def test_rack8_failure_fires_alert_and_exports_per_card_p99():
-    from repro.obs.cli import run_top
+    from repro.check.scenarios import run_scenario
     from repro.obs.export import (
         parse_prometheus_text,
         prometheus_text,
         validate_prometheus_text,
     )
+    from repro.snapify.fleet import FleetManager
 
-    recorder, manager, result, health = run_top(
-        topology="rack8", ops_per_card=2, fail_card=1, fail_at=0.05,
+    run = run_scenario(
+        "fleet:rack8", faults=[{"kind": "fleet_card_failure", "card": 1, "at": 0.05}],
+        instrument=lambda sim: TimeSeriesRecorder.install(sim, slos=default_slos()),
     )
-    assert not result.ok           # the dead card's tickets failed
+    assert run.ok, run.summary()   # every oracle passed
+    assert run.outcome == "faulted"  # the dead card's tickets failed
+    recorder = TimeSeriesRecorder.peek(run.sim)
+    [manager] = FleetManager.all_of(run.sim)
+    health = manager.last_health
     assert recorder.tickets_failed > 0
 
     events = [(ev, snap["key"]) for _, ev, snap in recorder.engine.history]
