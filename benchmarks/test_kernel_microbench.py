@@ -77,9 +77,8 @@ def test_ping_pong_schedule_is_deterministic():
                 v = yield a.recv()
                 yield b.send(v)
 
-        sim.spawn(ping(sim))
-        sim.spawn(pong(sim))
+        threads = [sim.spawn(ping(sim)), sim.spawn(pong(sim))]
         sim.run()
-        return (sim.now, next(sim._seq), [t.done.ok for t in sim.threads])
+        return (sim.now, next(sim._seq), [t.done.ok for t in threads])
 
     assert digest() == digest()

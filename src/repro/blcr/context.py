@@ -149,7 +149,7 @@ class ProcessContext:
             registry = PluginRegistry.for_process(proc)
         return ProcessContext(
             name=proc.name,
-            nthreads=max(1, len([t for t in proc.threads if t.alive])),
+            nthreads=max(1, len(proc.threads)),
             regions=[RegionImage.from_region(r) for r in proc.regions.values()],
             store=copy.deepcopy(proc.store),
             main_factory=proc.main_factory,

@@ -287,7 +287,7 @@ def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
                     data=copy.deepcopy(region.data),
                 )
             )
-        nthreads = max(1, len([t for t in proc.threads if t.alive]))
+        nthreads = max(1, len(proc.threads))
         # Plugin resources have no dirty bitmap: every delta re-freezes them
         # whole (they are metadata-sized next to memory pages).
         plugin_images = PluginRegistry.for_process(proc).capture(proc)

@@ -110,17 +110,15 @@ def scif_conservation(server: "XeonPhiServer") -> List[Violation]:
 
     For every *open* endpoint at quiescence: nothing may still be queued
     (pause promised to drain), and the receive channel's counters must
-    balance — sent == received + queued. Closed endpoints are exempt:
-    close() legally discards in-flight messages (the peer observes
-    ``ConnectionReset`` instead).
+    balance — sent == received + queued. Closed endpoints are exempt (the
+    network tracks open ones only): close() legally discards in-flight
+    messages (the peer observes ``ConnectionReset`` instead).
     """
     from ..scif.endpoint import ScifNetwork
 
     out: List[Violation] = []
     net = ScifNetwork.of(server.node)
-    for ep in net.endpoints:
-        if ep.closed:
-            continue
+    for ep in net.endpoints.values():
         rx = ep._rx
         if rx.sent_count != rx.received_count + rx.qsize:
             out.append(Violation(
@@ -293,10 +291,11 @@ def staging_buffers_released(server: "XeonPhiServer") -> List[Violation]:
     """RDMA staging-buffer accounting matches the open registration windows.
 
     Every byte in a pool's ``rdma_staging`` category must be backed by a
-    window on a currently *open* SCIF endpoint of that OS, and a closed
-    endpoint must hold no windows — a mismatch means a connection reset (or
-    daemon crash) leaked a registration, the bug class transient link flaps
-    expose.
+    window on a currently *open* SCIF endpoint of that OS (the network
+    tracks open ones only) — a mismatch means a connection reset (or daemon
+    crash) leaked a registration, the bug class transient link flaps
+    expose. A closed endpoint still holding windows shows up here too: its
+    bytes are accounted but no open endpoint registers them.
     """
     from ..scif.endpoint import ScifNetwork
 
@@ -305,18 +304,9 @@ def staging_buffers_released(server: "XeonPhiServer") -> List[Violation]:
     for label, mem, os in _pools(server):
         held = mem.by_category.get("rdma_staging", 0)
         windows = 0
-        for ep in net.endpoints:
-            if ep.os is not os:
-                continue
-            if ep.closed:
-                if ep.windows:
-                    out.append(Violation(
-                        "staging_buffers_released",
-                        f"{label}: closed ep{ep.eid} still holds "
-                        f"{len(ep.windows)} registered window(s)",
-                    ))
-                continue
-            windows += sum(ep.windows.values())
+        for ep in net.endpoints.values():
+            if ep.os is os:
+                windows += sum(ep.windows.values())
         if held != windows:
             out.append(Violation(
                 "staging_buffers_released",

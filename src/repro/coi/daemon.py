@@ -125,6 +125,11 @@ class COIDaemon:
             f"{msg['name']}.offload", image_size=0,
             main_factory=card_main_factory(binary), start=False,
         )
+        if not host_proc.alive:
+            # The host died while the card forked: its exit already passed,
+            # so _watch would never reap the offload. Nobody will connect.
+            offload.terminate()
+            return
         offload.store["_listen_port"] = port
         offload.store["_snapify_enabled"] = msg.get("snapify_enabled", True)
         listening = self.sim.event(f"listening:{offload.name}")

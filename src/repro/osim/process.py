@@ -107,7 +107,8 @@ class SimProcess:
         self.store: Dict[str, Any] = {}
         #: Free-form attachment point for runtime layers (COI, Snapify).
         self.runtime: Dict[str, Any] = {}
-        self.threads: List[Thread] = []
+        #: Live threads by tid, in spawn order; a thread leaves when it ends.
+        self.threads: Dict[int, Thread] = {}
         self.signal_handlers: Dict[int, Callable[["SimProcess", int], SimGen]] = {}
         #: Signals queued while blocked, in arrival order (POSIX allows
         #: collapsing duplicates; this model keeps every arrival).
@@ -128,7 +129,8 @@ class SimProcess:
         if self.state != RUNNING:
             raise ProcessError(f"{self.name}: spawning thread in dead process")
         t = self.sim.spawn(gen, name=f"{self.name}/{name or 'thread'}", daemon=daemon)
-        self.threads.append(t)
+        self.threads[t.tid] = t
+        t._group = self.threads
         return t
 
     def start(self) -> None:
@@ -236,9 +238,8 @@ class SimProcess:
             return
         self.state = TERMINATED
         self.exit_code = code
-        for t in self.threads:
+        for t in list(self.threads.values()):
             t.kill()
-        self.threads.clear()
         for fd in self.open_fds:
             try:
                 fd.close()

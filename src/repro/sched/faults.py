@@ -150,7 +150,7 @@ class FaultInjector:
         from ..scif.endpoint import ScifNetwork
 
         net = ScifNetwork.of(phi.node)
-        for ep in list(net.endpoints):
+        for ep in list(net.endpoints.values()):
             if ep.closed:
                 continue
             if ep.os.hw is phi or (ep.peer is not None and ep.peer.os.hw is phi):

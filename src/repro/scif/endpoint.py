@@ -77,13 +77,13 @@ class ScifNetwork:
         self.sim = node.sim
         self._listeners: Dict[Tuple[int, int], Channel] = {}
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
-        self.endpoints: List["ScifEndpoint"] = []
+        #: Open endpoints by eid, in connect order; close() removes one.
+        self.endpoints: Dict[int, "ScifEndpoint"] = {}
         reg = MetricsRegistry.of(self.sim)
         self._m_connects = reg.counter(f"scif.{node.name}.connections")
-        reg.gauge(f"scif.{node.name}.open_endpoints",
-                  lambda: sum(1 for ep in self.endpoints if not ep.closed))
+        reg.gauge(f"scif.{node.name}.open_endpoints", lambda: len(self.endpoints))
         reg.gauge(f"scif.{node.name}.pending_messages",
-                  lambda: sum(ep.pending for ep in self.endpoints if not ep.closed))
+                  lambda: sum(ep.pending for ep in self.endpoints.values()))
 
     @staticmethod
     def of(node: ServerNode) -> "ScifNetwork":
@@ -92,6 +92,11 @@ class ScifNetwork:
             net = ScifNetwork(node)
             node.scif = net  # type: ignore[attr-defined]
         return net
+
+    def register(self, ep: "ScifEndpoint") -> None:
+        """Track ``ep`` as open until its close()."""
+        self.endpoints[ep.eid] = ep
+        ep._net = self
 
     def os_for_scif_node(self, scif_node_id: int) -> "OSInstance":
         peer = self.node.scif_peer(scif_node_id)
@@ -146,8 +151,8 @@ class ScifNetwork:
         client._attach(server)
         server._attach(client)
         self._m_connects.inc()
-        self.endpoints.append(client)
-        self.endpoints.append(server)
+        self.register(client)
+        self.register(server)
         # Connection handshake: one control message each way.
         for link, direction in _segments(src_os, dst_os):
             yield from link.message(direction)
@@ -193,6 +198,8 @@ class ScifEndpoint:
         self._rx = Channel(sim, name=f"scif.ep{self.eid}.rx")
         self._m_msgs = MetricsRegistry.of(sim).counter("scif.messages")
         self.closed = False
+        #: The network whose open-endpoint table holds this endpoint.
+        self._net: Optional[ScifNetwork] = None
         #: offset -> window size; see repro.scif.registry
         self.windows: Dict[int, int] = {}
         if proc is not None:
@@ -274,6 +281,8 @@ class ScifEndpoint:
         if self.closed:
             return
         self.closed = True
+        if self._net is not None:
+            del self._net.endpoints[self.eid]
         if self.windows:
             # Release the pinned-page accounting for every window still
             # registered: a reset connection must not strand staging bytes

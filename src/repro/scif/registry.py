@@ -76,6 +76,10 @@ def scif_register(ep: ScifEndpoint, nbytes: int):
         nbytes / (1024 * 1024)
     )
     yield ep.sim.sleep(cost)
+    if ep.closed:
+        # Closed while pinning: close() already released this endpoint's
+        # windows, so a window added now would never be freed.
+        raise ScifError(f"ep{ep.eid}: endpoint closed during register")
     ep.os.memory.allocate(nbytes, "rdma_staging")
     offset = RdmaRegistry.of(ep.os).allocate_offset(nbytes)
     ep.windows[offset] = nbytes

@@ -82,6 +82,10 @@ def _wake(thread: "Thread", key: Any) -> None:
         heappush(sim._heap, (sim.now, next(sim._seq), thread._bstep, (None, None)))
 
 
+def _ended_step(value: Any, exc: Optional[BaseException]) -> None:
+    """``_bstep`` of an ended thread: a resume still queued for it is a no-op."""
+
+
 def _perturbed_seq(seed: int):
     """Seeded replacement for the tie-break counter.
 
@@ -115,6 +119,7 @@ class Thread(_ThreadWaiter):
         "_waiting_on",
         "_sleep_key",
         "_bstep",
+        "_group",
     )
 
     def __init__(self, sim: "Simulator", gen: SimGen, name: str = ""):
@@ -127,6 +132,9 @@ class Thread(_ThreadWaiter):
         self._sleep_key: Any = None  # heap key of the current sleep's wake
         self.daemon = False  # daemon threads don't count for quiescence
         self._bstep = self._step  # bind once; scheduled on every resume
+        #: A second live-thread table the thread leaves when it ends (its
+        #: process's ``threads``), or None.
+        self._group: Optional[Dict[int, "Thread"]] = None
 
     # -- state -------------------------------------------------------------
     @property
@@ -146,12 +154,18 @@ class Thread(_ThreadWaiter):
         try:
             if throw_exc is not None:
                 target = self.gen.throw(throw_exc)
+                # Handled: drop the traceback, or it keeps a frame object of
+                # this parked generator that outlives the generator's own
+                # collection and resurrects its garbage for one more pass.
+                throw_exc.__traceback__ = None
             else:
                 target = self.gen.send(send_value)
         except StopIteration as stop:
+            self._retire()
             self.done.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - thread death is reported
+            self._retire()
             self.sim.trace.emit("thread.error", thread=self.name, error=repr(exc))
             self.sim._dead_threads.append((self, exc))
             self.done.fail(exc)
@@ -189,6 +203,7 @@ class Thread(_ThreadWaiter):
             f"thread {self.name!r} yielded {target!r}; threads must yield Event objects"
             " or sim.sleep() delays"
         )
+        self._retire()
         self.sim._dead_threads.append((self, exc2))
         self.done.fail(exc2)
         if self.sim.strict:
@@ -228,7 +243,17 @@ class Thread(_ThreadWaiter):
         except BaseException:  # pragma: no cover - generator misbehaviour
             pass
         if self.done._state is PENDING:
+            self._retire()
             self.done.fail(ThreadKilled(self.name))
+
+    def _retire(self) -> None:
+        """Leave the live-thread tables and break the ``_bstep`` self-cycle,
+        so refcounting frees the ended thread once nothing joins it."""
+        del self.sim.threads[self.tid]
+        group = self._group
+        if group is not None:
+            del group[self.tid]
+        self._bstep = _ended_step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if not self.alive else ("blocked" if self._waiting_on else "ready")
@@ -268,7 +293,8 @@ class Simulator:
         self._tids = itertools.count(1)
         self.strict = strict
         self.trace = Tracer(self, enabled=trace)
-        self.threads: List[Thread] = []
+        #: Live threads by tid, in spawn order; a thread leaves when it ends.
+        self.threads: Dict[int, Thread] = {}
         self._dead_threads: List = []
 
     # -- low-level scheduling ------------------------------------------------
@@ -288,7 +314,7 @@ class Simulator:
             raise TypeError("spawn() needs a generator (call the generator function)")
         t = Thread(self, gen, name=name)
         t.daemon = daemon
-        self.threads.append(t)
+        self.threads[t.tid] = t
         heappush(self._heap, (self.now, next(self._seq), t._bstep, (None, None)))
         return t
 
@@ -365,8 +391,8 @@ class Simulator:
         if check_deadlock:
             stuck = [
                 th
-                for th in self.threads
-                if th.alive and not th.daemon and th.blocked_on is not None
+                for th in self.threads.values()
+                if not th.daemon and th._waiting_on is not None
             ]
             if stuck:
                 names = ", ".join(
@@ -411,9 +437,7 @@ class Simulator:
         perturbed schedules that block the same thread set.
         """
         edges: List[Dict[str, Any]] = []
-        for th in self.threads:
-            if not th.alive:
-                continue
+        for th in self.threads.values():
             ev = th._waiting_on
             if ev is None:
                 continue

@@ -179,7 +179,8 @@ def test_restart_oom_cleans_up():
 
     assert run(sim, worker(sim)) == "ok"
     # The half-restored process must not linger in the process table.
-    assert all(p.name != "big" for p in sim.threads if hasattr(p, "name"))
+    assert all(p.name != "big" for p in phi.processes.values())
+    assert not any(t.name.startswith("big/") for t in sim.threads.values())
 
 
 def test_cr_request_checkpoint_is_asynchronous():

@@ -16,6 +16,7 @@ from repro.check.oracles import (
     process_accounting,
     ramfs_accounting,
     scif_conservation,
+    staging_buffers_released,
     staging_drained,
 )
 from repro.scif.endpoint import ScifNetwork
@@ -57,9 +58,8 @@ def _registered_endpoint(server):
     (Plain boot leaves only listeners; connections appear with workloads.)"""
     from repro.scif.endpoint import ScifEndpoint
 
-    net = ScifNetwork.of(server.node)
     ep = ScifEndpoint(server.sim, server.host_os, 9999)
-    net.endpoints.append(ep)
+    ScifNetwork.of(server.node).register(ep)
     return ep
 
 
@@ -75,8 +75,22 @@ def test_scif_conservation_ignores_closed_endpoints():
     server = XeonPhiServer()
     ep = _registered_endpoint(server)
     ep._rx.sent_count += 1
-    ep.closed = True  # close() legally discards in-flight messages
+    ep.close()  # close() legally discards in-flight messages
     assert all(f"ep{ep.eid}" not in v.detail for v in scif_conservation(server))
+
+
+def test_staging_buffers_released_catches_closed_endpoint_holding_windows():
+    """A window left on a closed endpoint (a registration that outlived its
+    close) is accounted as staging but registered by no open endpoint."""
+    server = XeonPhiServer()
+    ep = _registered_endpoint(server)
+    ep.close()
+    server.node.memory.allocate(1 << 20, "rdma_staging")
+    ep.windows[0x10000] = 1 << 20
+    violations = staging_buffers_released(server)
+    assert [v.detail for v in violations] == [
+        "host: rdma_staging accounts 1048576 bytes but open endpoints register 0"
+    ]
 
 
 def test_nothing_left_paused_catches_leaked_pause():

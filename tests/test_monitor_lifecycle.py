@@ -144,7 +144,7 @@ def test_stuck_request_drains_the_heap_and_is_flagged():
     horizon = server.now + 1000.0
     assert server.sim.run(until=horizon) < horizon
     assert not server.sim._heap
-    [monitor] = [t for t in server.sim.threads
+    [monitor] = [t for t in server.sim.threads.values()
                  if t.name.endswith("/snapify-monitor") and t.alive]
     assert svc.wake is not None and monitor.blocked_on is svc.wake
     assert "monitor_quiescent" in {v.oracle for v in check_all(server)}

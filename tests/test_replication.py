@@ -11,7 +11,7 @@ the committed worst-case fuzz seeds, and the resilience-study driver.
 import pytest
 
 from repro.apps import NAS_MZ_BENCHMARKS
-from repro.check.fuzz import default_faults
+from repro.check.fuzz import default_faults, fuzz
 from repro.check.oracles import (
     no_duplicate_delivery,
     team_membership_consistent,
@@ -374,6 +374,15 @@ def test_worst_case_replication_seeds_stay_green(scenario, seed):
     result = run_scenario(scenario, seed=seed,
                           faults=default_faults(scenario, seed))
     assert result.ok, result.summary()
+
+
+def test_team_wipe_mid_launch_orphans_no_offload():
+    """Seed 20 wipes team 0 while mic0's COI daemon is forking the offload
+    of a replica whose host the abort has just terminated: the host's exit
+    passed before the daemon could watch it, so the offload must be reaped
+    at once, not left to accept forever (a DeadlockError)."""
+    report = fuzz(["replication:team_wipe"], seeds=range(275))
+    assert report.ok, report.summary()
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,32 @@ def test_rdma_register_and_vwriteto():
     assert state["xfer_time"] == pytest.approx(256 * MB / (6.0 * GB), rel=0.1)
 
 
+def test_register_racing_close_allocates_nothing():
+    """An endpoint closed during register's page-pinning sleep: register
+    fails, and no window or staging byte outlives the endpoint."""
+    sim, node, net, host, phis = make_env()
+    listener = net.listen(phis[0], port=100)
+    state = {}
+
+    def offload_side(sim):
+        ep = yield listener.accept()
+        state["ep"] = ep
+        sim.schedule(1e-6, ep.close)  # pinning 256 MB takes ~7.7 ms
+        with pytest.raises(ScifError, match="closed during register"):
+            yield from scif_register(ep, 256 * MB)
+        return "ok"
+
+    def host_side(sim):
+        yield from net.connect(host, 1, 100)
+
+    t = sim.spawn(offload_side(sim))
+    sim.spawn(host_side(sim))
+    sim.run()
+    assert t.done.value == "ok"
+    assert state["ep"].windows == {}
+    assert phis[0].memory.by_category.get("rdma_staging", 0) == 0
+
+
 def test_rdma_to_unregistered_offset_fails():
     sim, node, net, host, phis = make_env()
     listener = net.listen(phis[0], port=100)

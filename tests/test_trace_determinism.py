@@ -38,6 +38,16 @@ def snapshot_cycle_digest():
     from repro.testbed import XeonPhiServer
 
     sim = Simulator(trace=True)
+    # sim.threads keeps live threads only; the table records every spawn.
+    spawned = []
+    spawn = sim.spawn
+
+    def recording_spawn(gen, name="", daemon=False):
+        t = spawn(gen, name, daemon)
+        spawned.append(t)
+        return t
+
+    sim.spawn = recording_spawn
     server = XeonPhiServer(sim=sim)
     profile = replace(OPENMP_BENCHMARKS["MC"], iterations=30)
     app = OffloadApplication(server, profile)
@@ -58,7 +68,7 @@ def snapshot_cycle_digest():
         ],
         "final_time": repr(sim.now),
         "scheduled_events": next(sim._seq),
-        "threads": [[t.tid, t.name, t.done.triggered] for t in sim.threads],
+        "threads": [[t.tid, t.name, t.done.triggered] for t in spawned],
     }
 
 
