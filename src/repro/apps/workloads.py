@@ -50,10 +50,6 @@ class BenchmarkProfile:
     #: Offload calls in a full run.
     iterations: int
 
-    @property
-    def bytes_per_iteration(self) -> int:
-        return self.transfer_in + self.transfer_out
-
 
 #: The 8 OpenMP benchmarks (Fig. 9 / Fig. 10).
 OPENMP_BENCHMARKS: Dict[str, BenchmarkProfile] = {

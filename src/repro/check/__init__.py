@@ -15,6 +15,8 @@ determinism into systematic exploration:
   plans, every run checked against every oracle.
 * :mod:`repro.check.artifact` — minimal repro artifacts: a failing run
   serializes to a JSON file that replays with one command.
+* :mod:`repro.check.reach` — which functions the catalogue never runs
+  (``python -m repro.check.reach``, pinned by ``tests/test_reach.py``).
 
 Entry points: ``snapify fuzz`` (see :mod:`repro.obs.cli`) and
 ``tests/test_schedule_fuzz.py``.

@@ -139,7 +139,12 @@ class COIDaemon:
         self.entries[offload.pid] = entry
         self._watch(entry)
         offload.start()
-        yield listening  # card runtime is accepting connections
+        try:
+            yield listening  # card runtime is accepting connections
+        except COIError:
+            # The offload exited before it listened (its host died during
+            # the launch): nobody will connect, so send no reply.
+            return
         yield from ep.send({"type": m.LAUNCH_OK, "pid": offload.pid, "port": port,
                             "offload_proc": offload})
 
@@ -165,6 +170,11 @@ class COIDaemon:
                 # Without Snapify's bookkeeping the daemon "will assume that
                 # the offload process has crashed" (§3).
                 entry.state = "terminated" if entry.expected_exit else "crashed"
+            listening = proc.runtime.get("listening")
+            if listening is not None and not listening.triggered:
+                # Dead before its runtime listened: whoever waits on the
+                # rendezvous would park forever.
+                listening.fail(COIError(f"{proc.name} exited before listening"))
             self._cleanup_localstore(entry)
 
         entry.host_proc.os.exit_watchers.append(on_host_exit)

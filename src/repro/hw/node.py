@@ -79,9 +79,6 @@ class ServerNode:
             )
         return self.phis[scif_node_id - 1]
 
-    def link_to_phi(self, index: int) -> PCIeLink:
-        return self.phis[index].link
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ServerNode {self.name} phis={len(self.phis)}>"
 

@@ -4,9 +4,8 @@ Checkpoint/restart pays a detection + restore round-trip on every failure;
 replication hides failures entirely by running R copies of every logical
 rank on disjoint cards and letting the survivors carry on. The pieces:
 
-* :func:`plan_replica_placement` — anti-affinity placement in the style of
-  :meth:`repro.snapify.fleet.FleetManager.partner_for`: every replica of a
-  team on a distinct card, preferring distinct nodes.
+* :func:`plan_replica_placement` — anti-affinity placement: every replica
+  of a team on a distinct card, preferring distinct nodes.
 * :class:`TeamComm` — a replica-aware communicator layered over
   :class:`~repro.mpi.runtime.MPIComm`. Every send fans out to every live
   replica of the destination team; receivers deduplicate by
@@ -27,7 +26,7 @@ objects leaves traces, metrics, and schedules byte-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..coi.engine import COIEngine
 from ..obs.registry import MetricsRegistry
@@ -55,23 +54,17 @@ def plan_replica_placement(
     cards: List["CardRef"],
     n_teams: int,
     n_replicas: int,
-    *,
-    partner_for: Optional[Callable[[Any], Optional[str]]] = None,
 ) -> Dict[RKey, "CardRef"]:
     """Anti-affinity placement: every replica of a team on its own card.
 
     Replicas of one team land on distinct nodes when the fleet allows it
     (falling back to distinct cards on a shared node), so a single card —
-    or node — failure never takes a whole team down. ``partner_for`` may
-    inject the fleet's own partner policy
-    (:meth:`~repro.snapify.fleet.FleetManager.partner_for`): when it names
-    an unused card, that card is preferred for the next replica.
+    or node — failure never takes a whole team down.
     """
     if n_teams * n_replicas > len(cards):
         raise ReplicationError(
             f"{n_teams} teams x {n_replicas} replicas > {len(cards)} cards"
         )
-    by_key = {c.key: c for c in cards}
     placement: Dict[RKey, "CardRef"] = {}
     used: List["CardRef"] = []
     cursor = 0
@@ -89,15 +82,7 @@ def plan_replica_placement(
     for t in range(n_teams):
         team_cards: List["CardRef"] = []
         for r in range(n_replicas):
-            pick = None
-            if r > 0 and partner_for is not None:
-                hint = by_key.get(partner_for(team_cards[-1]) or "")
-                if hint is not None and hint not in used and all(
-                    hint.node != tc.node for tc in team_cards
-                ):
-                    pick = hint
-            if pick is None:
-                pick = scan(team_cards, node_disjoint=True)
+            pick = scan(team_cards, node_disjoint=True)
             if pick is None:
                 pick = scan(team_cards, node_disjoint=False)
             if pick is None:
@@ -265,10 +250,6 @@ class TeamComm:
         return value
 
     # -- introspection ----------------------------------------------------------
-    def pending_copies(self) -> int:
-        """Delivered-but-unconsumed copies across every replica mailbox."""
-        return sum(len(box) for box in self._mailbox.values())
-
     def ledger_balanced(self) -> bool:
         """The copy-conservation identity (see the ledger comment above)."""
         return (self.copies_sent + self.backfilled
@@ -364,8 +345,7 @@ class ReplicatedJob:
 
     def __init__(self, fleet: "XeonPhiFleet", profile: "MZProfile",
                  n_teams: int, n_replicas: int = 2,
-                 iterations: Optional[int] = None,
-                 partner_for: Optional[Callable[[Any], Optional[str]]] = None):
+                 iterations: Optional[int] = None):
         from ..apps.nas_mz import build_mz_binary
         from ..apps.workloads import mz_rank_footprint
 
@@ -384,7 +364,7 @@ class ReplicatedJob:
         self.local_store = local_store
         self.binary = build_mz_binary(profile, offload_heap)
         self.placement = plan_replica_placement(
-            fleet.cards(), n_teams, n_replicas, partner_for=partner_for
+            fleet.cards(), n_teams, n_replicas
         )
         self.comm = TeamComm(fleet, n_teams)
         self.replicas: Dict[RKey, TeamReplica] = {

@@ -150,11 +150,6 @@ class MetricsRegistry:
             self.histograms[name] = h
         return h
 
-    def unregister(self, name: str) -> None:
-        self.counters.pop(name, None)
-        self.gauges.pop(name, None)
-        self.histograms.pop(name, None)
-
     # -- reading ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """All instruments read at this instant of simulated time.

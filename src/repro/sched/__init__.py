@@ -5,19 +5,14 @@ from .interval import daly_interval, expected_completion_time, young_interval
 from .predictor import ProactiveMigrator
 from .resilient import ResilientRunner
 from .scheduler import SwapScheduler, TenantJob
-from .study import ModeResult, markdown_table, resilience_study, run_mode
 
 __all__ = [
     "FaultInjector",
-    "ModeResult",
     "ProactiveMigrator",
     "ResilientRunner",
     "SwapScheduler",
     "TenantJob",
     "daly_interval",
     "expected_completion_time",
-    "markdown_table",
-    "resilience_study",
-    "run_mode",
     "young_interval",
 ]

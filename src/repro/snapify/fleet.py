@@ -285,14 +285,6 @@ class HealthReport:
                 if h.latency is not None and scores.get(h.card, 0.0) > z
                 and h.latency - median > min_spread]
 
-    def straggler_zscores(self) -> Dict[str, float]:
-        """Per-card robust z-score of probe latency (diagnostic surface)."""
-        from ..obs.slo import robust_zscores
-
-        return robust_zscores({
-            h.card: h.latency for h in self.healthy if h.latency is not None
-        })
-
     def summary(self) -> str:
         bits = [f"health sweep @ {self.when:.3f}s: {len(self.entries)} cards, "
                 f"{len(self.failed)} failed, {len(self.stragglers())} straggling"]
@@ -498,19 +490,6 @@ class FleetManager:
         return self.submit(key, "reseed", work, card=card, priority=priority,
                            proc=coiproc.host_proc)
 
-    def submit_restore(self, key: str, snap: Any, engine: Any, host_proc: Any,
-                       *, card: Optional[CardRef] = None,
-                       priority: int = SWAP) -> FleetTicket:
-        """Swap a previously swapped-out handle back in on ``engine``."""
-        from .usecases import snapify_swapin
-
-        def work():
-            yield from snapify_swapin(snap, engine, host_proc)
-            return snap.op.result
-
-        return self.submit(key, "restore", work, card=card, priority=priority,
-                           proc=host_proc)
-
     # -- the memory tier ------------------------------------------------------
     def memory_tier(self):
         """The fleet's in-memory snapshot tier, with every card registered
@@ -521,11 +500,6 @@ class FleetManager:
         if self.fleet is not None:
             tier.register_fleet(self.fleet)
         return tier
-
-    def partner_for(self, card: CardRef) -> Optional[str]:
-        """Round-robin replication partner for ``card`` (healthy cards
-        only); None when the fleet has no other healthy card."""
-        return self.memory_tier().choose_partner(card.key)
 
     def submit_demotion(self, key: str, path: str, host_os: Any, *,
                         card: Optional[CardRef] = None, release: bool = False,
@@ -542,35 +516,6 @@ class FleetManager:
             return total
 
         return self.submit(key, "demote", work, card=card, priority=priority)
-
-    def submit_rehome(self, bad_card: CardRef, *,
-                      priority: int = MAINTENANCE) -> FleetTicket:
-        """Move every tier copy off a flagged card (maintenance priority:
-        this is the evacuation side of a health sweep)."""
-        tier = self.memory_tier()
-
-        def work():
-            moved = yield from tier.rehome_from(bad_card.key)
-            return moved
-
-        return self.submit(f"rehome:{bad_card.key}", "rehome", work,
-                           card=None, priority=priority)
-
-    def rehome_after_sweep(self, report: "HealthReport") -> List[FleetTicket]:
-        """Submit a re-home ticket for every card a sweep flagged (failed
-        or straggling). Returns the tickets; no-op when the tier is unused."""
-        from ..snapify_io.memtier import MemoryTier
-
-        if MemoryTier.peek(self.sim) is None:
-            return []
-        flagged = {h.card for h in report.failed}
-        flagged.update(h.card for h in report.stragglers())
-        tickets = []
-        for key in sorted(flagged):
-            digits, _, dev = key.partition(".mic")
-            card = CardRef(node=int(digits.lstrip("n") or 0), device=int(dev or 0))
-            tickets.append(self.submit_rehome(card))
-        return tickets
 
     # -- collection -----------------------------------------------------------
     def collect(self, tickets: Sequence[FleetTicket], *,

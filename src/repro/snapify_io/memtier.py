@@ -3,10 +3,10 @@
 Incremental captures do not touch NFS on the critical path: each
 :class:`~repro.blcr.incremental.DeltaImage` is stored as a *local* copy in
 the capturing card's memory plus a *partner* copy replicated to another
-card (round-robin over the registered fleet, re-homed when health sweeps
-flag a card). NFS only sees the chain when a BACKGROUND-priority fleet
-ticket demotes it (:meth:`MemoryTier.demote`) — the Kohl-style partner
-scheme that makes frequent checkpoints affordable.
+card (round-robin over the registered fleet's healthy cards). NFS only
+sees the chain when a BACKGROUND-priority fleet ticket demotes it
+(:meth:`MemoryTier.demote`) — the Kohl-style partner scheme that makes
+frequent checkpoints affordable.
 
 The tier is a per-simulator singleton (``MemoryTier.of(sim)``) and fully
 opt-in: nothing builds one unless an incremental capture runs, and every
@@ -52,7 +52,7 @@ class TierCopy:
     role: str  #: "local" | "partner"
     torn: bool = False  #: replication was interrupted; image is unusable
     lost: bool = False  #: home card failed with the copy on it
-    released: bool = False  #: freed after demotion / re-home
+    released: bool = False  #: freed after demotion
 
     @property
     def intact(self) -> bool:
@@ -427,75 +427,6 @@ class MemoryTier:
                 if attempt <= retries:
                     yield self.sim.sleep(backoff * attempt)
         raise last  # noqa: B904 — the retry chain *is* the cause
-
-    # -- health-driven re-homing -----------------------------------------------
-    def rehome_from(self, bad_key: str):
-        """Sub-generator: move every intact copy off a flagged card.
-
-        Driven by health sweeps: copies on a dead card are recorded as lost
-        (their replicas take over); copies on a merely *flagged* card are
-        re-replicated to the next healthy partner, then released.
-        Returns the number of copies moved.
-        """
-        moved = 0
-        card_dead = not self._healthy(bad_key)
-        for entry in self.chains.values():
-            for link in entry.links:
-                for copy in list(link.copies):
-                    if not copy.intact or copy.home != bad_key:
-                        continue
-                    if card_dead:
-                        self._drop_copy(copy, reason="lost")
-                        continue
-                    src = next(
-                        (c for c in link.intact_copies()
-                         if c.home != bad_key and self._healthy(c.home)),
-                        copy,
-                    )
-                    target = self.choose_partner(bad_key)
-                    if target is None or target == bad_key:
-                        continue
-                    new = TierCopy(home=target, nbytes=copy.nbytes, role=copy.role)
-                    try:
-                        self._charge(target, new.nbytes)
-                    except MemoryExhausted:
-                        continue
-                    link.copies.append(new)
-                    try:
-                        yield from self._stream(src.home, target, new.nbytes)
-                    except TierError:
-                        self._drop_copy(new, reason="torn")
-                        self.m_torn.inc()
-                        continue
-                    if new.role == "partner":
-                        link.replicated = True
-                    self._drop_copy(copy, reason="released")
-                    self.m_rehomes.inc()
-                    moved += 1
-                    self.sim.trace.emit("memtier.rehome", path=entry.snapshot_id,
-                                        epoch=link.image.epoch,
-                                        source=bad_key, target=target)
-        return moved
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-safe tier snapshot (CLI, repro artifacts)."""
-        return {
-            "chains": len(self.chains),
-            "resident_bytes": self.resident_bytes(),
-            "cards": list(self._order),
-            "entries": {
-                path: {
-                    "links": len(e.links),
-                    "demoted": e.demoted,
-                    "copies": [
-                        {"home": c.home, "role": c.role, "bytes": c.nbytes,
-                         "torn": c.torn, "lost": c.lost, "released": c.released}
-                        for link in e.links for c in link.copies
-                    ],
-                }
-                for path, e in sorted(self.chains.items())
-            },
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MemoryTier chains={len(self.chains)} "

@@ -3,9 +3,9 @@
 Covers the chain format (base + deltas reassemble byte-equal to a full
 capture; CRC tamper and epoch gaps fail loudly), the three restore paths
 (memory-tier hit, partner copy after local loss, NFS-demoted chain), the
-fleet plumbing (BACKGROUND demotion tickets, re-home after a health sweep
-flags a card), the delta statistics on :class:`OperationResult`, and smoke
-runs of the ``incremental:*`` fuzz scenarios.
+fleet plumbing (BACKGROUND demotion tickets), the delta statistics on
+:class:`OperationResult`, and smoke runs of the ``incremental:*`` fuzz
+scenarios.
 """
 
 import pytest
@@ -17,17 +17,15 @@ from repro.hw import MB
 from repro.obs.registry import MetricsRegistry
 from repro.snapify import (
     BACKGROUND,
-    MAINTENANCE,
-    CardRef,
     FleetManager,
     snapify_restore,
     snapify_resume,
     snapify_t,
 )
-from repro.snapify.fleet import DONE, CardHealth, HealthReport
+from repro.snapify.fleet import DONE
 from repro.snapify.ops import capture_sequence
 from repro.snapify_io.memtier import TIER_CATEGORY, MemoryTier, chain_path
-from repro.testbed import XeonPhiFleet, XeonPhiServer
+from repro.testbed import XeonPhiServer
 
 
 def accumulate_effect(ctx, args):
@@ -423,57 +421,6 @@ def test_demotion_ticket_runs_at_background_priority():
     assert server.host_os.fs.stat(chain_file).size == sum(
         link.image.delta_bytes for link in entry.links
     )
-
-
-def test_rehome_moves_copies_off_sweep_flagged_card():
-    """A health sweep flagging a (still alive) card must trigger MAINTENANCE
-    re-home tickets that move every tier copy off it."""
-    fleet = XeonPhiFleet("dev2")
-    server = fleet.servers[0]
-    env = launch(server)
-    _capture_epochs(server, env, "/fleet/rehome", n=2)
-    manager = FleetManager(fleet)
-    tier = manager.memory_tier()
-    entry = tier.lookup("/fleet/rehome")
-    assert any(
-        c.intact and c.home == "n0.mic0"
-        for link in entry.links for c in link.copies
-    )
-    report = HealthReport(
-        [CardHealth(card="n0.mic0", ok=False, latency=None, error="straggling"),
-         CardHealth(card="n0.mic1", ok=True, latency=0.001)],
-        when=server.sim.now,
-    )
-    tickets = manager.rehome_after_sweep(report)
-    assert len(tickets) == 1
-    assert tickets[0].priority == MAINTENANCE
-
-    def drive(sim):
-        result = yield from manager.collect(tickets)
-        return result
-
-    result = server.run(drive(server.sim))
-    t = result.tickets["rehome:n0.mic0"]
-    assert t.state == DONE
-    assert t.result == 2  # both links' copies moved
-    # Nothing intact remains on the flagged card; the chain survives whole.
-    assert not any(
-        c.intact and c.home == "n0.mic0"
-        for link in entry.links for c in link.copies
-    )
-    assert all(link.intact_copies() for link in entry.links)
-    reassemble(entry.images, verify=True)
-
-
-def test_partner_for_skips_unhealthy_cards():
-    fleet = XeonPhiFleet("dev2")
-    manager = FleetManager(fleet)
-    card0 = CardRef(node=0, device=0)
-    assert manager.partner_for(card0) == "n0.mic1"
-    fleet.phi(CardRef(node=0, device=1)).failed = True
-    assert manager.partner_for(card0) is None
-    fleet.phi(CardRef(node=0, device=1)).failed = False
-    assert manager.partner_for(card0) == "n0.mic1"
 
 
 # ---------------------------------------------------------------------------
