@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from ..osim.process import MemoryRegion, SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .plugins import PluginImage, PluginRegistry
+    from .plugins import PluginImage
 
 #: Size of one metadata record.
 SMALL_RECORD = 256
@@ -130,9 +130,7 @@ class ProcessContext:
         return plan
 
     @staticmethod
-    def capture(
-        proc: SimProcess, registry: Optional["PluginRegistry"] = None
-    ) -> "ProcessContext":
+    def capture(proc: SimProcess) -> "ProcessContext":
         """Freeze a live process into a context (instantaneous state copy).
 
         The core image — memory regions and the store — is copied here;
@@ -145,13 +143,11 @@ class ProcessContext:
         """
         from .plugins import PluginRegistry
 
-        if registry is None:
-            registry = PluginRegistry.for_process(proc)
         return ProcessContext(
             name=proc.name,
             nthreads=max(1, len(proc.threads)),
             regions=[RegionImage.from_region(r) for r in proc.regions.values()],
             store=copy.deepcopy(proc.store),
             main_factory=proc.main_factory,
-            plugin_images=registry.capture(proc),
+            plugin_images=PluginRegistry.of(proc.os).capture(proc),
         )

@@ -290,7 +290,7 @@ def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
         nthreads = max(1, len(proc.threads))
         # Plugin resources have no dirty bitmap: every delta re-freezes them
         # whole (they are metadata-sized next to memory pages).
-        plugin_images = PluginRegistry.for_process(proc).capture(proc)
+        plugin_images = PluginRegistry.of(proc.os).capture(proc)
         n_small = (
             BASE_SMALL_RECORDS
             + RECORDS_PER_THREAD * nthreads

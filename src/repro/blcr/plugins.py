@@ -60,8 +60,6 @@ class RdmaMigrateError(PluginError):
 
 #: runtime[] key: RDMA window specs awaiting :func:`replay_rdma_windows`.
 RDMA_PENDING_KEY = "rdma_restore_pending"
-#: runtime[] key: a per-process registry overriding the OS-level one.
-REGISTRY_RUNTIME_KEY = "checkpoint_plugins"
 
 
 @dataclass
@@ -113,9 +111,8 @@ class CheckpointPlugin:
 class PluginRegistry:
     """Ordered set of checkpoint plugins, in registration order.
 
-    One registry per OS (``PluginRegistry.of(os)``), optionally overridden
-    per process through ``proc.runtime["checkpoint_plugins"]``. The default
-    registry is empty.
+    One registry per OS (``PluginRegistry.of(os)``). The default registry
+    is empty.
     """
 
     def __init__(self):
@@ -128,13 +125,6 @@ class PluginRegistry:
             reg = PluginRegistry()
             os.checkpoint_plugins = reg  # type: ignore[attr-defined]
         return reg
-
-    @staticmethod
-    def for_process(proc: "SimProcess") -> "PluginRegistry":
-        override = proc.runtime.get(REGISTRY_RUNTIME_KEY)
-        if override is not None:
-            return override
-        return PluginRegistry.of(proc.os)
 
     def register(self, plugin: CheckpointPlugin) -> CheckpointPlugin:
         """Add (or replace, by name) a plugin; returns it. Idempotent."""

@@ -2,7 +2,8 @@
 
 An artifact is a small JSON file holding exactly the inputs that determine
 a run — scenario name, schedule seed, fault plan — plus the observed
-failure (outcome, error, violations, wait-for graph) for human triage.
+failure (outcome, error, violations, wait-for graph, and the post-mortem
+bundle of a traced replay) for human triage.
 Because runs are pure functions of those inputs, replaying the artifact
 reproduces the failure byte-for-byte::
 
@@ -34,14 +35,28 @@ class ReproArtifact:
     #: describe() dicts of the run's Snapify operations (id, kind, pid,
     #: state, error) — triage starts from the operation that wedged.
     operations: List[Dict[str, Any]] = field(default_factory=list)
-    #: Flight-recorder post-mortem bundle of the failing run (recent trace
-    #: records per category, active ops, alert state, metric snapshot).
+    #: Post-mortem bundle of a traced replay of the failing run (recent
+    #: trace records per category, failed and active operations, alert
+    #: state, metric snapshot); None for a passing run.
     postmortem: Optional[Dict[str, Any]] = None
     version: int = FORMAT_VERSION
 
     @classmethod
     def from_result(cls, result) -> "ReproArtifact":
-        """Build from a :class:`repro.check.scenarios.RunResult`."""
+        """Build from a :class:`repro.check.scenarios.RunResult`.
+
+        Fuzz runs go untraced, so a failing run's post-mortem bundle is
+        read from a traced replay of its (scenario, seed, faults) triple —
+        runs are pure functions of it, tracing included.
+        """
+        postmortem = None
+        if not result.ok:
+            from ..obs.recorder import postmortem_bundle
+            from .scenarios import run_scenario
+
+            replay = run_scenario(result.scenario, seed=result.seed,
+                                  faults=result.faults, capture_trace=True)
+            postmortem = postmortem_bundle(replay.sim)
         return cls(
             scenario=result.scenario,
             seed=result.seed,
@@ -52,8 +67,8 @@ class ReproArtifact:
             violations=[str(v) for v in result.violations],
             waitfor=result.waitfor,
             final_time=result.final_time,
-            operations=list(getattr(result, "operations", [])),
-            postmortem=getattr(result, "postmortem", None),
+            operations=list(result.operations),
+            postmortem=postmortem,
         )
 
     # -- persistence -------------------------------------------------------

@@ -106,13 +106,11 @@ class RunResult:
     #: describe() dicts of every Snapify operation the run issued — failed
     #: seeds name the operation (id, kind, pid, state) that wedged.
     operations: List[Dict[str, Any]] = field(default_factory=list)
-    #: Flight-recorder post-mortem bundle (recent events + active ops +
-    #: alert state + metric snapshot), attached only to failed runs — see
-    #: :func:`repro.obs.recorder.postmortem_bundle`.
-    postmortem: Optional[Dict[str, Any]] = None
-    #: The run's kernel (its ``trace``, metrics registry and fleet
-    #: managers); :func:`~repro.check.fuzz.fuzz` drops it so a sweep holds
-    #: no simulators.
+    #: The run's kernel (its ``trace``, operation and fleet managers and
+    #: metrics registry); :func:`~repro.check.fuzz.fuzz` drops it so a
+    #: sweep holds no simulators. A failing run's post-mortem bundle is
+    #: read from a traced replay — see
+    #: :meth:`repro.check.artifact.ReproArtifact.from_result`.
     sim: Optional[Simulator] = field(default=None, repr=False, compare=False)
 
     def summary(self) -> str:
@@ -917,11 +915,6 @@ def run_scenario(
     ok = not violations and outcome in ("completed", "faulted", "clean_error")
     mgr = OperationManager.peek(sim)
     operations = [op.describe() for op in mgr.operations.values()] if mgr else []
-    postmortem = None
-    if not ok:
-        from ..obs.recorder import postmortem_bundle
-
-        postmortem = postmortem_bundle(sim)
     return RunResult(
         scenario=name,
         seed=seed,
@@ -935,6 +928,5 @@ def run_scenario(
         waitfor=waitfor,
         trace_digest=_trace_digest(sim) if capture_trace else None,
         operations=operations,
-        postmortem=postmortem,
         sim=sim,
     )

@@ -37,6 +37,14 @@ class PhiDevice:
         #: Set by the OS layer when it boots a kernel on this card.
         self.os = None
 
+    @property
+    def key(self) -> str:
+        """The card's fleet key, ``n<node>.mic<index>`` with the node number
+        taken from the node name's digits: the one key fleet tickets,
+        operations, the memory tier and swap schedulers tag a card with."""
+        digits = "".join(ch for ch in self.node.name if ch.isdigit())
+        return f"n{digits or 0}.mic{self.index}"
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<PhiDevice {self.node.name}/mic{self.index}>"
 

@@ -9,12 +9,15 @@ needed by hand:
 * :class:`PhaseBreakdown` / :func:`build_span_tree` — rebuild the causal
   span tree of a checkpoint/restart and render the Figure 9/10-style
   component table;
+* :func:`operation_table` — one phase row per Snapify operation, read
+  from the operation manager;
 * :class:`TimeSeriesRecorder` — sim-clock sampler folding the registry
-  into ring-buffered series with exact phase-latency percentiles;
+  into ring-buffered series, and finished operations into exact
+  phase-latency percentiles;
 * :class:`SLOEngine` + rule classes — declarative objectives evaluated
   each sample tick, emitting ``alert.fire``/``alert.resolve`` records;
-* :class:`FlightRecorder` / :func:`postmortem_bundle` — bounded
-  last-N-records rings dumped as post-mortem bundles on failures;
+* :func:`postmortem_bundle` — a finished run's trace tail, failed and
+  active operations, alerts and metrics, as one JSON-safe dict;
 * :func:`chrome_trace` / :func:`prometheus_text` — Chrome trace-event
   JSON and Prometheus text exports, with structural validators;
 * the ``snapify trace`` / ``snapify top`` CLI (:mod:`repro.obs.cli`).
@@ -31,14 +34,12 @@ from .export import (
     write_chrome_trace,
 )
 from .phases import (
-    OperationTimeline,
     PhaseBreakdown,
     SpanNode,
     build_span_tree,
     operation_table,
-    operation_timelines,
 )
-from .recorder import FlightRecorder, postmortem_bundle
+from .recorder import postmortem_bundle
 from .registry import Counter, Histogram, MetricsRegistry
 from .slo import (
     BurnRateSLO,
@@ -55,10 +56,8 @@ from .timeseries import PercentileDigest, Series, TimeSeriesRecorder
 __all__ = [
     "BurnRateSLO",
     "Counter",
-    "FlightRecorder",
     "Histogram",
     "MetricsRegistry",
-    "OperationTimeline",
     "PercentileDigest",
     "PercentileSLO",
     "PhaseBreakdown",
@@ -72,7 +71,6 @@ __all__ = [
     "chrome_trace",
     "default_slos",
     "operation_table",
-    "operation_timelines",
     "parse_prometheus_text",
     "parse_slo",
     "postmortem_bundle",

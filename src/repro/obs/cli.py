@@ -83,12 +83,12 @@ def trace_command(args: argparse.Namespace) -> int:
         print()
         print(breakdown.render())
 
-    # The state-machine view: one row per operation, phases from op.state
-    # transitions (distinguishes concurrent operations by correlation id).
-    # Always rendered — a trace with zero op.* records prints the empty
-    # table with a note instead of dying.
+    # The state-machine view: one row per operation, phases from its state
+    # history (distinguishes concurrent operations by correlation id).
+    # Always rendered — a run with no operation prints the empty table
+    # with a note instead of dying.
     print()
-    print(operation_table(tracer).render())
+    print(operation_table(sim).render())
 
     if args.metrics:
         snap = MetricsRegistry.of(sim).snapshot()

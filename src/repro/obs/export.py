@@ -38,7 +38,7 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def chrome_trace(tracer: "Tracer", *, include_instants: bool = True) -> Dict[str, Any]:
+def chrome_trace(tracer: "Tracer") -> Dict[str, Any]:
     """Build the Chrome trace-event JSON object for a traced run."""
     events: List[Dict[str, Any]] = []
     lanes: Dict[str, int] = {}
@@ -80,7 +80,7 @@ def chrome_trace(tracer: "Tracer", *, include_instants: bool = True) -> Dict[str
                 "pid": lane("metrics"), "tid": 0, "ts": ts,
                 "args": {"value": f["value"]},
             })
-        elif include_instants:
+        else:
             pid = lane(str(f.get("proc", DEFAULT_LANE)))
             args = {k: _jsonable(v) for k, v in f.items()}
             events.append({
@@ -110,9 +110,9 @@ def chrome_trace(tracer: "Tracer", *, include_instants: bool = True) -> Dict[str
     }
 
 
-def write_chrome_trace(tracer: "Tracer", path: str, **kwargs: Any) -> Dict[str, Any]:
+def write_chrome_trace(tracer: "Tracer", path: str) -> Dict[str, Any]:
     """Export and write to ``path``; returns the trace object."""
-    doc = chrome_trace(tracer, **kwargs)
+    doc = chrome_trace(tracer)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -243,9 +243,10 @@ def prometheus_text(sim: Any, telemetry: Any = None) -> str:
     and a ``snapify_alert_firing`` gauge per firing alert.
     """
     from .registry import MetricsRegistry
+    from .timeseries import TimeSeriesRecorder
 
     if telemetry is None:
-        telemetry = getattr(sim, "snapify_telemetry", None)
+        telemetry = TimeSeriesRecorder.peek(sim)
     reg = MetricsRegistry.of(sim)
     snap = reg.snapshot()
     # metric name -> (type, [(labels, value)]); insertion order = output order.

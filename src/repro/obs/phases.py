@@ -187,98 +187,35 @@ class PhaseBreakdown:
         return self.table().render()
 
 
-class OperationTimeline:
-    """One Snapify operation's state history, rebuilt from ``op.begin`` /
-    ``op.state`` / ``op.end`` trace records.
+def operation_table(sim: Any) -> "ResultTable":
+    """Every Snapify operation ``sim`` issued, as one per-phase table.
 
-    This is the phase view derived from the control plane's *state machine*
-    (:mod:`repro.snapify.ops`) rather than from per-call spans: time spent
-    in PAUSING is the pause cost, CAPTURING the capture stream, and so on —
-    per operation, which is what distinguishes two concurrent checkpoints
-    that a span-name query would conflate.
+    Reads the :class:`~repro.snapify.ops.OperationManager` directly: each
+    row is one operation's ``history`` (time in each state), its final
+    ``pid`` and ``card`` and its ``state``, so concurrent operations stay
+    apart by correlation id and a restore row names the restored process.
     """
+    from ..snapify.ops import OperationManager
 
-    __slots__ = ("op_id", "kind", "pid", "card", "span_id", "transitions",
-                 "final_state", "error")
-
-    def __init__(self, op_id: int, kind: str, pid: int, span_id: int,
-                 start: float, card: Optional[str] = None):
-        self.op_id = op_id
-        self.kind = kind
-        self.pid = pid
-        self.card = card
-        self.span_id = span_id
-        self.transitions: List[Tuple[str, float]] = [("REQUESTED", start)]
-        self.final_state: Optional[str] = None
-        self.error: Optional[str] = None
-
-    @property
-    def started(self) -> float:
-        return self.transitions[0][1]
-
-    @property
-    def finished(self) -> Optional[float]:
-        return self.transitions[-1][1] if self.final_state else None
-
-    @property
-    def elapsed(self) -> Optional[float]:
-        return None if self.finished is None else self.finished - self.started
-
-    def phases(self) -> Dict[str, float]:
-        """Simulated seconds spent in each non-terminal state."""
-        out: Dict[str, float] = {}
-        for (state, t0), (_, t1) in zip(self.transitions, self.transitions[1:]):
-            out[state.lower()] = out.get(state.lower(), 0.0) + (t1 - t0)
-        return out
-
-
-def operation_timelines(tracer: "Tracer") -> List[OperationTimeline]:
-    """Every operation's timeline, in issue order."""
-    by_id: Dict[int, OperationTimeline] = {}
-    for rec in tracer.find("op.begin"):
-        f = rec.fields
-        by_id[f["op"]] = OperationTimeline(f["op"], f["kind"], f.get("pid", -1),
-                                           f.get("span", 0), rec.time,
-                                           card=f.get("card"))
-    for rec in tracer.find("op.state"):
-        tl = by_id.get(rec.fields["op"])
-        if tl is None:
-            continue
-        tl.transitions.append((rec.fields["state"], rec.time))
-        if rec.fields.get("pid", -1) >= 0:
-            tl.pid = rec.fields["pid"]
-        if tl.card is None and rec.fields.get("card") is not None:
-            tl.card = rec.fields["card"]
-    for rec in tracer.find("op.end"):
-        tl = by_id.get(rec.fields["op"])
-        if tl is None:
-            continue
-        tl.transitions.append((rec.fields["state"], rec.time))
-        tl.final_state = rec.fields["state"]
-        tl.error = rec.fields.get("error")
-    return [by_id[k] for k in sorted(by_id)]
-
-
-def operation_table(tracer: "Tracer") -> "ResultTable":
-    """All operations of a traced run as one per-phase table."""
     ResultTable, fmt_time = _tables()
-    timelines = operation_timelines(tracer)
+    mgr = OperationManager.peek(sim)
+    ops = list(mgr.operations.values()) if mgr is not None else []
     phase_cols = ["pausing", "drained", "capturing", "capturing_delta",
                   "replicating", "transferring", "retrying"]
     t = ResultTable(
         "Operations (state-machine phase breakdown)",
         ["op", "kind", "pid", "card", *phase_cols, "total", "state"],
     )
-    for tl in timelines:
-        phases = tl.phases()
+    for op in ops:
+        phases = op.phases()
         t.add_row(
-            str(tl.op_id), tl.kind, str(tl.pid), tl.card or "-",
+            str(op.op_id), op.kind, str(op.pid), op.card or "-",
             *(fmt_time(phases[p]) if p in phases else "-" for p in phase_cols),
-            fmt_time(tl.elapsed) if tl.elapsed is not None else "...",
-            tl.final_state or "(in flight)",
+            fmt_time(op.result.elapsed) if op.is_terminal else "...",
+            op.state if op.is_terminal else "(in flight)",
         )
-        if tl.error:
-            t.add_note(f"op {tl.op_id} failed: {tl.error}")
-    if not timelines:
-        t.add_note("no op.* records in this trace (nothing ran an operation)")
+        if op.error:
+            t.add_note(f"op {op.op_id} failed: {op.error}")
+    if not ops:
+        t.add_note("no Snapify operation ran")
     return t

@@ -148,7 +148,8 @@ class BurnRateSLO(SLORule):
         return "burn_rate"
 
     def evaluate(self, recorder: "TimeSeriesRecorder", now: float) -> List[Breach]:
-        source = "tickets" if recorder.tickets_total > 0 else "ops"
+        tickets = recorder.series.get("telemetry.tickets_total")
+        source = "tickets" if tickets is not None and tickets.latest() else "ops"
         total_s = recorder.series.get(f"telemetry.{source}_total")
         failed_s = recorder.series.get(f"telemetry.{source}_failed")
         if total_s is None or failed_s is None:

@@ -5,16 +5,18 @@ snapshot is one instant. This module adds the *time* dimension: a
 :class:`TimeSeriesRecorder` runs a daemon sampler thread on the simulated
 clock, folding every numeric instrument into a bounded :class:`Series`
 ring buffer with windowed aggregation (``rate``, ``delta``, ``ewma``),
-and keeps exact streaming percentiles (p50/p95/p99) over operation-phase
-latencies fed from ``op.state`` transitions via
-:meth:`TimeSeriesRecorder.observe_operation`.
+and keeps exact streaming percentiles (p50/p95/p99) over the phase
+latencies of finished Snapify operations.
 
 Design rules, matching the rest of ``repro.obs``:
 
-* **Inert when absent.** Nothing in the stack imports or installs the
-  recorder by default; instrumented sites reach it through
-  ``getattr(sim, "snapify_telemetry", None)`` — one attribute read when
-  telemetry is off, zero trace records, golden trace byte-identical.
+* **A reader.** The recorder copies nothing while the run is live: each
+  tick (and each read) folds in the operations the
+  :class:`~repro.snapify.ops.OperationManager` finished since the last
+  fold, in completion order, and takes operation and ticket outcome
+  totals from that manager and the fleet managers' counters. Nothing in
+  the stack installs it by default, so an uninstrumented run emits no
+  telemetry record and keeps the golden trace byte-identical.
 * **Deterministic.** The sampler ticks on ``sim.sleep`` like any other
   thread, so a telemetry-enabled run is exactly as reproducible as the
   run itself; no wall-clock, no randomness.
@@ -192,11 +194,10 @@ class TimeSeriesRecorder:
     """Samples the registry on the sim clock; owns phase-latency digests.
 
     Install with :meth:`install` (spawns the daemon sampler thread and
-    parks the recorder on ``sim.snapify_telemetry``); instrumented sites
-    discover it with :meth:`peek` — a plain ``getattr`` that costs nothing
-    when telemetry is off. Each tick folds one registry snapshot into the
-    series rings and into ``metric.sample`` trace records (the counter
-    tracks of a Chrome trace export).
+    parks the recorder on the simulator, where :meth:`peek` finds it).
+    Each tick folds one registry snapshot into the series rings and into
+    ``metric.sample`` trace records (the counter tracks of a Chrome trace
+    export), plus the newly finished operations into the digests.
     """
 
     _ATTR = "snapify_telemetry"
@@ -214,18 +215,12 @@ class TimeSeriesRecorder:
         self.settle = max((getattr(r, "window", 0.0) for r in slos or ()),
                           default=0.0)
         self.series: Dict[str, Series] = {}
-        #: (phase, card-or-None) -> digest of phase latencies in sim seconds.
-        self.phase_latency: Dict[Tuple[str, Optional[str]], PercentileDigest] = {}
+        self._phase_latency: Dict[Tuple[str, Optional[str]], PercentileDigest] = {}
+        #: Operations of the manager's ``finished`` list already folded.
+        self._folded = 0
         self.stats = TickStats()
         #: Frame callbacks invoked after each sample tick (``snapify top``).
         self.on_tick: List[Callable[["TimeSeriesRecorder"], None]] = []
-        # Internal outcome counters the burn-rate SLO reads as series.
-        self.ops_total = 0
-        self.ops_failed = 0
-        self.tickets_total = 0
-        self.tickets_failed = 0
-        self._card_ops: Dict[str, int] = {}
-        self._card_failed: Dict[str, int] = {}
         self.engine: Optional["SLOEngine"] = None
         if slos is not None:
             from .slo import SLOEngine
@@ -270,8 +265,9 @@ class TimeSeriesRecorder:
         return s
 
     def sample_tick(self) -> None:
-        """Fold one registry snapshot into the rings and the trace; evaluate
-        SLOs."""
+        """Fold one registry snapshot into the rings and the trace, and the
+        newly finished operations into the digests; evaluate SLOs."""
+        self._fold()
         snap = MetricsRegistry.of(self.sim).sample(self.sim.trace)
         now = snap["time"]
         for kind in ("counters", "gauges"):
@@ -281,11 +277,11 @@ class TimeSeriesRecorder:
         for name, summ in snap["histograms"].items():
             self._series(name + ".count").append(now, summ["count"])
             self._series(name + ".sum").append(now, summ["sum"])
-        # Outcome counters as series, so SLO rules get windowed burn rates.
-        self._series("telemetry.ops_total").append(now, self.ops_total)
-        self._series("telemetry.ops_failed").append(now, self.ops_failed)
-        self._series("telemetry.tickets_total").append(now, self.tickets_total)
-        self._series("telemetry.tickets_failed").append(now, self.tickets_failed)
+        # Outcome totals as series, so SLO rules get windowed burn rates.
+        outcomes = self.outcomes()
+        for source, prefix in (("operations", "ops"), ("tickets", "tickets")):
+            for what, value in outcomes[source].items():
+                self._series(f"telemetry.{prefix}_{what}").append(now, value)
         self.stats.ticks += 1
         self.stats.last_time = now
         if self.engine is not None:
@@ -293,49 +289,58 @@ class TimeSeriesRecorder:
         for cb in list(self.on_tick):
             cb(self)
 
-    # -- operation / ticket feeds ---------------------------------------------------
-    def observe_operation(self, op: Any) -> None:
-        """Fold a finished operation's phase latencies into the digests.
+    # -- the run's outcomes ----------------------------------------------------
+    def _finished(self) -> List[Any]:
+        from ..snapify.ops import OperationManager
 
-        Called by ``SnapifyOperation._finalize`` through the ``peek`` hook;
-        ``op`` provides ``result`` (with ``phases``/``duration``/``ok``)
-        and ``card``.
-        """
-        result = getattr(op, "result", None)
-        if result is None:
-            return
-        card = getattr(op, "card", None)
-        self.ops_total += 1
-        if not result.ok:
-            self.ops_failed += 1
-        if card is not None:
-            self._card_ops[card] = self._card_ops.get(card, 0) + 1
-            if not result.ok:
-                self._card_failed[card] = self._card_failed.get(card, 0) + 1
-        for phase, seconds in result.phases.items():
-            self._digest(phase, None).observe(seconds)
-            if card is not None:
-                self._digest(phase, card).observe(seconds)
-        self._digest("total", None).observe(result.elapsed)
-        if card is not None:
-            self._digest("total", card).observe(result.elapsed)
+        mgr = OperationManager.peek(self.sim)
+        return mgr.finished if mgr is not None else []
 
-    def observe_ticket(self, ticket: Any) -> None:
-        """Fold a fleet ticket outcome (covers failures with no op, e.g. a
-        dead card rejecting the spawn before an operation exists)."""
-        self.tickets_total += 1
-        if getattr(ticket, "error", None) is not None:
-            self.tickets_failed += 1
+    def _fold(self) -> None:
+        """Fold the operations finished since the last fold into the phase
+        digests, in completion order (so digest sums are reproducible)."""
+        finished = self._finished()
+        for op in finished[self._folded:]:
+            for phase, seconds in [*op.result.phases.items(),
+                                   ("total", op.result.elapsed)]:
+                self._digest(phase, None).observe(seconds)
+                if op.card is not None:
+                    self._digest(phase, op.card).observe(seconds)
+        self._folded = len(finished)
+
+    def outcomes(self) -> Dict[str, Dict[str, int]]:
+        """``{"total", "failed"}`` of the finished operations and of the
+        fleet tickets (which also cover failures that never became an
+        operation, e.g. a dead card rejecting the spawn)."""
+        from ..snapify.fleet import FleetManager
+
+        finished = self._finished()
+        fleets = FleetManager.all_of(self.sim)
+        tickets_failed = sum(f.m_failed.value for f in fleets)
+        return {
+            "operations": {"total": len(finished),
+                           "failed": sum(not op.result.ok for op in finished)},
+            "tickets": {"total": sum(f.m_completed.value for f in fleets)
+                        + tickets_failed,
+                        "failed": tickets_failed},
+        }
 
     # -- reading ------------------------------------------------------------------
     def _digest(self, phase: str, card: Optional[str]) -> PercentileDigest:
         key = (phase, card)
-        d = self.phase_latency.get(key)
+        d = self._phase_latency.get(key)
         if d is None:
             label = phase if card is None else f"{phase}@{card}"
             d = PercentileDigest(label)
-            self.phase_latency[key] = d
+            self._phase_latency[key] = d
         return d
+
+    @property
+    def phase_latency(self) -> Dict[Tuple[str, Optional[str]], PercentileDigest]:
+        """(phase, card-or-None) -> digest of phase latencies in sim seconds,
+        with every operation finished so far folded in."""
+        self._fold()
+        return self._phase_latency
 
     def phase_digest(self, phase: str, card: Optional[str] = None) -> Optional[PercentileDigest]:
         return self.phase_latency.get((phase, card))
@@ -348,8 +353,13 @@ class TimeSeriesRecorder:
         return sorted({p for (p, _) in self.phase_latency})
 
     def card_failure_counts(self) -> Dict[str, Tuple[int, int]]:
-        """card -> (ops seen, ops failed)."""
-        return {c: (n, self._card_failed.get(c, 0)) for c, n in sorted(self._card_ops.items())}
+        """card -> (operations finished, operations failed)."""
+        counts: Dict[str, Tuple[int, int]] = {}
+        for op in self._finished():
+            if op.card is not None:
+                n, failed = counts.get(op.card, (0, 0))
+                counts[op.card] = (n + 1, failed + (not op.result.ok))
+        return dict(sorted(counts.items()))
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary: series tails, per-phase/card digests, alerts."""
@@ -371,8 +381,7 @@ class TimeSeriesRecorder:
                     self.phase_latency.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
                 )
             },
-            "operations": {"total": self.ops_total, "failed": self.ops_failed},
-            "tickets": {"total": self.tickets_total, "failed": self.tickets_failed},
+            **self.outcomes(),
         }
         if self.engine is not None:
             doc["alerts"] = self.engine.describe()

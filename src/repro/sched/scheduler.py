@@ -95,16 +95,10 @@ class SwapScheduler:
                   lambda: len(self.swapped_jobs()))
 
     def card_key(self) -> str:
-        """This scheduler's card in fleet key form ("n0.mic1").
-
-        Uses the explicit :class:`~repro.snapify.fleet.CardRef` when fleet
-        routing is on; standalone schedulers derive it from the server node
-        name + device index so both paths tag records identically."""
-        if self.card is not None:
-            return self.card.key
-        name = getattr(self.server.node, "name", "")
-        digits = "".join(ch for ch in name if ch.isdigit())
-        return f"n{digits or 0}.mic{self.device}"
+        """This scheduler's card in fleet key form ("n0.mic1"): the explicit
+        :class:`~repro.snapify.fleet.CardRef` when fleet routing is on,
+        else the card's own key."""
+        return self.card.key if self.card is not None else self.phi.key
 
     # -- fleet health ------------------------------------------------------------
     def note_health(self, report: Any) -> None:

@@ -75,7 +75,7 @@ def agent_loop(proc: SimProcess, pipe_end):
             # registered plugin that overrides pre_pause gets to quiesce its
             # resource (e.g. wait out in-flight socket datagrams). With no
             # drain hook registered this emits nothing.
-            drainers = PluginRegistry.for_process(proc).drain_plugins()
+            drainers = PluginRegistry.of(proc.os).drain_plugins()
             if drainers:
                 sub = sim.trace.span("agent.plugin_drain", parent=sp,
                                      plugins=len(drainers))

@@ -338,6 +338,8 @@ def snapify_restore(snap: snapify_t, engine: COIEngine, host_proc: SimProcess):
     snap.coiproc = new
     op.prov.restore_s = sim.now - t0
     op.pid = new.offload_proc.pid  # attribution now points at the restored pid
+    if op.card is None:  # a restart opened without a process to read it from
+        op.card = engine.phi.key
     sp.finish(pid=new.offload_proc.pid, elapsed=op.prov.restore_s)
     sim.trace.emit("snapify.restore", pid=new.offload_proc.pid,
                    device=engine.device_id, path=snap.snapshot_path)

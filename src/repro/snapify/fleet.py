@@ -641,9 +641,6 @@ class FleetManager:
             ).inc()
         if ticket.service_time is not None:
             self._service_hist.observe(ticket.service_time)
-        telem = getattr(self.sim, "snapify_telemetry", None)
-        if telem is not None:
-            telem.observe_ticket(ticket)
         self.sim.trace.emit("fleet.finish", key=ticket.key, kind=ticket.kind,
                             card=ticket.card.key if ticket.card else None,
                             state=ticket.state, error=error)

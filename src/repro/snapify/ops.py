@@ -32,9 +32,10 @@ State machine (one way, monotone)::
 
 Restore-type operations take the short path REQUESTED -> TRANSFERRING ->
 DONE; a pause/resume cycle with no capture completes straight from
-DRAINED. Every transition is emitted as an ``op.state`` trace record, so
-phase breakdowns can be derived from operation state rather than per-call
-boilerplate (:func:`repro.obs.phases.operation_timelines`).
+DRAINED. Every transition is kept in the operation's ``history`` (and
+emitted as an ``op.state`` trace record), so phase breakdowns are read
+from operation state rather than per-call boilerplate
+(:func:`repro.obs.phases.operation_table`).
 
 Demultiplexing is cooperative, not threaded: ``recv_reply`` elects the
 first caller on an endpoint as the *receiver*; replies addressed to other
@@ -216,19 +217,11 @@ class SnapifyOperation:
 
     @staticmethod
     def _card_of(snap: Any) -> Optional[str]:
-        """The fleet card key ("n0.mic1") of the targeted device, if any.
-
-        Derived from the COI engine's Phi rather than passed in, so every
-        path — direct API, use cases, fleet tickets — tags operations with
-        the *same* key :class:`repro.snapify.fleet.CardRef` uses.
-        """
+        """The key ("n0.mic1") of the targeted card, if any: read from the
+        COI engine's Phi, so every path tags operations alike."""
         coiproc = getattr(snap, "coiproc", None)
         phi = getattr(getattr(coiproc, "engine", None), "phi", None)
-        if phi is None:
-            return None
-        name = getattr(getattr(phi, "node", None), "name", "")
-        digits = "".join(ch for ch in name if ch.isdigit())
-        return f"n{digits or 0}.mic{getattr(phi, 'index', 0)}"
+        return None if phi is None else phi.key
 
     # -- state inspection ---------------------------------------------------
     @property
@@ -245,6 +238,13 @@ class SnapifyOperation:
         if host is None or not host.alive:
             return True
         return coiproc.dead or not coiproc.offload_proc.alive
+
+    def phases(self) -> Dict[str, float]:
+        """Simulated seconds spent in each state the operation has left."""
+        out: Dict[str, float] = {}
+        for (state, t0), (_, t1) in zip(self.history, self.history[1:]):
+            out[state.lower()] = out.get(state.lower(), 0.0) + (t1 - t0)
+        return out
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary (repro artifacts, RunResult, CLI tables)."""
@@ -306,9 +306,6 @@ class SnapifyOperation:
         sim = self.manager.sim
         self.state = state
         self.history.append((state, sim.now))
-        phases: Dict[str, float] = {}
-        for (st, t0), (_, t1) in zip(self.history, self.history[1:]):
-            phases[st.lower()] = phases.get(st.lower(), 0.0) + (t1 - t0)
         prov = self.prov
         self.result = OperationResult(
             op_id=self.op_id,
@@ -321,7 +318,7 @@ class SnapifyOperation:
             failed_phase=self.failed_phase,
             started=self.history[0][1],
             finished=sim.now,
-            phases=phases,
+            phases=self.phases(),
             channel=prov.channel,
             attempts=prov.attempts,
             card=self.card,
@@ -337,14 +334,7 @@ class SnapifyOperation:
         )
         sim.trace.emit("op.end", op=self.op_id, kind=self.kind, state=state,
                        pid=self.pid, card=self.card, error=self.error)
-        # Telemetry hooks: one getattr each when disabled, nothing more.
-        telem = getattr(sim, "snapify_telemetry", None)
-        if telem is not None:
-            telem.observe_operation(self)
-        if state == FAILED:
-            flight = getattr(sim, "snapify_flight_recorder", None)
-            if flight is not None:
-                flight.note_failure(self)
+        self.manager.finished.append(self)
         if not self.done.triggered:
             self.done.succeed(self.result)
         return self.result
@@ -379,6 +369,8 @@ class OperationManager:
         self._ids = itertools.count(1)
         #: every operation ever issued, by id (results included).
         self.operations: Dict[int, SnapifyOperation] = {}
+        #: every terminal operation, in completion order.
+        self.finished: List[SnapifyOperation] = []
         self._demux: Dict[int, _EndpointDemux] = {}
 
     @classmethod
@@ -431,9 +423,6 @@ class OperationManager:
     # -- bookkeeping ---------------------------------------------------------
     def non_terminal(self) -> List[SnapifyOperation]:
         return [op for op in self.operations.values() if not op.is_terminal]
-
-    def describe_pending(self) -> List[Dict[str, Any]]:
-        return [op.describe() for op in self.non_terminal()]
 
     # -- waiting -------------------------------------------------------------
     def wait(self, op: SnapifyOperation, *, raise_on_error: bool = True):

@@ -107,7 +107,6 @@ class MemoryTier:
         self.m_delta_bytes = reg.counter("memtier.delta_bytes")
         self.m_logical_bytes = reg.counter("memtier.logical_bytes")
         self.m_torn = reg.counter("memtier.replication_torn")
-        self.m_rehomes = reg.counter("memtier.rehomes")
         self.m_demotions = reg.counter("memtier.demotions")
         self.m_demotion_failures = reg.counter("memtier.demotion_failures")
         self.m_hits = {
@@ -136,10 +135,10 @@ class MemoryTier:
             self._order.append(key)
         self._cards[key] = phi
 
-    def register_server(self, server: Any, node_index: int = 0) -> None:
+    def register_server(self, server: Any) -> None:
         """Register every card of one :class:`~repro.testbed.XeonPhiServer`."""
-        for d, phi in enumerate(server.node.phis):
-            self.register_card(f"n{node_index}.mic{d}", phi)
+        for phi in server.node.phis:
+            self.register_card(phi.key, phi)
 
     def register_fleet(self, fleet: Any) -> None:
         """Register every card of a :class:`~repro.testbed.XeonPhiFleet`,
@@ -148,20 +147,12 @@ class MemoryTier:
             self.register_card(card.key, fleet.phi(card))
 
     def key_for_phi(self, phi: Any) -> str:
-        """The fleet key of ``phi``, self-registering it if unknown.
-
-        Derivation matches :meth:`SnapifyOperation._card_of`: node index
-        from the node name's digits, device from the phi index — so tier
-        keys, operation cards and fleet CardRefs all agree.
-        """
+        """The fleet key of ``phi``, self-registering it if unknown."""
         for key, known in self._cards.items():
             if known is phi:
                 return key
-        name = getattr(getattr(phi, "node", None), "name", "")
-        digits = "".join(ch for ch in name if ch.isdigit())
-        key = f"n{digits or 0}.mic{getattr(phi, 'index', 0)}"
-        self.register_card(key, phi)
-        return key
+        self.register_card(phi.key, phi)
+        return phi.key
 
     def _healthy(self, key: str) -> bool:
         phi = self._cards.get(key)
@@ -310,7 +301,6 @@ class MemoryTier:
                 # Torn replica: never counted as surviving; re-home.
                 self._drop_copy(copy, reason="torn")
                 self.m_torn.inc()
-                self.m_rehomes.inc()
                 self.sim.trace.emit("memtier.torn", path=path, epoch=image.epoch,
                                     partner=candidate)
                 continue

@@ -29,7 +29,7 @@ from repro.blcr import (
     register_standard_plugins,
     replay_rdma_windows,
 )
-from repro.blcr.plugins import RDMA_PENDING_KEY, REGISTRY_RUNTIME_KEY
+from repro.blcr.plugins import RDMA_PENDING_KEY
 from repro.hw import MB, HardwareParams, ServerNode
 from repro.osim import RegularFileFD, boot_node
 from repro.osim import signals as sig
@@ -113,19 +113,6 @@ def test_register_replaces_by_name():
     registry.register(second)
     assert registry.get("probe") is second
     assert sum(1 for p in registry if p.name == "probe") == 1
-
-
-def test_per_process_registry_overrides_os_registry():
-    sim, node, host, phis = make_env()
-    override = PluginRegistry()
-
-    def driver():
-        proc = yield from spawn_bare(phis[0])
-        proc.runtime[REGISTRY_RUNTIME_KEY] = override
-        return proc
-
-    proc = run(sim, driver())
-    assert PluginRegistry.for_process(proc) is override
 
 
 def test_unknown_plugin_image_is_a_typed_error():

@@ -2,8 +2,9 @@
 
 The ``snapify top`` dashboard and its ``--export prom``/``--export json``
 payloads are exercised end to end through ``main()``; ``snapify trace`` is
-pinned to its friendly degraded paths (no finished root span, zero op.*
-records) instead of a stack trace. ``trace``, ``fleet`` and ``top`` all run
+pinned to its friendly degraded paths (no finished root span, no
+operation) instead of a stack trace, and its operation table to the
+operation manager's pids and cards. ``trace``, ``fleet`` and ``top`` all run
 fuzz-catalogue scenarios (exit 1 when an oracle fails) and settle their
 telemetry sampler; bad ``--seeds`` / ``--sample-interval`` / ``--interval``
 / ``--topology`` values are argparse errors; the histogram bucket export
@@ -34,9 +35,9 @@ from repro.sim import Simulator
 
 def test_operation_table_with_zero_op_records_renders_note():
     sim = Simulator(trace=True)
-    table = operation_table(sim.trace)
+    table = operation_table(sim)
     text = table.render()
-    assert "no op.* records" in text
+    assert "no Snapify operation ran" in text
 
 
 def test_trace_command_with_empty_trace_exits_zero(monkeypatch, capsys):
@@ -52,7 +53,7 @@ def test_trace_command_with_empty_trace_exits_zero(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "no phase breakdown" in out
-    assert "no op.* records" in out
+    assert "no Snapify operation ran" in out
 
 
 def test_trace_command_prints_card_column(capsys):
@@ -61,6 +62,48 @@ def test_trace_command_prints_card_column(capsys):
     assert rc == 0
     assert "card" in out        # operation-table column
     assert "n0.mic0" in out     # the op ran on card 0 of node 0
+
+
+def _op_rows(out):
+    """The operation table's rows as {op id: [cells]}."""
+    table = out[out.index("== Operations"):]
+    rows = {}
+    for line in table.splitlines()[3:]:
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) < 13 or not cells[0].isdigit():
+            break
+        rows[int(cells[0])] = cells
+    return rows
+
+
+def test_trace_restart_row_names_the_restored_process_and_card(capsys):
+    from repro.check.scenarios import run_scenario
+    from repro.snapify.ops import OperationManager
+
+    rc = cli_main(["trace", "--scenario", "restart", "--sample-interval", "0"])
+    rows = _op_rows(capsys.readouterr().out)
+    assert rc == 0
+    run = run_scenario("restart", capture_trace=True)
+    [restart] = [op for op in OperationManager.peek(run.sim).operations.values()
+                 if op.kind == "restart"]
+    pid = restart.result.pid
+    assert pid > 0 and pid == restart.snap.coiproc.offload_proc.pid
+    assert rows[restart.op_id][1:4] == ["restart", str(pid), "n0.mic0"]
+
+
+def test_trace_swap_row_names_the_swapped_in_process(capsys):
+    from repro.check.scenarios import run_scenario
+    from repro.snapify.ops import OperationManager
+
+    rc = cli_main(["trace", "--scenario", "swap", "--sample-interval", "0"])
+    rows = _op_rows(capsys.readouterr().out)
+    assert rc == 0
+    run = run_scenario("swap", capture_trace=True)
+    ops = OperationManager.peek(run.sim).operations
+    swapout, swapin = (ops[k] for k in sorted(rows))
+    assert rows[swapin.op_id][1:3] == ["swapin", str(swapin.result.pid)]
+    assert swapin.result.pid == swapin.snap.coiproc.offload_proc.pid
+    assert swapin.result.pid != swapout.result.pid
 
 
 # ---------------------------------------------------------------------------

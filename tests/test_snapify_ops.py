@@ -14,7 +14,7 @@ The rest covers the machine itself (legal path, illegal moves, idempotent
 failure), the typed results, the keyed-only reply rule (a reply or pipe
 status naming no operation is a typed error, never routed to whoever is
 receiving), wait/wait_all error aggregation, the
-two-card ``snapshot_application`` path with per-operation timelines, and
+two-card ``snapshot_application`` path with per-operation histories, and
 the ``operations_quiescent`` fuzz oracle, and the typed fields every
 Figure 10/11 number is read from (each result reports only what its own
 operation saved, captured or restored).
@@ -29,7 +29,6 @@ from repro.check.oracles import operations_quiescent
 from repro.coi import OffloadBinary, OffloadFunction
 from repro.hw import MB
 from repro.mpi import mpi_checkpoint
-from repro.obs import operation_timelines
 from repro.sim import Simulator
 from repro.snapify import (
     OperationManager,
@@ -302,8 +301,8 @@ def test_pipe_status_naming_no_request_fails_the_match():
 def test_snapshot_application_across_cards_attributes_results():
     """One application spanning two cards, snapshotted concurrently: every
     operation completes DONE, results come back in input order with the
-    right pids and sizes, and the trace yields one per-operation timeline
-    with nonzero pause/capture phases."""
+    right pids and sizes, and each operation's state history has nonzero
+    pause/capture phases."""
     sim = Simulator(trace=True)
     server = XeonPhiServer(sim=sim)
     snaps = []
@@ -337,14 +336,14 @@ def test_snapshot_application_across_cards_attributes_results():
     # buffer bytes of card 0.
     assert results[1].localstore_bytes == 2 * results[0].localstore_bytes
 
-    timelines = {tl.op_id: tl for tl in operation_timelines(sim.trace)}
+    ops = OperationManager.of(sim).operations
     for r in results:
-        tl = timelines[r.op_id]
-        assert tl.final_state == "DONE" and tl.error is None
-        assert tl.pid == r.pid
-        phases = tl.phases()
+        op = ops[r.op_id]
+        assert op.state == "DONE" and op.error is None
+        assert op.pid == r.pid
+        phases = op.phases()
         assert phases["pausing"] > 0 and phases["capturing"] > 0
-        assert tl.elapsed == pytest.approx(r.elapsed)
+        assert op.history[-1][1] - op.history[0][1] == pytest.approx(r.elapsed)
 
 
 # ---------------------------------------------------------------------------

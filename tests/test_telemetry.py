@@ -1,8 +1,8 @@
-"""Tests for the fleet telemetry stack: time series, SLOs, flight recorder.
+"""Tests for the fleet telemetry stack: time series, SLOs, post-mortems.
 
 Covers the unit surface (Series windows, exact percentile digests, robust
 z-scores, SLO parsing), the alert engine's fire/resolve transitions (with
-trace records), the flight-recorder rings and post-mortem bundles, and the
+trace records), post-mortem bundles read from a traced replay, and the
 end-to-end acceptance path: a telemetry-enabled rack8 sweep with an
 injected card failure must export per-card p99 phase latencies in
 Prometheus text and both fire and resolve at least one alert.
@@ -216,36 +216,46 @@ def test_engine_fire_resolve_emits_trace_records():
 
 
 def test_burn_rate_fires_on_windowed_ticket_failures():
-    """Drive the recorder through real sample ticks: a burst of ticket
-    failures fires burn_rate; once the window drains it resolves."""
-
-    class _Ticket:
-        def __init__(self, error):
-            self.error = error
+    """Drive the recorder through real sample ticks over real fleet
+    tickets: a burst of ticket failures fires burn_rate; once the window
+    drains it resolves."""
+    from repro.snapify.fleet import FleetManager
+    from repro.snapify.monitor import SnapifyError
 
     sim = Simulator()
     rec = TimeSeriesRecorder(
         sim, interval=0.1,
         slos=[BurnRateSLO(max_rate=0.25, window=0.5, min_events=2)],
     )
+    manager = FleetManager(sim=sim, max_in_flight=4)
+
+    def ok():
+        return
+        yield
+
+    def card_died():
+        raise SnapifyError("card died")
+        yield
 
     def driver(s):
-        for _ in range(3):  # healthy traffic
-            rec.observe_ticket(_Ticket(None))
+        for i in range(3):  # healthy traffic
+            yield from manager.collect([manager.submit(f"ok{i}", "probe", ok)])
             rec.sample_tick()
             yield s.timeout(0.1)
-        rec.observe_ticket(_Ticket("card died"))
-        rec.observe_ticket(_Ticket("card died"))
+        yield from manager.collect([manager.submit(f"bad{i}", "probe", card_died)
+                                    for i in range(2)])
         rec.sample_tick()
-        fired_now = "burn_rate" in rec.engine.firing
+        fired.append("burn_rate" in rec.engine.firing)
         for _ in range(10):  # drain the window
             yield s.timeout(0.1)
             rec.sample_tick()
-        return fired_now
 
+    fired = []
     sim.spawn(driver(sim))
     sim.run()
-    assert driver  # driver ran
+    assert fired == [True]
+    assert rec.outcomes() == {"operations": {"total": 0, "failed": 0},
+                              "tickets": {"total": 5, "failed": 2}}
     events = [(ev, snap["key"]) for _, ev, snap in rec.engine.history]
     assert ("fire", "burn_rate") in events
     assert ("resolve", "burn_rate") in events
@@ -366,7 +376,7 @@ def test_operation_feed_counts_phases_per_card():
 
     results = server.run(driver(sim))
     assert all(r.ok for r in results)
-    assert rec.ops_total == 1 and rec.ops_failed == 0
+    assert rec.outcomes()["operations"] == {"total": 1, "failed": 0}
     assert rec.cards() == ["n0.mic0"]
     assert "pausing" in rec.phases() and "total" in rec.phases()
     d = rec.phase_digest("pausing", "n0.mic0")
@@ -376,96 +386,47 @@ def test_operation_feed_counts_phases_per_card():
 
 
 # ---------------------------------------------------------------------------
-# Flight recorder
+# Post-mortem bundles
 # ---------------------------------------------------------------------------
-
-
-def test_flight_recorder_rings_are_bounded():
-    from repro.obs.recorder import FlightRecorder
-
-    sim = Simulator(trace=True)
-    fr = FlightRecorder.install(sim, per_category=4)
-    assert FlightRecorder.peek(sim) is fr
-    assert FlightRecorder.install(sim) is fr  # idempotent
-    for i in range(10):
-        sim.trace.emit("chatty", i=i)
-    sim.trace.emit("quiet", i=0)
-    bundle = fr.bundle()
-    assert bundle["format"] == 1
-    chatty = bundle["events"]["chatty"]
-    assert len(chatty) == 4
-    assert [r["fields"]["i"] for r in chatty] == [6, 7, 8, 9]
-    assert bundle["dropped"]["chatty"] == 6
-    assert len(bundle["events"]["quiet"]) == 1
-    assert json.dumps(bundle)
-
-
-def test_flight_recorder_latches_op_failures():
-    from repro.obs.recorder import FlightRecorder
-    from repro.coi import OffloadBinary, OffloadFunction
-    from repro.hw import MB
-    from repro.sched.faults import FaultInjector
-    from repro.snapify import snapify_t, snapshot_application
-    from repro.testbed import XeonPhiServer, offload_process
-
-    sim = Simulator(trace=True)
-    fr = FlightRecorder.install(sim)
-    server = XeonPhiServer(sim=sim)
-
-    def driver(s):
-        binary = OffloadBinary(
-            "f.so", 8 * MB, {"step": OffloadFunction("step", duration=0.05)}
-        )
-        coiproc, _ = yield from offload_process(server, "f", binary,
-                                                buffers=[(4 * MB, 1)])
-        # Kill the card mid-checkpoint (the op is ~70 ms end to end).
-        FaultInjector(s).schedule_card_failure(server.node.phis[0],
-                                               at=s.now + 0.03)
-        snap = snapify_t(snapshot_path="/f/ckpt", coiproc=coiproc)
-        try:
-            yield from snapshot_application([snap], kind="checkpoint",
-                                            raise_on_error=True)
-        except Exception:
-            pass
-
-    server.run(driver(sim))
-    assert len(fr.failures) == 1
-    entry = fr.failures[0]
-    assert entry["state"] == "FAILED" and entry["card"] == "n0.mic0"
-    bundle = fr.bundle()
-    assert bundle["failures"][0]["kind"] == "checkpoint"
-    assert json.dumps(bundle)
 
 
 def test_postmortem_bundle_without_recorder_synthesizes_from_trace():
     from repro.obs.recorder import postmortem_bundle
 
     sim = Simulator(trace=True)
-    for i in range(3):
-        sim.trace.emit("thing", i=i)
-    bundle = postmortem_bundle(sim)
+    for i in range(10):
+        sim.trace.emit("chatty", i=i)
+    sim.trace.emit("quiet", i=0)
+    bundle = postmortem_bundle(sim, recent=4)
     assert bundle["format"] == 1
-    assert [r["fields"]["i"] for r in bundle["events"]["thing"]] == [0, 1, 2]
+    assert [r["fields"]["i"] for r in bundle["events"]["chatty"]] == [6, 7, 8, 9]
+    assert bundle["dropped"] == {"chatty": 6}
+    assert len(bundle["events"]["quiet"]) == 1
     assert bundle["failures"] == [] and bundle["active_ops"] == []
+    assert bundle["alerts"] is None
     assert json.dumps(bundle)
 
 
-# ---------------------------------------------------------------------------
-# Fuzz artifact integration
-# ---------------------------------------------------------------------------
-
-
 def test_failing_run_carries_postmortem_into_artifact(tmp_path):
+    """Fuzz runs go untraced; the artifact's bundle comes from a traced
+    replay of the failing triple, and names the failed operation."""
     from repro.check.artifact import ReproArtifact
     from repro.check.scenarios import run_scenario
 
     result = run_scenario("checkpoint", seed=3, faults=[{"device": 0, "at": 0.4}])
     assert not result.ok
-    assert result.postmortem is not None
-    assert result.postmortem["format"] == 1
+    assert not result.sim.trace.records  # the run itself kept no trace
 
     art = ReproArtifact.from_result(result)
-    assert art.postmortem == result.postmortem
+    bundle = art.postmortem
+    assert bundle["format"] == 1
+    assert bundle["events"]["op.end"] and bundle["events"]["span.begin"]
+    [failure] = bundle["failures"]
+    assert failure["kind"] == "checkpoint" and failure["state"] == "FAILED"
+    assert failure["card"] == "n0.mic0" and failure["time"] > 0
+    assert [o for o in result.operations if o["state"] == "FAILED"] == [
+        {k: v for k, v in failure.items() if k != "time"}]
+
     path = art.save(str(tmp_path / art.filename()))
     loaded = ReproArtifact.load(path)
     assert loaded.postmortem == art.postmortem
@@ -476,9 +437,10 @@ def test_failing_run_carries_postmortem_into_artifact(tmp_path):
         assert json.load(fh)["format"] == 1
 
     clean = run_scenario("checkpoint", seed=3)
-    assert clean.ok and clean.postmortem is None
-    assert ReproArtifact.from_result(clean).save_flight(
-        str(tmp_path / "none.json")) is None
+    assert clean.ok
+    clean_art = ReproArtifact.from_result(clean)
+    assert clean_art.postmortem is None
+    assert clean_art.save_flight(str(tmp_path / "none.json")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +466,10 @@ def test_rack8_failure_fires_alert_and_exports_per_card_p99():
     recorder = TimeSeriesRecorder.peek(run.sim)
     [manager] = FleetManager.all_of(run.sim)
     health = manager.last_health
-    assert recorder.tickets_failed > 0
+    outcomes = recorder.outcomes()["tickets"]
+    assert outcomes["failed"] > 0
+    assert outcomes == {"total": manager.m_completed.value + manager.m_failed.value,
+                        "failed": manager.m_failed.value}
 
     events = [(ev, snap["key"]) for _, ev, snap in recorder.engine.history]
     assert ("fire", "burn_rate") in events
