@@ -407,6 +407,44 @@ def test_postmortem_bundle_without_recorder_synthesizes_from_trace():
     assert json.dumps(bundle)
 
 
+def test_flight_recorder_latches_op_failures():
+    """A checkpoint killed by a card failure stays in the bundle's
+    ``failures`` after the run, read from the operation itself."""
+    from repro.coi import OffloadBinary, OffloadFunction
+    from repro.hw import MB
+    from repro.obs.recorder import postmortem_bundle
+    from repro.sched.faults import FaultInjector
+    from repro.snapify import snapify_t, snapshot_application
+    from repro.testbed import XeonPhiServer, offload_process
+
+    sim = Simulator(trace=True)
+    server = XeonPhiServer(sim=sim)
+
+    def driver(s):
+        binary = OffloadBinary(
+            "f.so", 8 * MB, {"step": OffloadFunction("step", duration=0.05)}
+        )
+        coiproc, _ = yield from offload_process(server, "f", binary,
+                                                buffers=[(4 * MB, 1)])
+        # Kill the card mid-checkpoint (the op is ~70 ms end to end).
+        FaultInjector(s).schedule_card_failure(server.node.phis[0],
+                                               at=s.now + 0.03)
+        snap = snapify_t(snapshot_path="/f/ckpt", coiproc=coiproc)
+        try:
+            yield from snapshot_application([snap], kind="checkpoint",
+                                            raise_on_error=True)
+        except Exception:
+            pass
+
+    server.run(driver(sim))
+    bundle = postmortem_bundle(sim)
+    assert len(bundle["failures"]) == 1
+    entry = bundle["failures"][0]
+    assert entry["state"] == "FAILED" and entry["card"] == "n0.mic0"
+    assert entry["kind"] == "checkpoint" and entry["time"] > 0
+    assert json.dumps(bundle)
+
+
 def test_failing_run_carries_postmortem_into_artifact(tmp_path):
     """Fuzz runs go untraced; the artifact's bundle comes from a traced
     replay of the failing triple, and names the failed operation."""
