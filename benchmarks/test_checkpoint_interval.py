@@ -37,7 +37,7 @@ def run_with_interval(interval: float) -> dict:
     injector = FaultInjector(server.sim)
     profile = replace(OPENMP_BENCHMARKS["KM"], iterations=WORK_ITERATIONS)
     app = OffloadApplication(server, profile)
-    runner = ResilientRunner(server, app, injector, interval=interval,
+    runner = ResilientRunner(server, app, interval=interval,
                              restart_from_scratch=True)
 
     def driver(sim):

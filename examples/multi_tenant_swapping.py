@@ -54,7 +54,8 @@ def main() -> None:
 
         yield big.host_proc.main_thread.done
         print(f"[{sim.now:6.2f}s] sample-sort finished (correct: {big.verify()})")
-        print(f"swap events: {sched.swap_events}")
+        print("swap operations: " + ", ".join(
+            f"{r.kind} done at {r.finished:.2f}s" for r in sched.operations))
 
     server.run(scenario(server.sim))
     assert big.verify() and burst.verify()

@@ -42,7 +42,7 @@ def main() -> None:
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = offload_app(server, "KM", iterations=2500)  # ~11 s of work
-    runner = ResilientRunner(server, app, injector, interval=interval)
+    runner = ResilientRunner(server, app, interval=interval)
 
     def scenario(sim):
         # Card failures roughly every MTBF, alternating cards so one is

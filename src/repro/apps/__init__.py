@@ -2,7 +2,6 @@
 
 from .native import MallocLoopBenchmark, copy_microbenchmark
 from .offload import OffloadApplication, build_binary, expected_checksum
-from .openmp import make_app, run_benchmark, suite
 from .workloads import (
     NAS_MZ_BENCHMARKS,
     OPENMP_BENCHMARKS,
@@ -23,8 +22,5 @@ __all__ = [
     "build_binary",
     "copy_microbenchmark",
     "expected_checksum",
-    "make_app",
     "mz_rank_footprint",
-    "run_benchmark",
-    "suite",
 ]

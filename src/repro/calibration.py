@@ -86,8 +86,3 @@ def paper_testbed(phis_per_node: int = 2) -> HardwareParams:
         ),
         phis_per_node=phis_per_node,
     )
-
-
-def mpi_cluster_testbed() -> HardwareParams:
-    """The 4-node MPI cluster of §7 (one 8 GB Phi per node)."""
-    return paper_testbed(phis_per_node=1)

@@ -139,10 +139,10 @@ class CardRuntime:
         self.proc.spawn_thread(self._resume_inflight(), name="resume-inflight", daemon=True)
 
     def _phi_params(self):
-        return self.proc.os.hw.node.params.phi  # type: ignore[attr-defined]
+        return self.proc.os.hw.node.params.phi
 
     def _accept_channels(self, port: int):
-        net = ScifNetwork.of(self.proc.os.hw.node)  # type: ignore[attr-defined]
+        net = ScifNetwork.of(self.proc.os.hw.node)
         listener = net.listen(self.proc.os, port)
         listening = self.proc.runtime.get("listening")
         if listening is not None and not listening.triggered:

@@ -34,16 +34,23 @@ class PhiDevice:
         #: Transient link fault (FaultInjector link flap): while True, new
         #: SCIF connections and PCIe-routed transfers to/from this card fail.
         self.link_down = False
+        #: Card death (FaultInjector card failure, cleared on repair): the
+        #: one card-health flag every layer reads.
+        self.failed = False
         #: Set by the OS layer when it boots a kernel on this card.
         self.os = None
 
     @property
+    def node_index(self) -> int:
+        """The node number: the digits of the node's name (``node3`` -> 3)."""
+        return int("".join(ch for ch in self.node.name if ch.isdigit()) or 0)
+
+    @property
     def key(self) -> str:
-        """The card's fleet key, ``n<node>.mic<index>`` with the node number
-        taken from the node name's digits: the one key fleet tickets,
-        operations, the memory tier and swap schedulers tag a card with."""
-        digits = "".join(ch for ch in self.node.name if ch.isdigit())
-        return f"n{digits or 0}.mic{self.index}"
+        """The card's fleet key, ``n<node>.mic<index>``: the one key fleet
+        tickets, operations, the memory tier and swap schedulers tag a card
+        with."""
+        return f"n{self.node_index}.mic{self.index}"
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<PhiDevice {self.node.name}/mic{self.index}>"

@@ -571,7 +571,7 @@ class HeartbeatDetector:
         if done.triggered:
             return bool(done.ok and proc.store.get("finished"))
         phi = self.job.fleet.phi(rep.card)
-        if getattr(phi, "failed", False) or getattr(phi, "link_down", False):
+        if phi.failed or phi.link_down:
             return False
         if not proc.alive:
             return False
@@ -633,7 +633,7 @@ class HeartbeatDetector:
         for d in range(fleet.topology.phis_per_node):
             card = CardRef(node=source.card.node, device=d)
             phi = fleet.phi(card)
-            if getattr(phi, "failed", False) or getattr(phi, "link_down", False):
+            if phi.failed or phi.link_down:
                 continue
             if any(card.key == tc.key for tc in team_cards):
                 continue

@@ -21,7 +21,7 @@ def boot_host(node: ServerNode) -> OSInstance:
         socket_bandwidth=params.snapify_io.socket_bw_host,
         spawn_latency=params.host.process_spawn_latency,
     )
-    os.hw = node  # type: ignore[attr-defined] - hardware backref for SCIF routing
+    os.hw = node
     node.os = os
     return os
 
@@ -43,7 +43,7 @@ def boot_phi(phi: PhiDevice) -> OSInstance:
         socket_bandwidth=params.snapify_io.socket_bw_phi,
         spawn_latency=params.phi.process_spawn_latency,
     )
-    os.hw = phi  # type: ignore[attr-defined] - hardware backref for SCIF routing
+    os.hw = phi
     phi.os = os
     return os
 

@@ -295,6 +295,9 @@ class OSInstance:
         self._pids = itertools.count(1000)
         #: Hook point: callables invoked with each exiting process.
         self.exit_watchers: List[Callable[[SimProcess], None]] = []
+        #: The hardware this kernel runs on (the ServerNode for the host, a
+        #: PhiDevice for a card); set when :mod:`repro.osim.boot` boots it.
+        self.hw: Any = None
 
     def spawn_process(
         self,

@@ -22,7 +22,6 @@ class FaultInjector:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.failed: List[PhiDevice] = []
         #: Audit log of every fault actually executed ("card_failure:0",
         #: "link_flap:1", ...). The ``retry_accounting`` oracle checks the
         #: retry/fallback counters against this: a run with no injected
@@ -100,11 +99,10 @@ class FaultInjector:
         return ev
 
     def _fail(self, phi: PhiDevice, ev: Event) -> None:
-        if phi in self.failed:
+        if phi.failed:
             return
-        self.failed.append(phi)
+        phi.failed = True
         self.injected.append(f"card_failure:{phi.index}")
-        phi.failed = True  # type: ignore[attr-defined]
         if phi.os is not None:
             for proc in list(phi.os.processes.values()):
                 proc.terminate(code=139)
@@ -112,10 +110,9 @@ class FaultInjector:
 
     def _repair(self, phi: PhiDevice) -> None:
         """The card was reset/replaced: re-boot its service daemons."""
-        if phi not in self.failed:
+        if not phi.failed:
             return
-        self.failed.remove(phi)
-        phi.failed = False  # type: ignore[attr-defined]
+        phi.failed = False
 
         def reboot(sim):
             from ..coi.daemon import COIDaemon
@@ -125,9 +122,6 @@ class FaultInjector:
             yield from SnapifyIODaemon.boot(phi.os)
 
         self.sim.spawn(reboot(self.sim), name=f"repair:{phi!r}", daemon=True)
-
-    def is_failed(self, phi: PhiDevice) -> bool:
-        return phi in self.failed
 
     # -- transient transfer-path faults ------------------------------------
     def schedule_link_flap(

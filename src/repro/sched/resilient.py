@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, List, Optional
 from ..apps.offload import OffloadApplication
 from ..snapify.api import snapify_t
 from ..snapify.usecases import checkpoint_offload_app, restart_offload_app
-from .faults import FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..testbed import XeonPhiServer
@@ -27,7 +26,6 @@ class ResilientRunner:
         self,
         server: "XeonPhiServer",
         app: OffloadApplication,
-        injector: FaultInjector,
         interval: float,
         snapshot_root: str = "/resilient",
         restart_from_scratch: bool = False,
@@ -43,7 +41,6 @@ class ResilientRunner:
         self.server = server
         self.sim = server.sim
         self.app = app
-        self.injector = injector
         self.interval = interval
         self.snapshot_root = snapshot_root
         #: Policy for a failure before the first checkpoint: relaunch the
@@ -66,15 +63,12 @@ class ResilientRunner:
     # -- helpers ----------------------------------------------------------------
     def _healthy_engine(self):
         for phi in self.server.node.phis:
-            if not self.injector.is_failed(phi):
+            if not phi.failed:
                 return self.server.engine(phi.index)
         raise RuntimeError("no healthy coprocessor left")
 
-    def _host_proc(self):
-        return self.app.host_proc
-
     def _offload_alive(self) -> bool:
-        handle = self._host_proc().runtime.get("coi_handle")
+        handle = self.app.host_proc.runtime.get("coi_handle")
         return handle is not None and not handle.dead and handle.offload_proc.alive
 
     # -- main loop -----------------------------------------------------------------
@@ -86,7 +80,7 @@ class ResilientRunner:
             # Wait one interval (or until the app finishes first). The app
             # main thread may die mid-wait if its card fails under it —
             # that failure is recovered from, not propagated.
-            done = self._host_proc().main_thread.done
+            done = self.app.host_proc.main_thread.done
             timer = self.sim.timeout(self.interval, "tick")
             try:
                 yield self.sim.any_of([done, timer])
@@ -96,13 +90,13 @@ class ResilientRunner:
             if done.triggered:
                 break
 
-            if not self._offload_alive() or not self._host_proc().alive:
+            if not self._offload_alive() or not self.app.host_proc.alive:
                 yield from self._recover()
                 continue
 
             path = f"{self.snapshot_root}/ckpt{self.checkpoints_taken}"
             snap = snapify_t(snapshot_path=path,
-                             coiproc=self._host_proc().runtime["coi_handle"])
+                             coiproc=self.app.host_proc.runtime["coi_handle"])
             try:
                 yield from checkpoint_offload_app(snap)
             except Exception:
@@ -115,7 +109,7 @@ class ResilientRunner:
                 self.op_results.append(snap.op.result)
             self.events.append(("checkpoint", path, self.sim.now))
 
-        return self._host_proc().store
+        return self.app.host_proc.store
 
     def _recover(self):
         if self.latest_snapshot is None and not self.restart_from_scratch:
@@ -125,7 +119,7 @@ class ResilientRunner:
         attempts = 0
         while True:
             attempts += 1
-            proc = self._host_proc()
+            proc = self.app.host_proc
             if proc is not None and proc.alive:
                 proc.terminate(code=1)
             yield self.sim.sleep(self.detection_latency)

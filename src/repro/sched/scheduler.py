@@ -21,10 +21,11 @@ from ..coi.engine import COIEngine
 from ..obs.registry import MetricsRegistry
 from ..osim.process import SimProcess
 from ..snapify.cli import SWAP_IN, SWAP_OUT, snapify_command
+from ..snapify.fleet import MAINTENANCE, SWAP, CardRef, FleetManager
+from ..snapify.monitor import SnapifyError
 from ..snapify.ops import OperationResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..snapify.fleet import FleetManager, CardRef
     from ..testbed import XeonPhiServer
 
 
@@ -46,18 +47,16 @@ class TenantJob:
 class SwapScheduler:
     """Greedy largest-victim swapping policy for one card.
 
-    Standalone by default; when handed a :class:`~repro.snapify.fleet.
-    FleetManager` (plus this card's :class:`~repro.snapify.fleet.CardRef`),
-    every swap rides a fleet ticket at SWAP priority instead of being
-    issued directly — the fleet's admission control then bounds how many of
-    this scheduler's swaps run concurrently with the rest of the fleet's
-    traffic, and health reports from fleet sweeps gate reclaim (no point
-    swapping a tenant back onto a failed or straggling card)."""
+    Every swap rides a :class:`~repro.snapify.fleet.FleetManager` ticket at
+    SWAP priority: on the caller's manager, whose admission control then
+    bounds this scheduler's swaps together with the rest of the fleet's
+    traffic, or else on a private manager named after the card. Health
+    reports from fleet sweeps gate reclaim (no point swapping a tenant back
+    onto a failed or straggling card)."""
 
     def __init__(self, server: "XeonPhiServer", device: int = 0,
                  headroom: int = 512 * 1024 * 1024,
-                 fleet: Optional["FleetManager"] = None,
-                 card: Optional["CardRef"] = None):
+                 fleet: Optional[FleetManager] = None):
         self.server = server
         self.sim = server.sim
         self.device = device
@@ -65,40 +64,25 @@ class SwapScheduler:
         #: Keep this much card memory free for the OS and RAM-FS churn.
         self.headroom = headroom
         self.jobs: Dict[int, TenantJob] = {}
-        self.swap_events: List[tuple] = []
         #: Typed results of every swap operation this scheduler issued.
         self.operations: List[OperationResult] = []
-        #: Fleet routing (optional): manager + this card's fleet address.
-        self.fleet = fleet
-        self.card = card
-        if fleet is not None and card is None:
-            raise ValueError("fleet routing needs this card's CardRef")
+        #: This card's fleet address and the manager whose tickets carry
+        #: every swap.
+        self.card = CardRef(node=self.phi.node_index, device=device)
+        ck = self.card.key
+        self.fleet = fleet or FleetManager(sim=self.sim, name=f"sched.{ck}")
         #: Card keys the last health report flagged (failed or straggling).
         self.unhealthy_cards: Set[str] = set()
         self._fleet_seq = 0
+        # Card-keyed series: the ".card.<key>." segment becomes a
+        # {card=...} label in the Prometheus export.
         reg = MetricsRegistry.of(self.sim)
-        self.m_swap_outs = reg.counter(f"sched.dev{device}.swap_outs")
-        self.m_swap_ins = reg.counter(f"sched.dev{device}.swap_ins")
-        reg.gauge(f"sched.dev{device}.resident_jobs",
-                  lambda: len(self.resident_jobs()))
-        reg.gauge(f"sched.dev{device}.swapped_jobs",
-                  lambda: len(self.swapped_jobs()))
-        # Card-keyed aliases using the fleet's "n<node>.mic<dev>" addressing,
-        # so per-card grouping sees scheduler traffic too (the ".card.<key>."
-        # segment becomes a {card=...} label in the Prometheus export).
-        ck = self.card_key()
-        self.m_card_swap_outs = reg.counter(f"sched.card.{ck}.swap_outs")
-        self.m_card_swap_ins = reg.counter(f"sched.card.{ck}.swap_ins")
+        self.m_swap_outs = reg.counter(f"sched.card.{ck}.swap_outs")
+        self.m_swap_ins = reg.counter(f"sched.card.{ck}.swap_ins")
         reg.gauge(f"sched.card.{ck}.resident_jobs",
                   lambda: len(self.resident_jobs()))
         reg.gauge(f"sched.card.{ck}.swapped_jobs",
                   lambda: len(self.swapped_jobs()))
-
-    def card_key(self) -> str:
-        """This scheduler's card in fleet key form ("n0.mic1"): the explicit
-        :class:`~repro.snapify.fleet.CardRef` when fleet routing is on,
-        else the card's own key."""
-        return self.card.key if self.card is not None else self.phi.key
 
     # -- fleet health ------------------------------------------------------------
     def note_health(self, report: Any) -> None:
@@ -109,10 +93,7 @@ class SwapScheduler:
         self.unhealthy_cards.update(h.card for h in report.stragglers())
 
     def card_healthy(self) -> bool:
-        """False when the last health report flagged this scheduler's card
-        (only meaningful with fleet routing; standalone is always True)."""
-        if self.card is None:
-            return True
+        """False when the last health report flagged this scheduler's card."""
         return self.card.key not in self.unhealthy_cards
 
     # -- bookkeeping -------------------------------------------------------------
@@ -153,7 +134,7 @@ class SwapScheduler:
         brought_back = []
         if not self.card_healthy():
             self.sim.trace.emit("sched.reclaim_skipped", device=self.device,
-                                card=self.card_key())
+                                card=self.card.key)
             return brought_back
         for job in sorted(self.swapped_jobs(), key=lambda j: j.footprint):
             if self._free_after(job.footprint) < 0:
@@ -164,18 +145,16 @@ class SwapScheduler:
 
     def evacuate(self):
         """Sub-generator: swap out every resident tenant — the maintenance
-        action for a card the health sweep flagged. With fleet routing the
-        swaps go out at MAINTENANCE priority, ahead of all other fleet
-        traffic. Returns the evacuated jobs."""
-        from ..snapify.fleet import MAINTENANCE
-
+        action for a card the health sweep flagged. The swaps go out at
+        MAINTENANCE priority, ahead of all other fleet traffic. Returns the
+        evacuated jobs."""
         victims = []
         for job in sorted(self.resident_jobs(), key=lambda j: j.footprint,
                           reverse=True):
             yield from self._swap_out(job, priority=MAINTENANCE)
             victims.append(job)
         self.sim.trace.emit("sched.evacuate", device=self.device,
-                            card=self.card_key(), jobs=len(victims))
+                            card=self.card.key, jobs=len(victims))
         return victims
 
     def job_finished(self, host_proc: SimProcess):
@@ -185,50 +164,38 @@ class SwapScheduler:
         return result
 
     # -- mechanics ----------------------------------------------------------------
-    def _fleet_issue(self, kind: str, job: TenantJob, command, priority=None):
+    def _fleet_issue(self, kind: str, job: TenantJob, command, priority=SWAP):
         """Sub-generator: run a snapify CLI command as a fleet ticket so the
         fleet's admission caps govern it. Returns the terminal ticket."""
-        from ..snapify.fleet import SWAP as SWAP_PRIORITY
-        from ..snapify.monitor import SnapifyError
-
         self._fleet_seq += 1
         key = f"sched.{self.card.key}/{kind}.{job.host_proc.pid}.{self._fleet_seq}"
 
         def work():
             return (yield command())
 
-        ticket = self.fleet.submit(
-            key, kind, work, card=self.card,
-            priority=SWAP_PRIORITY if priority is None else priority,
-            proc=job.host_proc,
-        )
+        ticket = self.fleet.submit(key, kind, work, card=self.card,
+                                   priority=priority, proc=job.host_proc)
         if not ticket.done.triggered:
             yield ticket.done
         if ticket.state != "DONE":
             raise SnapifyError(f"scheduler {kind} failed: {ticket.error}")
         return ticket
 
-    def _swap_out(self, job: TenantJob, priority=None):
+    def _swap_out(self, job: TenantJob, priority=SWAP):
         def command():
             return snapify_command(
                 job.host_proc, SWAP_OUT,
                 snapshot_path=f"/swap/job_{job.host_proc.pid}",
             )
 
-        if self.fleet is not None:
-            ticket = yield from self._fleet_issue("swapout", job, command,
-                                                  priority=priority)
-            job.snap = ticket.result
-        else:
-            job.snap = yield command()
+        ticket = yield from self._fleet_issue("swapout", job, command, priority)
+        job.snap = ticket.result
         self._record(job)
         job.state = "swapped"
         job.swap_count += 1
         self.m_swap_outs.inc()
-        self.m_card_swap_outs.inc()
         self.sim.trace.emit("sched.swap_out", proc=job.host_proc.name,
-                            card=self.card_key(), footprint=job.footprint)
-        self.swap_events.append(("out", job.host_proc.name, self.sim.now))
+                            card=self.card.key, footprint=job.footprint)
 
     def _swap_in(self, job: TenantJob):
         engine = COIEngine(self.server.node, self.device)
@@ -236,19 +203,14 @@ class SwapScheduler:
         def command():
             return snapify_command(job.host_proc, SWAP_IN, engine=engine)
 
-        if self.fleet is not None:
-            yield from self._fleet_issue("swapin", job, command)
-        else:
-            yield command()
+        yield from self._fleet_issue("swapin", job, command)
         # The CLI handler drove the swap-in on the same snapify_t it parked
         # at swap-out; its operation is now the swap-in's.
         self._record(job)
         job.state = "resident"
         self.m_swap_ins.inc()
-        self.m_card_swap_ins.inc()
         self.sim.trace.emit("sched.swap_in", proc=job.host_proc.name,
-                            card=self.card_key(), footprint=job.footprint)
-        self.swap_events.append(("in", job.host_proc.name, self.sim.now))
+                            card=self.card.key, footprint=job.footprint)
 
     def _record(self, job: TenantJob) -> None:
         snap = job.snap

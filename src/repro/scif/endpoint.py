@@ -144,7 +144,7 @@ class ScifNetwork:
             raise ScifError(f"connection refused: SCIF {key}")
         dst_os = self.os_for_scif_node(dst_node_id)
         for os_ in (src_os, dst_os):
-            if getattr(getattr(os_, "hw", None), "link_down", False):
+            if os_.kind == os_.PHI and os_.hw.link_down:
                 raise ScifError(f"connect: PCIe link down on {os_.name}")
         client = ScifEndpoint(self.sim, src_os, port=next(self._ephemeral), proc=proc)
         server = ScifEndpoint(self.sim, dst_os, port=dst_port)

@@ -687,7 +687,7 @@ class FleetManager:
     def _probe_work(self, card: CardRef, probe_bytes: int):
         def work():
             phi = self.fleet.phi(card)
-            if getattr(phi, "failed", False):
+            if phi.failed:
                 raise SnapifyError(f"{card.key}: card failed")
             if phi.link_down:
                 raise SnapifyError(f"{card.key}: PCIe link down")

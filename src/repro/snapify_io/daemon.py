@@ -78,7 +78,7 @@ class SnapifyIODaemon:
         self.sim = os.sim
         self.params = params
         self.proc: Optional[SimProcess] = None
-        node = os.hw if isinstance(os.hw, ServerNode) else os.hw.node  # type: ignore[attr-defined]
+        node = os.hw if isinstance(os.hw, ServerNode) else os.hw.node
         self.node: ServerNode = node
         self.net = ScifNetwork.of(node)
         self.connections_served = 0
@@ -97,7 +97,7 @@ class SnapifyIODaemon:
     @staticmethod
     def boot(os: OSInstance, params: Optional[SnapifyIOParams] = None):
         """Sub-generator: start the daemon on ``os``; returns the daemon."""
-        node = os.hw if isinstance(os.hw, ServerNode) else os.hw.node  # type: ignore[attr-defined]
+        node = os.hw if isinstance(os.hw, ServerNode) else os.hw.node
         daemon = SnapifyIODaemon(os, params or node.params.snapify_io)
         proc = yield from os.spawn_process(
             "snapify-io-daemon", image_size=4 * 1024 * 1024,

@@ -189,7 +189,7 @@ def snapifyio_open(
                 f"{os.name}: no SCIF node {node} "
                 f"(valid: 0..{len(daemon.node.phis)})"
             )
-        if getattr(daemon.node.phis[node - 1], "failed", False):
+        if daemon.node.phis[node - 1].failed:
             raise SnapifyIOError(f"{os.name}: SCIF node {node} has failed")
     net = ScifNetwork.of(daemon.node)
     if not net.has_listener(node, SNAPIFY_IO_PORT):

@@ -158,8 +158,7 @@ class MemoryTier:
         phi = self._cards.get(key)
         if phi is None:
             return False
-        return not getattr(phi, "failed", False) and not getattr(phi, "link_down", False) \
-            and getattr(phi, "os", None) is not None
+        return not phi.failed and not phi.link_down and phi.os is not None
 
     def partner_candidates(self, home: str) -> List[str]:
         """Healthy partner keys for ``home``, in round-robin rotation order."""
@@ -323,7 +322,7 @@ class MemoryTier:
             for copy in link.copies:
                 if copy.intact and not self._healthy(copy.home):
                     phi = self._cards.get(copy.home)
-                    if getattr(phi, "failed", False) or getattr(phi, "os", None) is None:
+                    if phi is None or phi.failed or phi.os is None:
                         self._drop_copy(copy, reason="lost")
 
     def fetch(self, path: str, dest_os: Any):

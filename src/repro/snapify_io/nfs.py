@@ -77,7 +77,7 @@ class NFSMount(FileSystem):
         downed link or a stopped export makes every RPC time out (modeled as
         an immediate error — the client would see ``server not responding``).
         """
-        if getattr(getattr(self.phi_os, "hw", None), "link_down", False):
+        if self.phi_os.hw.link_down:
             raise FDError(f"{self.name}: PCIe link down — server not responding")
         if not getattr(self.host_fs, "exported", True):
             raise FDError(f"{self.name}: export stopped — server not responding")

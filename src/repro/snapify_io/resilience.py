@@ -139,7 +139,7 @@ class TransferManager:
     # -- plumbing ---------------------------------------------------------------
     @staticmethod
     def _node_of(os: OSInstance) -> ServerNode:
-        hw = os.hw  # type: ignore[attr-defined]
+        hw = os.hw
         return hw if isinstance(hw, ServerNode) else hw.node
 
     # -- the chain ---------------------------------------------------------------
@@ -239,7 +239,7 @@ class TransferManager:
 
     def _via_nfs(self, src_os, dst_os, dst_path, f):
         node = self._node_of(src_os)
-        if src_os.hw is node or dst_os.hw is not node:  # type: ignore[attr-defined]
+        if src_os.hw is node or dst_os.hw is not node:
             raise ChannelUnavailable(
                 "nfs fallback serves card-to-host transfers only"
             )

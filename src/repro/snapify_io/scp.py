@@ -33,7 +33,7 @@ def scp_copy(
     the PCIe link(s) between the two nodes), and the destination write
     (page cache / RAM-FS)."""
     for os_ in (src_os, dst_os):
-        if getattr(getattr(os_, "hw", None), "link_down", False):
+        if os_.kind == os_.PHI and os_.hw.link_down:
             raise SocketError(f"scp: network unreachable ({os_.name}: link down)")
     f = src_os.fs.stat(src_path)
     sim = src_os.sim

@@ -81,40 +81,6 @@ class XeonPhiServer:
         return self.sim.now
 
 
-class XeonPhiCluster:
-    """The paper's MPI testbed: ``n_nodes`` single-Phi servers on a fabric."""
-
-    def __init__(
-        self,
-        n_nodes: int = 4,
-        params: Optional[HardwareParams] = None,
-        sim: Optional[Simulator] = None,
-    ):
-        self.sim = sim or Simulator()
-        if params is None:
-            from .calibration import mpi_cluster_testbed
-
-            # Fig. 11's cluster: one Xeon Phi (8 GB) per node.
-            params = mpi_cluster_testbed()
-        self.params = params
-        self.cluster = Cluster(self.sim, self.params, n_nodes=n_nodes)
-        self.servers: List[XeonPhiServer] = [
-            XeonPhiServer(sim=self.sim, params=self.params, node=node)
-            for node in self.cluster.nodes
-        ]
-
-    def __len__(self) -> int:
-        return len(self.servers)
-
-    def server(self, i: int) -> XeonPhiServer:
-        return self.servers[i]
-
-    def run(self, gen: SimGen, name: str = "driver") -> Any:
-        t = self.sim.spawn(gen, name=name)
-        self.sim.run_until(t.done)
-        return t.done.value
-
-
 # ---------------------------------------------------------------------------
 # Fleet topologies — pre-baked, reproducible multi-node layouts (the gem5
 # standard-library idea: CI and demos name a topology instead of hand-rolling
@@ -151,8 +117,7 @@ FLEET_TOPOLOGIES: Dict[str, FleetTopology] = {
 class XeonPhiFleet:
     """A booted multi-node, multi-Phi fleet built from a named topology.
 
-    Like :class:`XeonPhiCluster` but sized for fleet-control-plane work:
-    many cards per node, addressed uniformly by :class:`~repro.snapify.
+    Many cards per node, addressed uniformly by :class:`~repro.snapify.
     fleet.CardRef` so one :class:`~repro.snapify.fleet.FleetManager` can
     drive every card behind one key space.
     """
@@ -208,6 +173,20 @@ class XeonPhiFleet:
         t = self.sim.spawn(gen, name=name)
         self.sim.run_until(t.done)
         return t.done.value
+
+
+class XeonPhiCluster(XeonPhiFleet):
+    """The paper's MPI testbed (§7, Fig. 11): ``n_nodes`` single-Phi
+    (8 GB) servers on a fabric."""
+
+    def __init__(
+        self,
+        n_nodes: int = 4,
+        params: Optional[HardwareParams] = None,
+        sim: Optional[Simulator] = None,
+    ):
+        super().__init__(FleetTopology(f"cluster{n_nodes}", n_nodes, 1),
+                         sim=sim, params=params)
 
 
 # ---------------------------------------------------------------------------

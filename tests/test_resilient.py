@@ -85,9 +85,8 @@ def make_app(server, iterations=80):
 
 def test_runner_without_failures_just_checkpoints():
     server = XeonPhiServer()
-    injector = FaultInjector(server.sim)
     app = make_app(server, iterations=60)
-    runner = ResilientRunner(server, app, injector, interval=0.5)
+    runner = ResilientRunner(server, app, interval=0.5)
 
     def driver(sim):
         store = yield from runner.run()
@@ -103,7 +102,7 @@ def test_runner_survives_card_failure():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=100)
-    runner = ResilientRunner(server, app, injector, interval=0.4)
+    runner = ResilientRunner(server, app, interval=0.4)
 
     def driver(sim):
         injector.schedule_card_failure(server.node.phis[0], at=1.3)
@@ -123,7 +122,7 @@ def test_runner_survives_repeated_failures():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=150)
-    runner = ResilientRunner(server, app, injector, interval=0.4)
+    runner = ResilientRunner(server, app, interval=0.4)
 
     def driver(sim):
         injector.schedule_card_failure(server.node.phis[0], at=1.3)
@@ -139,7 +138,7 @@ def test_runner_failure_before_first_checkpoint():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=400)
-    runner = ResilientRunner(server, app, injector, interval=50.0)  # too lazy
+    runner = ResilientRunner(server, app, interval=50.0)  # too lazy
 
     def driver(sim):
         injector.schedule_card_failure(server.node.phis[0], at=1.0)
@@ -155,19 +154,17 @@ def test_runner_failure_before_first_checkpoint():
 def test_runner_rejects_bad_interval():
     server = XeonPhiServer()
     with pytest.raises(ValueError):
-        ResilientRunner(server, make_app(server), FaultInjector(server.sim),
-                        interval=0)
+        ResilientRunner(server, make_app(server), interval=0)
 
 
 def test_runner_rejects_bad_recovery_knobs():
     server = XeonPhiServer()
     app = make_app(server)
-    injector = FaultInjector(server.sim)
     with pytest.raises(ValueError, match="detection latency"):
-        ResilientRunner(server, app, injector, interval=0.5,
+        ResilientRunner(server, app, interval=0.5,
                         detection_latency=-0.1)
     with pytest.raises(ValueError, match="recovery attempt"):
-        ResilientRunner(server, app, injector, interval=0.5,
+        ResilientRunner(server, app, interval=0.5,
                         max_recover_attempts=0)
 
 
@@ -177,7 +174,7 @@ def test_detection_latency_delays_the_restart():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=100)
-    runner = ResilientRunner(server, app, injector, interval=0.4,
+    runner = ResilientRunner(server, app, interval=0.4,
                              detection_latency=0.5)
 
     def driver(sim):
@@ -199,7 +196,7 @@ def test_recovery_gives_up_after_bounded_attempts():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=200)
-    runner = ResilientRunner(server, app, injector, interval=0.4,
+    runner = ResilientRunner(server, app, interval=0.4,
                              max_recover_attempts=3)
     out = {}
 
@@ -223,7 +220,7 @@ def test_recovery_retry_is_rescued_by_a_repaired_card():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=100)
-    runner = ResilientRunner(server, app, injector, interval=0.4,
+    runner = ResilientRunner(server, app, interval=0.4,
                              detection_latency=0.2, max_recover_attempts=5)
 
     def driver(sim):
@@ -246,7 +243,7 @@ def test_runner_restart_from_scratch_policy():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=120)
-    runner = ResilientRunner(server, app, injector, interval=60.0,
+    runner = ResilientRunner(server, app, interval=60.0,
                              restart_from_scratch=True)
 
     def driver(sim):
@@ -266,7 +263,7 @@ def test_runner_survives_restore_from_same_snapshot_twice():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
     app = make_app(server, iterations=900)
-    runner = ResilientRunner(server, app, injector, interval=2.0)
+    runner = ResilientRunner(server, app, interval=2.0)
 
     def driver(sim):
         # First failure after checkpoint #0 (~t=2.8); the job restarts

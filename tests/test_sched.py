@@ -28,7 +28,7 @@ def test_card_failure_kills_processes():
 
     server.run(driver(server.sim))
     assert not app.coiproc.offload_proc.alive
-    assert injector.is_failed(server.node.phis[0])
+    assert server.node.phis[0].failed
 
 
 def test_failure_in_past_rejected():
@@ -54,7 +54,6 @@ def test_proactive_migration_saves_the_job():
 
     def driver(sim):
         yield from app.launch()
-        migrator.track(app.host_proc, device=0)
         yield sim.timeout(0.2)
         # Swap-out + swap-in of KM takes ~2 s (libs copy, local store,
         # context); a realistic prediction lead comfortably covers it.
@@ -71,6 +70,37 @@ def test_proactive_migration_saves_the_job():
     assert app.coiproc.offload_proc.os is server.phi_os(1)
 
 
+def test_proactive_migration_finds_victims_from_live_handles():
+    """Nobody registers the jobs: the warning's victims are the live host
+    processes whose offload process runs on the sick card, so the mic0 job
+    moves to mic1 and the job already on mic1 is left alone."""
+    server = XeonPhiServer()
+    injector = FaultInjector(server.sim)
+    migrator = ProactiveMigrator(server, injector)
+    sick = OffloadApplication(server, profile("KM", iterations=1500),
+                              device=0, name="sick")
+    bystander = OffloadApplication(server, profile("MC", iterations=200),
+                                   device=1, name="bystander")
+
+    def driver(sim):
+        yield from sick.launch()
+        yield from bystander.launch()
+        yield sim.timeout(0.2)
+        injector.schedule_card_failure(
+            server.node.phis[0], at=sim.now + 4.0, warning_lead=3.8
+        )
+        yield sick.host_proc.main_thread.done
+        yield bystander.host_proc.main_thread.done
+
+    server.run(driver(server.sim))
+    assert sick.verify() and bystander.verify()
+    assert [(n, s, d) for n, s, d, _ in migrator.migrations_done] == [
+        ("sick", 0, 1)
+    ]
+    assert sick.coiproc.offload_proc.os is server.phi_os(1)
+    assert bystander.coiproc.offload_proc.os is server.phi_os(1)
+
+
 def test_no_warning_means_job_dies():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
@@ -79,7 +109,6 @@ def test_no_warning_means_job_dies():
 
     def driver(sim):
         yield from app.launch()
-        migrator.track(app.host_proc, device=0)
         yield sim.timeout(0.2)
         ev = injector.schedule_card_failure(server.node.phis[0], at=sim.now + 0.05)
         yield ev
@@ -91,6 +120,8 @@ def test_no_warning_means_job_dies():
 
 
 def test_swap_scheduler_makes_room_and_reclaims():
+    from repro.snapify.fleet import DONE, FleetManager
+
     server = XeonPhiServer()
     sched = SwapScheduler(server, device=0, headroom=256 * MB)
     # Two tenants that together blow the 8 GB card; SS is the big one.
@@ -118,6 +149,13 @@ def test_swap_scheduler_makes_room_and_reclaims():
     assert out["returned"] == ["big"]
     assert big.verify()
     assert sched.jobs[big.host_proc.pid].swap_count == 1
+    # With no manager passed, the swaps still rode fleet tickets: the
+    # scheduler's private manager, named after its card.
+    tickets = [t for m in FleetManager.all_of(server.sim) for t in m.tickets]
+    assert [(t.kind, t.card.key, t.state) for t in tickets] == [
+        ("swapout", "n0.mic0", DONE), ("swapin", "n0.mic0", DONE)
+    ]
+    assert [m.name for m in FleetManager.all_of(server.sim)] == ["sched.n0.mic0"]
 
 
 def test_swap_scheduler_noop_when_room_exists():
@@ -149,9 +187,9 @@ def test_card_repair_reboots_daemons_and_accepts_work():
         ev = injector.schedule_card_failure(server.node.phis[0], at=1.0,
                                             repair_after=2.0)
         yield ev
-        assert injector.is_failed(server.node.phis[0])
+        assert server.node.phis[0].failed
         yield sim.timeout(2.5)  # past the repair
-        assert not injector.is_failed(server.node.phis[0])
+        assert not server.node.phis[0].failed
         # The rebooted daemons accept a brand new offload application.
         app = _App(server, profile("MC", iterations=5), device=0)
         yield from app.launch()
@@ -236,5 +274,5 @@ def test_fail_now_kills_card_synchronously():
     assert n_procs > 0
     ev = injector.fail_now(phi)
     assert ev.triggered and ev.value is phi
-    assert injector.is_failed(phi)
+    assert phi.failed
     assert len(phi.os.processes) == 0

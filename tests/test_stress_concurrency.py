@@ -4,22 +4,29 @@ protocol, all verifying their results."""
 
 import pytest
 
-from repro.apps.openmp import make_app, run_benchmark, suite, profile
-from repro.apps import expected_checksum
+from repro.apps import OPENMP_BENCHMARKS, expected_checksum
 from repro.coi import COIEngine, OffloadBinary, OffloadFunction
 from repro.hw import MB
 from repro.snapify import checkpoint_offload_app, snapify_t
 from repro.snapify.usecases import snapify_migration
-from repro.testbed import XeonPhiServer
+from repro.testbed import XeonPhiServer, offload_app
+
+
+def run_benchmark(server, name, iterations):
+    """Run the named catalogue benchmark to completion on ``server``."""
+    app = offload_app(server, name, iterations=iterations)
+    server.run(app.run_to_completion())
+    return app
 
 
 def test_openmp_helpers():
     server = XeonPhiServer()
     app = run_benchmark(server, "MC", iterations=8)
     assert app.finished
-    assert len(list(suite())) == 8
+    assert app.verify()
+    assert len(OPENMP_BENCHMARKS) == 8
     with pytest.raises(KeyError):
-        profile("NOPE")
+        offload_app(server, "NOPE")
 
 
 def test_three_apps_with_interleaved_snapshots():
@@ -27,9 +34,9 @@ def test_three_apps_with_interleaved_snapshots():
     while the others keep running; all three finish correctly."""
     server = XeonPhiServer()
     apps = [
-        make_app(server, "MC", iterations=60, device=0),
-        make_app(server, "KM", iterations=400, device=0),
-        make_app(server, "MD", iterations=1200, device=1),
+        offload_app(server, "MC", iterations=60, device=0),
+        offload_app(server, "KM", iterations=400, device=0),
+        offload_app(server, "MD", iterations=1200, device=1),
     ]
 
     def driver(sim):
@@ -113,7 +120,8 @@ def test_concurrent_host_threads_share_one_pipeline():
 
 def test_full_suite_smoke():
     """Every benchmark in the suite runs (short) and verifies."""
-    for p in suite():
+    for name in OPENMP_BENCHMARKS:
         server = XeonPhiServer()
-        app = run_benchmark(server, p.name, iterations=5)
+        app = run_benchmark(server, name, iterations=5)
+        assert app.verify()
         assert app.host_proc.store["checksum"] == expected_checksum(5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.calibration import mpi_cluster_testbed, paper_testbed
+from repro.calibration import paper_testbed
 from repro.coi import COIDaemon
 from repro.hw import GB, KB, MB, describe
 from repro.metrics import ResultTable, fmt_bytes, fmt_time
@@ -37,6 +37,7 @@ def test_server_engines_map_to_devices():
 def test_cluster_matches_paper_mpi_testbed():
     cluster = XeonPhiCluster(n_nodes=4)
     assert len(cluster) == 4
+    assert cluster.params == paper_testbed(phis_per_node=1)
     for server in cluster.servers:
         # Fig. 11's cluster: ONE 8 GB Phi per node.
         assert len(server.node.phis) == 1
@@ -51,7 +52,6 @@ def test_paper_testbed_matches_table2():
     assert params.phi.threads_per_core == 4
     assert params.phi.memory.capacity == 8 * GB
     assert params.phis_per_node == 2
-    assert mpi_cluster_testbed().phis_per_node == 1
 
 
 def test_describe_smoke():
