@@ -42,10 +42,18 @@ class BandwidthLink:
         reg.gauge(f"link.{name}.utilization", self.utilization)
 
     def occupy(self, nbytes: int, extra_latency: float = 0.0):
-        """Sub-generator: hold the link for the duration of the transfer."""
+        """Sub-generator: hold the link for the duration of the transfer.
+
+        A free link is taken without a resume, so an uncontended hop costs
+        the one heap entry of its sleep. A transfer that finds the link held
+        parks on the mutex's FIFO acquire event, which names the holder in
+        ``wait_for_graph()``.
+        """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        yield self._mutex.acquire()
+        mutex = self._mutex
+        if not mutex.try_acquire():
+            yield mutex.acquire()
         try:
             duration = extra_latency + nbytes / self.bandwidth
             yield self.sim.sleep(duration)

@@ -100,6 +100,9 @@ class FaultInjector:
 
     def _fail(self, phi: PhiDevice, ev: Event) -> None:
         if phi.failed:
+            # Already dead (by this injector or another on the simulator):
+            # the waiter still sees its fault, but only the first is logged.
+            ev.succeed(phi)
             return
         phi.failed = True
         self.injected.append(f"card_failure:{phi.index}")

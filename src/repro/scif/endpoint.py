@@ -18,7 +18,8 @@ import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..hw.node import ServerNode
-from ..hw.pcie import DEVICE_TO_HOST, HOST_TO_DEVICE, PCIeLink
+from ..hw.params import PCIeParams
+from ..hw.pcie import DEVICE_TO_HOST, HOST_TO_DEVICE, BandwidthLink, PCIeLink
 from ..obs.registry import MetricsRegistry
 from ..sim.channel import Channel
 from ..sim.errors import SimError
@@ -67,6 +68,18 @@ def _segments(src_os: "OSInstance", dst_os: "OSInstance") -> List[Tuple[PCIeLink
     if not isinstance(src_hw, ServerNode) and not isinstance(dst_hw, ServerNode):
         return [(src_hw.link, DEVICE_TO_HOST), (dst_hw.link, HOST_TO_DEVICE)]
     raise ScifError("host-to-host SCIF connections are not part of the model")
+
+
+#: One hop of a route: the link direction it occupies and its link's costs.
+Hop = Tuple[BandwidthLink, PCIeParams]
+
+#: Size of a control message on the wire (handshakes, sync receipts).
+_CTRL_BYTES = 64
+
+
+def _route(src_os: "OSInstance", dst_os: "OSInstance") -> List[Hop]:
+    """The hops of :func:`_segments` as link directions, ready to occupy."""
+    return [(link._direction(d), link.params) for link, d in _segments(src_os, dst_os)]
 
 
 class ScifNetwork:
@@ -146,18 +159,19 @@ class ScifNetwork:
         for os_ in (src_os, dst_os):
             if os_.kind == os_.PHI and os_.hw.link_down:
                 raise ScifError(f"connect: PCIe link down on {os_.name}")
+        # An OS instance's hardware is fixed at boot, so these routes hold
+        # for the endpoints' whole life.
+        out, back = _route(src_os, dst_os), _route(dst_os, src_os)
         client = ScifEndpoint(self.sim, src_os, port=next(self._ephemeral), proc=proc)
         server = ScifEndpoint(self.sim, dst_os, port=dst_port)
-        client._attach(server)
-        server._attach(client)
+        client._attach(server, out, back)
+        server._attach(client, back, out)
         self._m_connects.inc()
         self.register(client)
         self.register(server)
         # Connection handshake: one control message each way.
-        for link, direction in _segments(src_os, dst_os):
-            yield from link.message(direction)
-        for link, direction in _segments(dst_os, src_os):
-            yield from link.message(direction)
+        for blink, params in out + back:
+            yield from blink.occupy(_CTRL_BYTES, params.message_latency)
         yield backlog.send(server)
         return client
 
@@ -195,6 +209,9 @@ class ScifEndpoint:
         self.eid = next(ids)
         self.proc = proc
         self.peer: Optional["ScifEndpoint"] = None
+        #: Hops toward the peer and back (empty for loopback).
+        self._out: List[Hop] = []
+        self._in: List[Hop] = []
         self._rx = Channel(sim, name=f"scif.ep{self.eid}.rx")
         self._m_msgs = MetricsRegistry.of(sim).counter("scif.messages")
         self.closed = False
@@ -206,20 +223,23 @@ class ScifEndpoint:
             # Duck-typed cleanup: SimProcess.terminate() calls close().
             proc.open_fds.append(self)  # type: ignore[arg-type]
 
-    def _attach(self, peer: "ScifEndpoint") -> None:
+    def _attach(self, peer: "ScifEndpoint", out: List[Hop], back: List[Hop]) -> None:
         self.peer = peer
+        self._out = out
+        self._in = back
 
     # -- messaging -------------------------------------------------------------
-    def send(self, msg: Any, nbytes: int = 64):
+    def send(self, msg: Any, nbytes: int = _CTRL_BYTES):
         """Sub-generator: scif_send() of a control message."""
         if self.closed:
             raise ScifError(f"ep{self.eid}: send on closed endpoint")
         peer = self.peer
         if peer is None or peer.closed:
             raise ConnectionReset(f"ep{self.eid}: peer gone")
-        for link, direction in _segments(self.os, peer.os):
-            yield from link.message(direction, nbytes)
-        if not _segments(self.os, peer.os):
+        if self._out:
+            for blink, params in self._out:
+                yield from blink.occupy(nbytes, params.message_latency)
+        else:
             yield self.sim.sleep(1e-6)  # loopback
         self._m_msgs.inc()
         yield peer._rx.send(msg)
@@ -239,8 +259,8 @@ class ScifEndpoint:
         yield ack
         peer = self.peer
         if peer is not None and not peer.closed:
-            for link, direction in _segments(peer.os, self.os):
-                yield from link.message(direction)
+            for blink, params in self._in:
+                yield from blink.occupy(_CTRL_BYTES, params.message_latency)
 
     def recv(self) -> Event:
         """Event for the next scif_recv() message (sync sends unwrapped)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .endpoint import ScifEndpoint, ScifError, _segments
+from .endpoint import ScifEndpoint, ScifError
 from .registry import check_local_window, check_remote_window
 
 
@@ -29,20 +29,18 @@ def _rdma_transfer(ep: ScifEndpoint, nbytes: int, toward_peer: bool):
         raise ScifError(f"ep{ep.eid}: RDMA with no live peer")
     if nbytes < 0:
         raise ScifError("negative RDMA size")
-    src_os, dst_os = (ep.os, peer.os) if toward_peer else (peer.os, ep.os)
-    segs = _segments(src_os, dst_os)
-    if not segs:
+    hops = ep._out if toward_peer else ep._in
+    if not hops:
         # Loopback RDMA: charge a memcpy on the local pool.
         yield ep.sim.sleep(ep.os.memory.memcpy_time(nbytes))
         return
     t0 = ep.sim.now
-    for link, direction in segs:
-        yield from link.rdma(direction, nbytes)
-    if len(segs) == 2:
+    for blink, params in hops:
+        yield from blink.occupy(nbytes, params.rdma_op_latency)
+    if len(hops) == 2:
         # Device-to-device: the root complex paces P2P traffic far below
         # the raw per-hop DMA rate.
-        p2p_bw = segs[0][0].params.p2p_bw
-        floor = nbytes / p2p_bw
+        floor = nbytes / hops[0][1].p2p_bw
         elapsed = ep.sim.now - t0
         if elapsed < floor:
             yield ep.sim.sleep(floor - elapsed)
@@ -62,7 +60,9 @@ def scif_vreadfrom(ep: ScifEndpoint, remote_offset: int, nbytes: int, payload: A
     return payload
 
 
-def scif_writeto(ep: ScifEndpoint, local_offset: int, remote_offset: int, nbytes: int, payload: Any = None):
+def scif_writeto(
+    ep: ScifEndpoint, local_offset: int, remote_offset: int, nbytes: int, payload: Any = None
+):
     """Sub-generator: registered-to-registered push."""
     check_local_window(ep, local_offset, nbytes)
     check_remote_window(ep, remote_offset, nbytes)
@@ -70,7 +70,9 @@ def scif_writeto(ep: ScifEndpoint, local_offset: int, remote_offset: int, nbytes
     return payload
 
 
-def scif_readfrom(ep: ScifEndpoint, local_offset: int, remote_offset: int, nbytes: int, payload: Any = None):
+def scif_readfrom(
+    ep: ScifEndpoint, local_offset: int, remote_offset: int, nbytes: int, payload: Any = None
+):
     """Sub-generator: registered-to-registered pull."""
     check_local_window(ep, local_offset, nbytes)
     check_remote_window(ep, remote_offset, nbytes)

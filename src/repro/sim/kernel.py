@@ -19,13 +19,15 @@ and the run loops below, so this module trades a little beauty for speed:
   closure is allocated per wait.
 * Yielding an already-triggered event skips waiter registration entirely
   and re-schedules the thread straight onto the heap.
-* ``yield sim.sleep(d)`` allocates no event. ``sleep`` only validates the
-  delay and returns it as a float; ``_step`` pushes
-  ``(now + d, k, _wake, (thread, k))`` and ``_wake`` pushes the usual
-  ``(now, k', thread._bstep, (None, None))`` resume. These are the two
-  entries, with the same sequence draws, that ``yield sim.timeout(d)``
-  makes (the timer's ``succeed``, then the waiter's resume), so the two
-  forms order identically. The key ``k`` is the sleep's token: a thread
+* ``yield sim.sleep(d)`` allocates no event and costs one heap entry.
+  ``sleep`` only validates the delay and returns it as a float; ``_step``
+  pushes ``(now + d, k, _wake, (thread, k))`` and ``_wake`` runs the
+  thread's ``_bstep(None, None)`` in that same dispatch. A sleeper thus
+  resumes exactly where a ``sim.schedule(d, fn)`` callback drawn at the
+  same instant would run, one sequence draw per sleep. ``yield
+  sim.timeout(d)`` takes two entries (the timer's ``succeed``, then the
+  waiter's resume), so it resumes later among same-time entries than the
+  sleep it replaces would. The key ``k`` is the sleep's token: a thread
   interrupted or killed mid-sleep ignores the stale wake, even if it has
   gone back to sleep since.
 * ``_ready``/``spawn`` push heap entries inline instead of going through
@@ -33,7 +35,8 @@ and the run loops below, so this module trades a little beauty for speed:
 * The bound ``_step`` method is created once per thread (``_bstep``), not
   once per resume.
 
-None of this may change wakeup ordering: heap entries remain
+The sleep rule above is the kernel's ordering contract for ``sleep``; the
+other shortcuts may not change wakeup ordering: heap entries remain
 ``(time, seq, fn, args)`` with ``seq`` drawn in the same places as the
 straightforward implementation, so trace orderings are byte-identical.
 
@@ -77,9 +80,7 @@ _SLEEP = Event(None, name="sleep")  # type: ignore[arg-type]
 def _wake(thread: "Thread", key: Any) -> None:
     """Timer entry of ``sim.sleep``: resume ``thread`` if still in sleep ``key``."""
     if thread._waiting_on is _SLEEP and thread._sleep_key is key:
-        thread._waiting_on = None
-        sim = thread.sim
-        heappush(sim._heap, (sim.now, next(sim._seq), thread._bstep, (None, None)))
+        thread._bstep(None, None)
 
 
 def _ended_step(value: Any, exc: Optional[BaseException]) -> None:
@@ -326,9 +327,10 @@ class Simulator:
 
         Returns the delay as a float for the yielding thread's ``_step``,
         which blocks the thread on a bare heap entry instead of an event.
-        Ordering is exactly that of ``yield sim.timeout(delay)``; use
-        :meth:`timeout` only where the delay must compose with other
-        events (``any_of``) or carry a value.
+        The thread resumes from that one entry, where ``schedule(delay, fn)``
+        called at the same instant would run ``fn``. Use :meth:`timeout`
+        only where the delay must compose with other events (``any_of``)
+        or carry a value.
         """
         if delay < 0:
             raise ValueError(f"negative sleep: {delay}")

@@ -276,3 +276,26 @@ def test_fail_now_kills_card_synchronously():
     assert ev.triggered and ev.value is phi
     assert phi.failed
     assert len(phi.os.processes) == 0
+
+
+@pytest.mark.parametrize("second", ["same_injector", "other_injector"])
+def test_second_fault_on_a_dead_card_still_fires(second):
+    """A fault aimed at a card that is already dead still triggers its
+    event, so nothing waiting on it parks; only the first one is logged."""
+    server = XeonPhiServer()
+    injector = FaultInjector(server.sim)
+    again = injector if second == "same_injector" else FaultInjector(server.sim)
+    phi = server.node.phis[0]
+    injector.fail_now(phi)
+    ev = again.fail_now(phi)
+    assert ev.triggered and ev.value is phi
+
+    def waiter(sim):
+        t0 = sim.now
+        dead = yield again.schedule_card_failure(phi, at=t0 + 0.1)
+        return dead, sim.now - t0
+
+    assert server.run(waiter(server.sim)) == (phi, pytest.approx(0.1))
+    assert injector.injected == ["card_failure:0"]
+    if again is not injector:
+        assert again.injected == []

@@ -1,8 +1,9 @@
 """``Simulator.sleep``: the event-free cost sleep.
 
-``yield sim.sleep(d)`` must be indistinguishable from ``yield sim.timeout(d)``
-in ordering (same two heap entries, same sequence draws) while allocating
-no event. These tests pin the ordering equivalence, the interrupt/kill
+``yield sim.sleep(d)`` costs one heap entry and no event: the sleeper resumes
+from its timer entry, exactly where a ``sim.schedule(d, fn)`` callback drawn
+at the same instant would run, with one sequence draw per sleep. These tests
+pin that ordering against a callback-chain twin, the interrupt/kill
 interactions of the sleep token, the allocation claim, and a source guard
 that keeps the event form out of the package's direct yields.
 """
@@ -169,38 +170,51 @@ def test_kill_mid_sleep():
     assert cleaned == [("finally", 4.0)]
     assert isinstance(t.done.exception, ThreadKilled)
     assert t.blocked_on is None
-    # The stale wake still pops (same heap entries as a timeout), harmlessly.
+    # The stale wake entry still pops at t=10 and resumes nothing.
     assert sim.now == 10.0
 
 
 # ---------------------------------------------------------------------------
-# Ordering: a sleep is a timeout, entry for entry
+# Ordering: a sleep is a scheduled callback, entry for entry
 # ---------------------------------------------------------------------------
 
 
 def _mixed_workload(sim, use_sleep):
-    """Threads and raw entries colliding at shared instants; returns the log."""
+    """Sleepers and raw entries colliding at shared instants; returns the
+    log and the next sequence key. With ``use_sleep=False`` each sleeper is
+    replaced by its callback-chain twin."""
     log = []
-
-    def nap(d):
-        return sim.sleep(d) if use_sleep else sim.timeout(d)
 
     def sleeper(name, delays):
         for d in delays:
-            yield nap(d)
+            yield sim.sleep(d)
             log.append((name, sim.now))
 
+    def hop(name, delays, i):
+        # Twin of ``sleeper``: hop 0 stands for the thread's first step,
+        # each later hop for the resume after one sleep.
+        if i:
+            log.append((name, sim.now))
+        if i < len(delays):
+            sim.schedule(delays[i], hop, name, delays, i + 1)
+
+    def start(name, delays):
+        if use_sleep:
+            sim.spawn(sleeper(name, delays), name=name)
+        else:
+            sim.schedule(0.0, hop, name, delays, 0)  # where spawn queues step one
+
     def timer_user(name):
-        # Always the event form, so the two variants interleave with it.
+        # Always the event form, so both variants interleave with it.
         yield sim.timeout(1.0)
         log.append((name, sim.now))
         yield sim.any_of([sim.timeout(1.0), sim.event("never")])
         log.append((name, sim.now))
 
-    sim.spawn(sleeper("a", [1.0, 1.0, 0.0, 0.5]), name="a")
-    sim.spawn(sleeper("b", [0.5, 0.5, 1.0]), name="b")
+    start("a", [1.0, 1.0, 0.0, 0.5])
+    start("b", [0.5, 0.5, 1.0])
     sim.spawn(timer_user("c"), name="c")
-    sim.spawn(sleeper("d", [2.0, 0.0, 0.0]), name="d")
+    start("d", [2.0, 0.0, 0.0])
     sim.schedule(1.0, log.append, ("sched", 1.0))
     sim.at(2.0).add_callback(lambda ev: log.append(("at", sim.now)))
     sim.timeout(2.0).add_callback(lambda ev: log.append(("timeout-cb", sim.now)))
@@ -209,11 +223,11 @@ def _mixed_workload(sim, use_sleep):
 
 
 @pytest.mark.parametrize("schedule_seed", [None, 0, 1, 2, 3, 20])
-def test_same_time_ordering_matches_the_timeout_path(schedule_seed):
+def test_same_time_ordering_matches_a_schedule_callback(schedule_seed):
     by_sleep = _mixed_workload(Simulator(schedule_seed=schedule_seed), True)
-    by_timeout = _mixed_workload(Simulator(schedule_seed=schedule_seed), False)
+    by_callback = _mixed_workload(Simulator(schedule_seed=schedule_seed), False)
     # Same log and the same number of sequence draws (heap entries).
-    assert by_sleep == by_timeout
+    assert by_sleep == by_callback
 
 
 @pytest.mark.parametrize("schedule_seed", [5, 6, 7])
