@@ -46,7 +46,7 @@ def run_concurrent(n: int):
     t0 = server.now
 
     def driver(sim):
-        return (yield from snapshot_application(snaps, kind="checkpoint"))
+        return (yield from snapshot_application(snaps))
 
     results = server.run(driver(server.sim))
     return server.now - t0, results, snaps

@@ -38,7 +38,7 @@ def main() -> None:
         print(f"\n[{sim.now:7.3f}s] mixed sweep: 4 ops/card "
               f"(caps: {manager.max_in_flight} in flight, "
               f"{manager.per_card_limit}/card)")
-        result = yield from fleet_sweep(fleet, manager, ops_per_card=4)
+        result = yield from fleet_sweep(fleet, manager)
         result.raise_on_error()
         print(result.summary())
         for card, tickets in sorted(result.by_card().items()):
@@ -52,7 +52,7 @@ def main() -> None:
         dead = fleet.cards()[0]
         print(f"\n[{sim.now:7.3f}s] killing card {dead.key}; sweeping again...")
         injector.fail_now(fleet.phi(dead))
-        result = yield from fleet_sweep(fleet, manager, ops_per_card=4)
+        result = yield from fleet_sweep(fleet, manager)
         print(result.summary())
         own = [t for t in result.failures.values() if t.card.key == dead.key]
         assert len(own) == 4, "expected all of the dead card's ops to fail"

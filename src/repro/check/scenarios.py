@@ -276,7 +276,7 @@ def _concurrent_checkpoint(server, app, injector, phase, faults):
         snapify_t("/fz/cc/dual1", coiproc=dual[1]),
     ]
     expected_pids = [s.coiproc.offload_proc.pid for s in snaps]
-    results = yield from snapshot_application(snaps, kind="checkpoint")
+    results = yield from snapshot_application(snaps)
 
     bad: List[Violation] = []
     for snap, pid, res in zip(snaps, expected_pids, results):
@@ -391,7 +391,7 @@ def _fleet(server, app, injector, phase, faults):
         injector.schedule_card_failure(fleet.phi(card), at=sim.now + f["at"])
 
     yield from manager.health_sweep()  # baseline probe of every card
-    result = yield from fleet_sweep(fleet, manager, ops_per_card=4)
+    result = yield from fleet_sweep(fleet, manager)
     after = yield from manager.health_sweep()
 
     bad: List[Violation] = []

@@ -23,7 +23,6 @@ from .fleet import (
     CardHealth,
     CardRef,
     FleetManager,
-    FleetRequest,
     FleetResult,
     FleetTicket,
     HealthReport,
@@ -53,7 +52,6 @@ __all__ = [
     "CardHealth",
     "CardRef",
     "FleetManager",
-    "FleetRequest",
     "FleetResult",
     "FleetTicket",
     "HealthReport",

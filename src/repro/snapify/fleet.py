@@ -17,8 +17,8 @@ results), adapted to the simulated control plane:
   scheduler swap traffic, which beats background checkpoints.  Within a
   priority, admission is FIFO, except that a request whose card is at its
   per-card cap never blocks a request for an idle card behind it.
-* **Batched submission, keyed results** — ``submit_batch`` takes keyed
-  requests and ``collect`` returns a :class:`FleetResult` mapping every
+* **Keyed submission, keyed results** — ``submit`` takes one keyed
+  request and ``collect`` returns a :class:`FleetResult` mapping every
   key to its outcome, aggregating partial failures instead of dying on the
   first one (a fleet where 3 of 300 cards are sick is the *normal* case).
 * **Health sweeps** — calibration-style: probe every card with a small
@@ -86,37 +86,27 @@ class CardRef:
         return self.key
 
 
-@dataclass
-class FleetRequest:
-    """One keyed unit of fleet work, before admission.
-
-    ``work`` is a zero-argument callable returning the sub-generator that
-    performs the operation (a factory, so the generator is created only
-    when the request is admitted); ``proc`` optionally names the host
-    process whose context the work runs in (operations on a ``snapify_t``
-    want their own host process, probes are fine on a bare kernel thread).
-    """
-
-    key: str
-    kind: str
-    work: Callable[[], Generator]
-    card: Optional[CardRef] = None
-    priority: int = BACKGROUND
-    proc: Optional[Any] = None
-
-
 class FleetTicket:
     """One submitted request: its queue position, progress, and outcome."""
 
     __slots__ = ("key", "kind", "card", "priority", "state", "submitted",
                  "admitted", "finished", "result", "error", "done",
-                 "_request")
+                 "work", "proc")
 
-    def __init__(self, request: FleetRequest, now: float, done: Event):
-        self.key = request.key
-        self.kind = request.kind
-        self.card = request.card
-        self.priority = request.priority
+    def __init__(self, key: str, kind: str, work: Callable[[], Generator],
+                 card: Optional[CardRef], priority: int, proc: Any,
+                 now: float, done: Event):
+        self.key = key
+        self.kind = kind
+        self.card = card
+        self.priority = priority
+        #: Zero-argument factory for the sub-generator that performs the
+        #: work (called only at admission); ``proc`` optionally names the
+        #: host process whose context it runs in (operations on a
+        #: ``snapify_t`` want their own host process, probes are fine on a
+        #: bare kernel thread).
+        self.work = work
+        self.proc = proc
         self.state = QUEUED
         self.submitted = now
         self.admitted: Optional[float] = None
@@ -129,7 +119,6 @@ class FleetTicket:
         #: collect() over a partly-failed batch still completes; inspect
         #: ``state``/``error`` for the verdict).
         self.done = done
-        self._request = request
 
     @property
     def ok(self) -> bool:
@@ -236,6 +225,14 @@ class CardHealth:
     error: Optional[str] = None
 
 
+#: Robust z-score above which a healthy card counts as a straggler.
+STRAGGLER_Z = 3.5
+#: Seconds a straggler must also sit above the fleet median.
+STRAGGLER_MIN_SPREAD = 0.010
+#: Bytes each health probe writes and reads back on a card's RAM-FS.
+PROBE_BYTES = 1024 * 1024
+
+
 class HealthReport:
     """All cards' probe outcomes from one sweep, with outlier analysis."""
 
@@ -260,20 +257,20 @@ class HealthReport:
             return lats[mid]
         return (lats[mid - 1] + lats[mid]) / 2.0
 
-    def stragglers(self, z: float = 3.5, min_spread: float = 0.010) -> List[CardHealth]:
-        """Healthy cards whose probe latency sits more than ``z`` robust
-        sigmas above the fleet median — loaded, degraded, or contended
-        cards the scheduler should deprioritize before they become
-        pause-time outliers.
+    def stragglers(self) -> List[CardHealth]:
+        """Healthy cards whose probe latency sits more than
+        :data:`STRAGGLER_Z` robust sigmas above the fleet median — loaded,
+        degraded, or contended cards the scheduler should deprioritize
+        before they become pause-time outliers.
 
         Uses the MAD-based z-score from :func:`repro.obs.slo.robust_zscores`
         (the same detector the telemetry :class:`~repro.obs.slo.StragglerSLO`
         evaluates live) instead of the old ad-hoc 3x-median threshold,
         which misfired on tightly-clustered fleets and under-fired on
-        noisy ones.  ``min_spread`` floors the absolute deviation: a card
-        must also sit that many seconds above the median, so microsecond
-        jitter on a tightly-clustered fleet never flags (a tiny MAD would
-        otherwise inflate it into a huge z-score)."""
+        noisy ones.  :data:`STRAGGLER_MIN_SPREAD` floors the absolute
+        deviation: a card must also sit that many seconds above the
+        median, so microsecond jitter on a tightly-clustered fleet never
+        flags (a tiny MAD would otherwise inflate it into a huge z-score)."""
         from ..obs.slo import robust_zscores
 
         lats = {h.card: h.latency for h in self.healthy if h.latency is not None}
@@ -282,8 +279,9 @@ class HealthReport:
         scores = robust_zscores(lats)
         median = sorted(lats.values())[len(lats) // 2]
         return [h for h in self.healthy
-                if h.latency is not None and scores.get(h.card, 0.0) > z
-                and h.latency - median > min_spread]
+                if h.latency is not None
+                and scores.get(h.card, 0.0) > STRAGGLER_Z
+                and h.latency - median > STRAGGLER_MIN_SPREAD]
 
     def summary(self) -> str:
         bits = [f"health sweep @ {self.when:.3f}s: {len(self.entries)} cards, "
@@ -306,7 +304,7 @@ class FleetManager:
     One manager drives one fleet (usually a
     :class:`~repro.testbed.XeonPhiFleet`, but anything exposing ``sim``,
     ``cards()`` and ``phi(card)`` works).  Submission is non-blocking:
-    ``submit``/``submit_batch`` enqueue and return tickets immediately;
+    ``submit`` enqueues and returns a ticket immediately;
     admission happens as in-flight slots free up, strictly by priority and
     FIFO within a priority.  ``collect`` waits for a batch and returns its
     keyed :class:`FleetResult`.
@@ -384,36 +382,26 @@ class FleetManager:
                card: Optional[CardRef] = None, priority: int = BACKGROUND,
                proc: Any = None) -> FleetTicket:
         """Enqueue one keyed unit of work; returns its ticket immediately."""
-        return self.submit_batch([FleetRequest(
-            key=key, kind=kind, work=work, card=card, priority=priority,
-            proc=proc,
-        )])[0]
-
-    def submit_batch(self, requests: Sequence[FleetRequest]) -> List[FleetTicket]:
-        """Enqueue a batch; returns one ticket per request, in order."""
-        tickets = []
-        for req in requests:
-            if req.priority not in self._queues:
-                raise ValueError(f"unknown priority {req.priority!r}")
-            done = Event(self.sim, name=f"{self.name}:{req.key}.done")
-            ticket = FleetTicket(req, self.sim.now, done)
-            self.tickets.append(ticket)
-            self._queues[req.priority].append(ticket)
-            self.m_submitted.inc()
-            self._prio_submitted[req.priority].inc()
-            self.sim.trace.emit(
-                "fleet.submit", key=req.key, kind=req.kind,
-                card=req.card.key if req.card else None,
-                priority=PRIORITY_NAMES[req.priority],
-            )
-            tickets.append(ticket)
+        if priority not in self._queues:
+            raise ValueError(f"unknown priority {priority!r}")
+        done = Event(self.sim, name=f"{self.name}:{key}.done")
+        ticket = FleetTicket(key, kind, work, card, priority, proc,
+                             self.sim.now, done)
+        self.tickets.append(ticket)
+        self._queues[priority].append(ticket)
+        self.m_submitted.inc()
+        self._prio_submitted[priority].inc()
+        self.sim.trace.emit(
+            "fleet.submit", key=key, kind=kind,
+            card=card.key if card else None,
+            priority=PRIORITY_NAMES[priority],
+        )
         self._pump()
-        return tickets
+        return ticket
 
     # -- the standard operation submitters ------------------------------------
     def submit_checkpoint(self, key: str, snap: Any, *,
-                          card: Optional[CardRef] = None,
-                          priority: int = BACKGROUND) -> FleetTicket:
+                          card: Optional[CardRef] = None) -> FleetTicket:
         """A full non-terminating checkpoint cycle on a prepared handle."""
         from .ops import capture_sequence
 
@@ -421,12 +409,11 @@ class FleetManager:
             return (yield from capture_sequence(snap))
 
         return self.submit(key, "checkpoint", work, card=card,
-                           priority=priority, proc=snap.coiproc.host_proc)
+                           priority=BACKGROUND, proc=snap.coiproc.host_proc)
 
     def submit_swap_cycle(self, key: str, coiproc: Any, engine: Any,
                           snapshot_path: str, *,
-                          card: Optional[CardRef] = None,
-                          priority: int = SWAP) -> FleetTicket:
+                          card: Optional[CardRef] = None) -> FleetTicket:
         """Swap a process out to ``snapshot_path`` and straight back in on
         ``engine`` — the scheduler's make-room/reclaim pair as one keyed
         fleet operation."""
@@ -439,13 +426,12 @@ class FleetManager:
             yield from snapify_swapin(snap, engine, host_proc)
             return snap.op.result
 
-        return self.submit(key, "swap", work, card=card, priority=priority,
+        return self.submit(key, "swap", work, card=card, priority=SWAP,
                            proc=host_proc)
 
     def submit_migrate(self, key: str, coiproc: Any, engine_to: Any,
                        snapshot_path: str, *,
-                       card: Optional[CardRef] = None,
-                       priority: int = MAINTENANCE) -> FleetTicket:
+                       card: Optional[CardRef] = None) -> FleetTicket:
         """Migrate a process to ``engine_to`` (maintenance priority: this
         is how a card is evacuated)."""
         from .usecases import snapify_migration
@@ -456,13 +442,12 @@ class FleetManager:
             )
             return swapin
 
-        return self.submit(key, "migrate", work, card=card, priority=priority,
-                           proc=coiproc.host_proc)
+        return self.submit(key, "migrate", work, card=card,
+                           priority=MAINTENANCE, proc=coiproc.host_proc)
 
     def submit_reseed(self, key: str, coiproc: Any, host_os: Any,
                       engine_to: Any, snapshot_path: str, *,
                       card: Optional[CardRef] = None,
-                      priority: int = MAINTENANCE,
                       integrate: Optional[Callable[[Any], None]] = None) -> FleetTicket:
         """Clone a healthy replica onto a spare card (maintenance priority:
         this is how a degraded replication team regains redundancy).
@@ -487,8 +472,8 @@ class FleetManager:
                 integrate(result)
             return result.result
 
-        return self.submit(key, "reseed", work, card=card, priority=priority,
-                           proc=coiproc.host_proc)
+        return self.submit(key, "reseed", work, card=card,
+                           priority=MAINTENANCE, proc=coiproc.host_proc)
 
     # -- the memory tier ------------------------------------------------------
     def memory_tier(self):
@@ -501,9 +486,7 @@ class FleetManager:
             tier.register_fleet(self.fleet)
         return tier
 
-    def submit_demotion(self, key: str, path: str, host_os: Any, *,
-                        card: Optional[CardRef] = None, release: bool = False,
-                        priority: int = BACKGROUND) -> FleetTicket:
+    def submit_demotion(self, key: str, path: str, host_os: Any) -> FleetTicket:
         """Demote an incremental chain to the host NFS export as a
         BACKGROUND ticket — durability insurance off the capture critical
         path. The work retries over transient NFS outages; an export that
@@ -511,19 +494,17 @@ class FleetManager:
         tier = self.memory_tier()
 
         def work():
-            total = yield from tier.demote_with_retry(path, host_os,
-                                                      release=release)
-            return total
+            return (yield from tier.demote_with_retry(path, host_os))
 
-        return self.submit(key, "demote", work, card=card, priority=priority)
+        return self.submit(key, "demote", work, priority=BACKGROUND)
 
     # -- collection -----------------------------------------------------------
-    def collect(self, tickets: Sequence[FleetTicket], *,
-                raise_on_error: bool = False):
+    def collect(self, tickets: Sequence[FleetTicket]):
         """Sub-generator: wait until every ticket is terminal; returns the
-        keyed :class:`FleetResult`.  Duplicate keys in one batch are a
-        caller bug and rejected up front (the result map would silently
-        drop outcomes)."""
+        keyed :class:`FleetResult`, failures included (its
+        :meth:`~FleetResult.raise_on_error` aggregates them).  Duplicate
+        keys in one batch are a caller bug and rejected up front (the
+        result map would silently drop outcomes)."""
         keyed: Dict[str, FleetTicket] = {}
         for t in tickets:
             if t.key in keyed:
@@ -532,10 +513,7 @@ class FleetManager:
         pending = [t.done for t in tickets if not t.done.triggered]
         if pending:
             yield self.sim.all_of(pending)
-        result = FleetResult(keyed)
-        if raise_on_error:
-            result.raise_on_error()
-        return result
+        return FleetResult(keyed)
 
     # -- admission ------------------------------------------------------------
     def _card_free(self, card: Optional[CardRef]) -> bool:
@@ -584,11 +562,10 @@ class FleetManager:
         self.sim.trace.emit("fleet.admit", key=ticket.key, kind=ticket.kind,
                             card=ticket.card.key if ticket.card else None,
                             in_flight=self.in_flight)
-        request = ticket._request
         runner = self._run(ticket)
         try:
-            if request.proc is not None:
-                request.proc.spawn_thread(
+            if ticket.proc is not None:
+                ticket.proc.spawn_thread(
                     runner, name=f"fleet:{ticket.key}", daemon=True
                 )
             else:
@@ -601,7 +578,7 @@ class FleetManager:
 
     def _run(self, ticket: FleetTicket):
         try:
-            result = yield from ticket._request.work()
+            result = yield from ticket.work()
         except SnapifyError as exc:
             self._finish(ticket, error=str(exc))
             return
@@ -648,26 +625,24 @@ class FleetManager:
         self._pump()
 
     # -- health sweeps ---------------------------------------------------------
-    def health_sweep(self, cards: Optional[Sequence[CardRef]] = None, *,
-                     probe_bytes: int = 1024 * 1024,
-                     priority: int = MAINTENANCE):
-        """Sub-generator: probe every card (bounded by the same admission
-        machinery as real operations) and return the :class:`HealthReport`.
+    def health_sweep(self):
+        """Sub-generator: probe every card of the fleet at MAINTENANCE
+        priority (bounded by the same admission machinery as real
+        operations) and return the :class:`HealthReport`.
 
         A probe is a small timed RAM-FS write on the card — it rides the
         card's memory bandwidth, so a card saturated by captures shows up
         as a straggler, and a dead card (failed, link down, OS gone) fails
         the probe outright.
         """
-        if cards is None:
-            if self.fleet is None:
-                raise SnapifyError("health_sweep needs a fleet (or explicit cards)")
-            cards = self.fleet.cards()
+        if self.fleet is None:
+            raise SnapifyError("health_sweep needs a fleet")
+        cards = self.fleet.cards()
         sweep_id = next(self._probe_ids)
         tickets = [
             self.submit(f"probe{sweep_id}:{card.key}", "probe",
-                        self._probe_work(card, probe_bytes),
-                        card=card, priority=priority)
+                        self._probe_work(card), card=card,
+                        priority=MAINTENANCE)
             for card in cards
         ]
         result = yield from self.collect(tickets)
@@ -684,7 +659,7 @@ class FleetManager:
                             stragglers=len(report.stragglers()))
         return report
 
-    def _probe_work(self, card: CardRef, probe_bytes: int):
+    def _probe_work(self, card: CardRef):
         def work():
             phi = self.fleet.phi(card)
             if phi.failed:
@@ -695,7 +670,7 @@ class FleetManager:
                 raise SnapifyError(f"{card.key}: no OS booted")
             path = f"/.fleet/probe{next(self._probe_ids)}"
             t0 = self.sim.now
-            yield from phi.os.fs.write(path, probe_bytes)
+            yield from phi.os.fs.write(path, PROBE_BYTES)
             yield from phi.os.fs.read(path)
             phi.os.fs.unlink(path)
             return CardHealth(card=card.key, ok=True, latency=self.sim.now - t0)
@@ -725,16 +700,22 @@ class FleetManager:
 # ---------------------------------------------------------------------------
 
 
-def fleet_sweep(fleet: Any, manager: FleetManager, *, ops_per_card: int = 4,
-                buffer_bytes: int = 4 * 1024 * 1024):
-    """Sub-generator: spawn ``ops_per_card`` offload processes on every card
-    and drive a mixed checkpoint/swap/migrate load through ``manager``.
+#: Offload processes :func:`fleet_sweep` spawns on every card.
+SWEEP_OPS_PER_CARD = 4
+#: Size of each swept process's one COI buffer.
+SWEEP_BUFFER_BYTES = 4 * 1024 * 1024
+
+
+def fleet_sweep(fleet: Any, manager: FleetManager):
+    """Sub-generator: spawn :data:`SWEEP_OPS_PER_CARD` offload processes on
+    every card and drive a mixed checkpoint/swap/migrate load through
+    ``manager``.
 
     Per card, slot ``s`` runs: a swap cycle when ``s % 3 == 1``, a migration
     to the node's next card when ``s % 3 == 2`` (a checkpoint when the node
     has only one card), and a background checkpoint otherwise.  Returns the
-    collected :class:`FleetResult` over all ``cards * ops_per_card`` keyed
-    operations.
+    collected :class:`FleetResult` over all ``cards * SWEEP_OPS_PER_CARD``
+    keyed operations.
     """
     from ..coi import OffloadBinary, OffloadFunction
     from ..testbed import offload_process
@@ -754,7 +735,7 @@ def fleet_sweep(fleet: Any, manager: FleetManager, *, ops_per_card: int = 4,
     prepared: List[Tuple[CardRef, int, Any]] = []
     for card in cards:
         server = fleet.server(card.node)
-        for slot in range(ops_per_card):
+        for slot in range(SWEEP_OPS_PER_CARD):
             binary = OffloadBinary(
                 name=f"fleet_{card.node}_{card.device}_{slot}.so",
                 image_size=8 * 1024 * 1024,
@@ -763,7 +744,7 @@ def fleet_sweep(fleet: Any, manager: FleetManager, *, ops_per_card: int = 4,
             try:
                 coiproc, _ = yield from offload_process(
                     server, f"fl_{card.key}_s{slot}", binary,
-                    device=card.device, buffers=[(buffer_bytes, slot + 1)],
+                    device=card.device, buffers=[(SWEEP_BUFFER_BYTES, slot + 1)],
                 )
             except Exception as exc:
                 prepared.append((card, slot, _dead_card(card, exc)))

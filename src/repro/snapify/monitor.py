@@ -331,27 +331,23 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
     stage_dir = f"{staging}.restore"
     sub = daemon.sim.trace.span("daemon.restore.localstore_in", parent=sp,
                                 node=ls_node)
-    if ls_node == my_node and phi_os.fs.exists(staging):
+    local = ls_node == my_node and phi_os.fs.exists(staging)
+    if local:
         f = phi_os.fs.stat(staging)
         records = list(f.payload) if isinstance(f.payload, list) else []
-        meta = records[-1] if records else {"buffers": {}}
-        for buf_id, info in meta["buffers"].items():
-            staged = f"{stage_dir}/buf_{buf_id}"
-            phi_os.fs.create(staged)
-            yield from phi_os.fs.write(staged, info["size"],
-                                       payload=info["payload"])
-        phi_os.fs.unlink(staging)  # release the staging copy
     else:
         ls_fd = yield from snapifyio_open(phi_os, ls_node, staging, "r",
                                           span=sub.span_id)
         records = yield from _drain_read(ls_fd)
         ls_fd.close()
-        meta = records[-1] if records else {"buffers": {}}
-        for buf_id, info in meta["buffers"].items():
-            staged = f"{stage_dir}/buf_{buf_id}"
-            phi_os.fs.create(staged)
-            yield from phi_os.fs.write(staged, info["size"],
-                                       payload=info["payload"])
+    meta = records[-1] if records else {"buffers": {}}
+    for buf_id, info in meta["buffers"].items():
+        staged = f"{stage_dir}/buf_{buf_id}"
+        phi_os.fs.create(staged)
+        yield from phi_os.fs.write(staged, info["size"],
+                                   payload=info["payload"])
+    if local:
+        phi_os.fs.unlink(staging)  # release the staging copy
     sub.finish()
 
     # 3. Restart the process image. Incremental snapshots live in the

@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.events import Event
 from .monitor import SnapifyError
@@ -297,9 +297,9 @@ class SnapifyOperation:
         self.error = reason
         return self._finalize(FAILED)
 
-    def fail_with(self, message: str, *, phase: Optional[str] = None) -> SnapifyError:
+    def fail_with(self, message: str) -> SnapifyError:
         """Mark the operation failed and build the exception to raise."""
-        self.fail(message, phase=phase)
+        self.fail(message)
         return SnapifyError(message, op_id=self.op_id, phase=self.failed_phase)
 
     def _finalize(self, state: str) -> OperationResult:
@@ -425,27 +425,15 @@ class OperationManager:
         return [op for op in self.operations.values() if not op.is_terminal]
 
     # -- waiting -------------------------------------------------------------
-    def wait(self, op: SnapifyOperation, *, raise_on_error: bool = True):
-        """Sub-generator: block until ``op`` is terminal; returns its result."""
-        if not op.done.triggered:
-            yield op.done
-        if raise_on_error and op.state == FAILED:
-            raise SnapifyError(
-                f"operation {op.kind} failed in {op.failed_phase}: {op.error}",
-                op_id=op.op_id, phase=op.failed_phase,
-            )
-        return op.result
-
-    def wait_all(self, ops: Sequence[SnapifyOperation], *,
-                 raise_on_error: bool = True):
+    def wait_all(self, ops: Sequence[SnapifyOperation]):
         """Sub-generator: block until every operation is terminal. Returns
-        the results in input order; with ``raise_on_error`` a single
-        :class:`SnapifyError` names every failed operation."""
+        the results in input order, or raises one :class:`SnapifyError`
+        that names every failed operation."""
         pending = [op.done for op in ops if not op.done.triggered]
         if pending:
             yield self.sim.all_of(pending)
         failed = [op for op in ops if op.state == FAILED]
-        if raise_on_error and failed:
+        if failed:
             first = failed[0]
             detail = "; ".join(
                 f"op {op.op_id} ({op.kind}) failed in {op.failed_phase}: {op.error}"
@@ -454,31 +442,6 @@ class OperationManager:
             raise SnapifyError(f"{len(failed)} operation(s) failed: {detail}",
                                op_id=first.op_id, phase=first.failed_phase)
         return [op.result for op in ops]
-
-    def wait_map(self, ops: "Mapping[str, SnapifyOperation]", *,
-                 raise_on_error: bool = False):
-        """Sub-generator: block until every keyed operation is terminal.
-
-        Fleet-style waiting: returns ``{key: OperationResult}`` so callers
-        driving many applications at once (one key per app/card) get their
-        outcomes back addressable, failures included.  With
-        ``raise_on_error`` the aggregate error names keys, not op ids.
-        """
-        items = list(ops.items())
-        pending = [op.done for _, op in items if not op.done.triggered]
-        if pending:
-            yield self.sim.all_of(pending)
-        failed = [(key, op) for key, op in items if op.state == FAILED]
-        if raise_on_error and failed:
-            detail = "; ".join(
-                f"{key} ({op.kind}) failed in {op.failed_phase}: {op.error}"
-                for key, op in failed
-            )
-            raise SnapifyError(
-                f"{len(failed)} keyed operation(s) failed: {detail}",
-                op_id=failed[0][1].op_id, phase=failed[0][1].failed_phase,
-            )
-        return {key: op.result for key, op in items}
 
     # -- endpoint demultiplexing ----------------------------------------------
     def recv_reply(self, op: SnapifyOperation, ep: Any):
@@ -545,8 +508,7 @@ class OperationManager:
 # ---------------------------------------------------------------------------
 
 
-def capture_sequence(snap: Any, *, terminate: bool = False,
-                     resume: Optional[bool] = None, between: Any = None):
+def capture_sequence(snap: Any, *, terminate: bool = False, between: Any = None):
     """Sub-generator: one full operation — pause, capture, (``between``),
     wait, and (unless terminated) resume. The canonical five-call order
     every §5 use case shares; ``between`` is an optional sub-generator run
@@ -559,17 +521,13 @@ def capture_sequence(snap: Any, *, terminate: bool = False,
     if between is not None:
         yield from between
     yield from snapify_wait(snap)
-    if resume is None:
-        resume = not terminate
-    if resume:
+    if not terminate:
         yield from snapify_resume(snap)
     return snap.op.result if snap.op is not None else None
 
 
-def snapshot_application(snaps: Sequence[Any], *, terminate: bool = False,
-                         resume: Optional[bool] = None, kind: str = "app-snapshot",
-                         raise_on_error: bool = True):
-    """Sub-generator: snapshot *all* offload processes of an application
+def snapshot_application(snaps: Sequence[Any]):
+    """Sub-generator: checkpoint *all* offload processes of an application
     concurrently (§4: pause/capture/resume applies to every offload process
     of the application in parallel; §5's MPI use case rides this).
 
@@ -577,17 +535,18 @@ def snapshot_application(snaps: Sequence[Any], *, terminate: bool = False,
     may live on different cards and even belong to different host
     processes. Each is driven through the full cycle on its own host-side
     thread; the call returns when every operation is terminal. Returns the
-    :class:`OperationResult` list in input order.
+    :class:`OperationResult` list in input order, or raises one
+    :class:`SnapifyError` naming every failed operation.
     """
     if not snaps:
         return []
     sim = snaps[0].coiproc.sim
     mgr = OperationManager.of(sim)
-    ops = [mgr.begin(kind, snap) for snap in snaps]
+    ops = [mgr.begin("checkpoint", snap) for snap in snaps]
 
     def _worker(snap, op):
         try:
-            yield from capture_sequence(snap, terminate=terminate, resume=resume)
+            yield from capture_sequence(snap)
         except SnapifyError:
             pass  # the operation is marked FAILED; wait_all reports it
         except Exception as exc:  # infrastructure death (card/endpoint gone)
@@ -599,5 +558,4 @@ def snapshot_application(snaps: Sequence[Any], *, terminate: bool = False,
         snap.coiproc.host_proc.spawn_thread(
             _worker(snap, op), name=f"snapify-op{op.op_id}", daemon=True
         )
-    result = yield from mgr.wait_all(ops, raise_on_error=raise_on_error)
-    return result
+    return (yield from mgr.wait_all(ops))

@@ -208,9 +208,6 @@ def transfer_snapshot(
     *,
     kind: str = "transfer",
     manager: Optional[TransferManager] = None,
-    policy=None,
-    proc: Optional[SimProcess] = None,
-    span=None,
 ):
     """Sub-generator: move one snapshot file to SCIF node ``dst_node``
     through the degradation chain (Snapify-IO, then NFS, then scp), as a
@@ -226,14 +223,11 @@ def transfer_snapshot(
     """
     sim = src_os.sim
     mgr = OperationManager.of(sim)
-    op = mgr.begin(kind, span=span)
+    op = mgr.begin(kind)
     op.transition(TRANSFERRING, path=dst_path, node=dst_node)
-    tm = manager if manager is not None else TransferManager(policy=policy)
+    tm = manager if manager is not None else TransferManager()
     try:
-        yield from tm.send_file(
-            src_os, dst_node, src_path, dst_path, proc=proc, op=op,
-            span=int(getattr(span, "span_id", span) or 0),
-        )
+        yield from tm.send_file(src_os, dst_node, src_path, dst_path, op)
     except Exception as exc:
         op.fail(f"{type(exc).__name__}: {exc}")
         raise

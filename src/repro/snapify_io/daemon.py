@@ -95,10 +95,10 @@ class SnapifyIODaemon:
 
     # -- boot ------------------------------------------------------------------
     @staticmethod
-    def boot(os: OSInstance, params: Optional[SnapifyIOParams] = None):
+    def boot(os: OSInstance):
         """Sub-generator: start the daemon on ``os``; returns the daemon."""
         node = os.hw if isinstance(os.hw, ServerNode) else os.hw.node
-        daemon = SnapifyIODaemon(os, params or node.params.snapify_io)
+        daemon = SnapifyIODaemon(os, node.params.snapify_io)
         proc = yield from os.spawn_process(
             "snapify-io-daemon", image_size=4 * 1024 * 1024,
             main_factory=daemon._main_factory(), start=True,

@@ -37,6 +37,10 @@ from ..sim.errors import SimError
 
 #: Memory-pool category for tier-resident snapshot bytes.
 TIER_CATEGORY = "snap_tier"
+#: Demotion attempts before a background demote gives up.
+DEMOTE_ATTEMPTS = 3
+#: Simulated seconds before demotion retry ``n`` is ``n`` times this.
+DEMOTE_BACKOFF = 0.5
 
 
 class TierError(SimError):
@@ -401,21 +405,18 @@ class MemoryTier:
                     self._drop_copy(copy, reason="released")
         return total
 
-    def demote_with_retry(self, path: str, host_os: Any, *, release: bool = False,
-                          retries: int = 3, backoff: float = 0.5):
-        """Sub-generator: :meth:`demote`, retrying over transient NFS
-        outages with linear backoff. Exhausted retries re-raise — the fleet
-        ticket fails, the chain stays safely memory-resident."""
-        last: Optional[TierError] = None
-        for attempt in range(1, max(1, retries) + 1):
+    def demote_with_retry(self, path: str, host_os: Any):
+        """Sub-generator: :meth:`demote`, tried :data:`DEMOTE_ATTEMPTS`
+        times over transient NFS outages with a linear backoff between
+        attempts. The last failure re-raises — the fleet ticket fails, the
+        chain stays safely memory-resident."""
+        for attempt in range(1, DEMOTE_ATTEMPTS + 1):
             try:
-                total = yield from self.demote(path, host_os, release=release)
-                return total
-            except TierError as exc:
-                last = exc
-                if attempt <= retries:
-                    yield self.sim.sleep(backoff * attempt)
-        raise last  # noqa: B904 — the retry chain *is* the cause
+                return (yield from self.demote(path, host_os))
+            except TierError:
+                if attempt == DEMOTE_ATTEMPTS:
+                    raise
+            yield self.sim.sleep(DEMOTE_BACKOFF * attempt)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MemoryTier chains={len(self.chains)} "

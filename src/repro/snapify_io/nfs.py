@@ -39,9 +39,8 @@ class NFSMount(FileSystem):
         host_fs: HostFileSystem,
         params: NFSParams,
         sync_writes: bool = False,
-        name: str = "nfs",
     ):
-        super().__init__(phi_os.sim, name)
+        super().__init__(phi_os.sim, "nfs")
         self.phi_os = phi_os
         self.host_fs = host_fs
         self.params = params

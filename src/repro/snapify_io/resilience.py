@@ -24,7 +24,7 @@ exception, and no timer or span is created before one occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..hw.node import ServerNode
 from ..obs.registry import MetricsRegistry
@@ -129,12 +129,8 @@ class TransferManager:
     the ``RETRYING`` edge.
     """
 
-    CHANNELS: Sequence[str] = ("snapifyio", "nfs", "scp")
-
-    def __init__(self, policy: Optional[RetryPolicy] = None,
-                 channels: Optional[Sequence[str]] = None):
+    def __init__(self, policy: Optional[RetryPolicy] = None):
         self.policy = policy or RetryPolicy()
-        self.channels = tuple(channels or self.CHANNELS)
 
     # -- plumbing ---------------------------------------------------------------
     @staticmethod
@@ -144,13 +140,13 @@ class TransferManager:
 
     # -- the chain ---------------------------------------------------------------
     def send_file(self, src_os: OSInstance, dst_node: int, src_path: str,
-                  dst_path: str, proc=None, op=None, span: int = 0):
+                  dst_path: str, op):
         """Sub-generator: move ``src_path`` on ``src_os`` to ``dst_path`` on
         SCIF node ``dst_node``, degrading through the fallback chain.
 
         Returns a :class:`TransferOutcome`; raises :class:`TransferFailed`
-        (never silently) once every channel is exhausted. ``op`` — an
-        optional :class:`~repro.snapify.ops.SnapifyOperation` in state
+        (never silently) once every channel is exhausted. ``op`` — the
+        :class:`~repro.snapify.ops.SnapifyOperation` in state
         ``TRANSFERRING`` — gets a ``RETRYING`` round-trip per failed
         attempt and its provenance ``channel``/``attempts`` filled in.
         """
@@ -162,7 +158,7 @@ class TransferManager:
         reg = MetricsRegistry.of(sim)
         causes: List[Tuple[str, str, Exception]] = []
         attempts = 0
-        for ch_index, channel in enumerate(self.channels):
+        for ch_index, (channel, attempt_fn) in enumerate(self._CHAIN):
             if ch_index > 0:
                 reg.counter("snapifyio.fallbacks").inc()
                 sim.trace.emit("io.fallback", path=dst_path, channel=channel,
@@ -170,9 +166,9 @@ class TransferManager:
             for attempt in range(1, policy.attempts + 1):
                 attempts += 1
                 try:
-                    nbytes = yield from self._attempt(
-                        channel, src_os, dst_os, dst_node, src_path, dst_path,
-                        f, resume=attempt > 1, proc=proc, span=span,
+                    nbytes = yield from attempt_fn(
+                        self, src_os, dst_os, dst_node, src_path, dst_path, f,
+                        attempt > 1,
                     )
                 except ChannelUnavailable as exc:
                     causes.append((channel, "n/a", exc))
@@ -188,37 +184,26 @@ class TransferManager:
                     yield from policy.backoff(sim, attempt)
                     self._mark_transferring(op)
                 else:
-                    if op is not None:
-                        op.prov.channel = channel
-                        op.prov.attempts = attempts
+                    op.prov.channel = channel
+                    op.prov.attempts = attempts
                     # Per-channel delivery series (counters only: plain adds,
                     # nothing on the hot path when nobody snapshots them).
                     reg.counter(f"snapifyio.channel.{channel}.files").inc()
                     reg.counter(f"snapifyio.channel.{channel}.bytes").inc(nbytes)
                     return TransferOutcome(channel=channel, attempts=attempts,
                                            nbytes=nbytes)
-        if op is not None:
-            op.prov.attempts = attempts
+        op.prov.attempts = attempts
         raise TransferFailed(dst_path, attempts, causes)
 
     # -- per-channel attempts ---------------------------------------------------
-    def _attempt(self, channel, src_os, dst_os, dst_node, src_path, dst_path,
-                 f, resume, proc, span):
-        if channel == "snapifyio":
-            return (yield from self._via_snapifyio(
-                src_os, dst_os, dst_node, dst_path, f, resume, proc, span))
-        if channel == "nfs":
-            return (yield from self._via_nfs(src_os, dst_os, dst_path, f))
-        if channel == "scp":
-            return (yield from self._via_scp(src_os, dst_os, src_path, dst_path, f))
-        raise ChannelUnavailable(f"unknown transfer channel {channel!r}")
-
-    def _via_snapifyio(self, src_os, dst_os, dst_node, dst_path, f,
-                       resume, proc, span):
+    # Every channel attempt takes the same arguments, so the chain below is
+    # plain data: ``send_file`` walks it in order.
+    def _via_snapifyio(self, src_os, dst_os, dst_node, src_path, dst_path, f,
+                       resume):
         if getattr(src_os, "snapify_io_daemon", None) is None:
             raise ChannelUnavailable(f"{src_os.name}: Snapify-IO daemon not running")
         fd = yield from snapifyio_open(src_os, dst_node, dst_path, "w",
-                                       proc=proc, span=span, resume=resume)
+                                       resume=resume)
         try:
             # A list payload streams element-per-record so the committed
             # file's payload round-trips exactly; scalar payloads ride as a
@@ -237,7 +222,7 @@ class TransferManager:
         self._verify(dst_os, dst_path, f.size)
         return f.size
 
-    def _via_nfs(self, src_os, dst_os, dst_path, f):
+    def _via_nfs(self, src_os, dst_os, dst_node, src_path, dst_path, f, resume):
         node = self._node_of(src_os)
         if src_os.hw is node or dst_os.hw is not node:
             raise ChannelUnavailable(
@@ -250,13 +235,16 @@ class TransferManager:
         self._verify(dst_os, dst_path, f.size)
         return f.size
 
-    def _via_scp(self, src_os, dst_os, src_path, dst_path, f):
+    def _via_scp(self, src_os, dst_os, dst_node, src_path, dst_path, f, resume):
         node = self._node_of(src_os)
         self._void_stale_state(dst_os, dst_path)
         dst_os.fs.create(dst_path)  # truncate any partial left by Snapify-IO
         yield from scp_copy(src_os, dst_os, src_path, dst_path, node.params.scp)
         self._verify(dst_os, dst_path, f.size)
         return f.size
+
+    #: The degradation chain, fastest channel first.
+    _CHAIN = (("snapifyio", _via_snapifyio), ("nfs", _via_nfs), ("scp", _via_scp))
 
     @staticmethod
     def _void_stale_state(dst_os, dst_path) -> None:
@@ -280,17 +268,15 @@ class TransferManager:
     # -- operation wiring (lazy imports: snapify.* imports this package) --------
     @staticmethod
     def _mark_retrying(op, channel, attempt, exc):
-        if op is not None:
-            from ..snapify.ops import RETRYING, TRANSFERRING
+        from ..snapify.ops import RETRYING, TRANSFERRING
 
-            if op.state == TRANSFERRING:
-                op.transition(RETRYING, channel=channel, attempt=attempt,
-                              error=str(exc))
+        if op.state == TRANSFERRING:
+            op.transition(RETRYING, channel=channel, attempt=attempt,
+                          error=str(exc))
 
     @staticmethod
     def _mark_transferring(op):
-        if op is not None:
-            from ..snapify.ops import RETRYING, TRANSFERRING
+        from ..snapify.ops import RETRYING, TRANSFERRING
 
-            if op.state == RETRYING:
-                op.transition(TRANSFERRING)
+        if op.state == RETRYING:
+            op.transition(TRANSFERRING)

@@ -123,7 +123,7 @@ def test_submit_rejects_bad_priority_and_bad_caps():
     with pytest.raises(ValueError):
         FleetManager()  # neither fleet nor sim
     with pytest.raises(SnapifyError):
-        next(mgr.health_sweep())  # no fleet, no explicit cards
+        next(mgr.health_sweep())  # no fleet to probe
 
 
 def test_partial_failure_keyed_results_and_aggregation():
@@ -252,7 +252,7 @@ def test_rack32_sweep_hundred_ops_under_admission_caps():
     assert len(fleet) == 32
 
     def driver():
-        return (yield from fleet_sweep(fleet, mgr, ops_per_card=4))
+        return (yield from fleet_sweep(fleet, mgr))
 
     result = fleet.run(driver())
     assert len(result) == 128 and result.ok
@@ -280,14 +280,16 @@ def test_fleet_sweep_survives_card_failure():
 
     def driver():
         injector.fail_now(fleet.phi(dead))
-        result = yield from fleet_sweep(fleet, mgr, ops_per_card=2)
+        result = yield from fleet_sweep(fleet, mgr)
         report = yield from mgr.health_sweep()
         return result, report
 
     result, report = fleet.run(driver())
-    # Card 0's ops succeed; the dead card's spawns fail as keyed tickets.
+    # Card 0's ops succeed except slot 2, its migration onto the dead
+    # card; the dead card's spawns fail as keyed tickets.
     by_card = result.by_card()
-    assert all(t.state == DONE for t in by_card["n0.mic0"])
+    assert [t.state for t in by_card["n0.mic0"]] == [DONE, DONE, FAILED, DONE]
+    assert by_card["n0.mic0"][2].kind == "migrate"
     assert all(t.state == FAILED for t in by_card["n0.mic1"])
     assert [h.card for h in report.failed] == ["n0.mic1"]
     assert mgr.quiescent()
@@ -344,27 +346,6 @@ def test_scheduler_routes_swaps_through_fleet():
     kinds = sorted(t.kind for t in mgr.tickets)
     assert kinds == ["swapin", "swapout"]
     assert all(t.state == DONE for t in mgr.tickets)
-
-
-# ---------------------------------------------------------------------------
-# wait_map (keyed operation waiting on the ops layer)
-# ---------------------------------------------------------------------------
-
-
-def test_wait_map_returns_keyed_results_and_names_failed_keys():
-    sim = Simulator()
-    mgr = OperationManager.of(sim)
-    ok = mgr.begin("checkpoint")
-    bad = mgr.begin("swapout")
-    ok.complete()
-    bad.fail("no such card")
-
-    with pytest.raises(StopIteration) as done:
-        next(mgr.wait_map({"a": ok, "b": bad}))
-    assert done.value.value == {"a": ok.result, "b": bad.result}
-
-    with pytest.raises(SnapifyError, match="b .swapout. failed"):
-        next(mgr.wait_map({"a": ok, "b": bad}, raise_on_error=True))
 
 
 # ---------------------------------------------------------------------------

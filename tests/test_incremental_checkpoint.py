@@ -24,7 +24,7 @@ from repro.snapify import (
 )
 from repro.snapify.fleet import DONE
 from repro.snapify.ops import capture_sequence
-from repro.snapify_io.memtier import TIER_CATEGORY, MemoryTier, chain_path
+from repro.snapify_io.memtier import TIER_CATEGORY, MemoryTier, TierError, chain_path
 from repro.testbed import XeonPhiServer
 
 
@@ -421,6 +421,25 @@ def test_demotion_ticket_runs_at_background_priority():
     assert server.host_os.fs.stat(chain_file).size == sum(
         link.image.delta_bytes for link in entry.links
     )
+
+
+def test_exhausted_demotion_raises_without_a_trailing_backoff():
+    """With the export down every attempt fails at once: the backoffs sit
+    between the three attempts (0.5 s, 1.0 s), none after the last."""
+    server = XeonPhiServer()
+    env = launch(server)
+    _capture_epochs(server, env, "/snap/nodemote", n=2)
+    tier = MemoryTier.of(server.sim)
+    server.host_os.fs.exported = False
+
+    def drive(sim):
+        t0 = sim.now
+        with pytest.raises(TierError, match="export down"):
+            yield from tier.demote_with_retry("/snap/nodemote", server.host_os)
+        return sim.now - t0
+
+    assert server.run(drive(server.sim)) == pytest.approx(1.5)
+    assert not tier.lookup("/snap/nodemote").demoted
 
 
 # ---------------------------------------------------------------------------

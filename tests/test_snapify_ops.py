@@ -150,7 +150,7 @@ def test_snapify_error_carries_operation_context():
     assert "[op" not in str(plain)
 
 
-def test_wait_returns_result_and_wait_all_names_every_failure():
+def test_wait_all_returns_results_and_names_every_failure():
     sim = Simulator()
     mgr = OperationManager.of(sim)
     ok = mgr.begin("checkpoint")
@@ -162,8 +162,8 @@ def test_wait_returns_result_and_wait_all_names_every_failure():
 
     # All ops are terminal, so the sub-generators never yield.
     with pytest.raises(StopIteration) as done:
-        next(mgr.wait(ok))
-    assert done.value.value is ok.result
+        next(mgr.wait_all([ok]))
+    assert done.value.value == [ok.result]
 
     with pytest.raises(SnapifyError) as ei:
         next(mgr.wait_all([ok, bad1, bad2]))
@@ -173,10 +173,6 @@ def test_wait_returns_result_and_wait_all_names_every_failure():
     assert f"op {bad2.op_id} (restore)" in msg
     assert "card fell off the bus" in msg
     assert ei.value.op_id == bad1.op_id and ei.value.phase == CAPTURING
-
-    with pytest.raises(StopIteration) as all_done:
-        next(mgr.wait_all([ok, bad1, bad2], raise_on_error=False))
-    assert [r.ok for r in all_done.value.value] == [True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +320,7 @@ def test_snapshot_application_across_cards_attributes_results():
     server.run(setup(sim))
 
     def driver(s):
-        return (yield from snapshot_application(snaps, kind="checkpoint"))
+        return (yield from snapshot_application(snaps))
 
     results = server.run(driver(sim))
     assert len(results) == 2 and all(r.ok for r in results)

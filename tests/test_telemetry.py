@@ -347,7 +347,7 @@ def test_sampler_adds_under_five_percent_kernel_events_on_rack8_sweep():
         if telemetry:
             TimeSeriesRecorder.install(fleet.sim, interval=0.05)
         manager = FleetManager(fleet, max_in_flight=16, per_card_limit=2)
-        assert fleet.run(fleet_sweep(fleet, manager, ops_per_card=4)).ok
+        assert fleet.run(fleet_sweep(fleet, manager)).ok
         return next(fleet.sim._seq)
 
     off, on = sweep_events(False), sweep_events(True)
@@ -371,7 +371,7 @@ def test_operation_feed_counts_phases_per_card():
         coiproc, _ = yield from offload_process(server, "t", binary,
                                                 buffers=[(4 * MB, 1)])
         snap = snapify_t(snapshot_path="/t/ckpt", coiproc=coiproc)
-        results = yield from snapshot_application([snap], kind="checkpoint")
+        results = yield from snapshot_application([snap])
         return results
 
     results = server.run(driver(sim))
@@ -431,8 +431,7 @@ def test_flight_recorder_latches_op_failures():
                                                at=s.now + 0.03)
         snap = snapify_t(snapshot_path="/f/ckpt", coiproc=coiproc)
         try:
-            yield from snapshot_application([snap], kind="checkpoint",
-                                            raise_on_error=True)
+            yield from snapshot_application([snap])
         except Exception:
             pass
 
