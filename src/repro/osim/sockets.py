@@ -38,13 +38,16 @@ class UnixSocket(FileDescriptor):
     ``write(nbytes, record)`` charges ``nbytes / bandwidth`` (the copy into
     the kernel buffer) and delivers to the peer; ``read`` blocks for the
     next datagram. EOF (peer closed) is returned as ``None`` from ``recv``
-    style reads, mirroring ``read() == 0``.
+    style reads, mirroring ``read() == 0``. A read waits on the receive
+    queue's own event, so a reader killed or interrupted while parked takes
+    no datagram: the next reader gets it.
     """
 
     def __init__(self, sim: "Simulator", bandwidth: float, name: str = "unixsock"):
         super().__init__(sim, name=name)
         self.bandwidth = bandwidth
-        self._rx = Channel(sim, name=f"{name}.rx")
+        # A closed socket's reads see EOF (None), not ChannelClosed.
+        self._rx = Channel(sim, name=f"{name}.rx", eof=True)
         self.peer: Optional["UnixSocket"] = None
         #: Namespace address this socket is connected to (set by
         #: :meth:`SocketNamespace.connect` on both halves); None for raw
@@ -72,7 +75,7 @@ class UnixSocket(FileDescriptor):
     def read(self, nbytes: int = 0):
         """Sub-generator: next datagram's record (None on EOF)."""
         self._check_open()
-        dg = yield self._recv_event()
+        dg = yield self._rx.recv()
         if dg is None:
             return None
         self.bytes_read += dg.nbytes
@@ -81,26 +84,11 @@ class UnixSocket(FileDescriptor):
     def read_datagram(self):
         """Sub-generator: (nbytes, record) of the next datagram, (0, None) on EOF."""
         self._check_open()
-        dg = yield self._recv_event()
+        dg = yield self._rx.recv()
         if dg is None:
             return 0, None
         self.bytes_read += dg.nbytes
         return dg.nbytes, dg.record
-
-    def _recv_event(self) -> Event:
-        ev = Event(self.sim, name=f"{self.name}.read")
-        inner = self._rx.recv()
-
-        def on_inner(inner_ev: Event) -> None:
-            if ev.triggered:
-                return
-            if inner_ev.ok:
-                ev.succeed(inner_ev._value)
-            else:
-                ev.succeed(None)  # closed channel -> EOF, not error
-
-        inner.add_callback(on_inner)
-        return ev
 
     def close(self) -> None:
         if self.closed:

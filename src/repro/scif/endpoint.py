@@ -45,6 +45,15 @@ class _SyncEnvelope:
         self.ack = ack
 
 
+def _unwrap_sync(item: Any) -> Any:
+    """``on_take`` of an endpoint's receive queue: a reader taking a sync
+    send's envelope acks it, then gets the bare message."""
+    if item.__class__ is _SyncEnvelope:
+        item.ack.succeed(None)
+        return item.msg
+    return item
+
+
 class ConnectionReset(ScifError):
     """The peer endpoint vanished (its process died or closed)."""
 
@@ -77,9 +86,9 @@ Hop = Tuple[BandwidthLink, PCIeParams]
 _CTRL_BYTES = 64
 
 
-def _route(src_os: "OSInstance", dst_os: "OSInstance") -> List[Hop]:
+def _route(src_os: "OSInstance", dst_os: "OSInstance") -> Tuple[Hop, ...]:
     """The hops of :func:`_segments` as link directions, ready to occupy."""
-    return [(link._direction(d), link.params) for link, d in _segments(src_os, dst_os)]
+    return tuple((link._direction(d), link.params) for link, d in _segments(src_os, dst_os))
 
 
 class ScifNetwork:
@@ -92,6 +101,11 @@ class ScifNetwork:
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
         #: Open endpoints by eid, in connect order; close() removes one.
         self.endpoints: Dict[int, "ScifEndpoint"] = {}
+        #: (source SCIF node, destination SCIF node) -> hops, shared by every
+        #: endpoint on that path. A card's PCIe link is fixed when the node
+        #: is built, so a route outlives any OS booted on the card; keying
+        #: by node id keeps a rebooted card's old OS collectable.
+        self._routes: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
         reg = MetricsRegistry.of(self.sim)
         self._m_connects = reg.counter(f"scif.{node.name}.connections")
         reg.gauge(f"scif.{node.name}.open_endpoints", lambda: len(self.endpoints))
@@ -159,9 +173,7 @@ class ScifNetwork:
         for os_ in (src_os, dst_os):
             if os_.kind == os_.PHI and os_.hw.link_down:
                 raise ScifError(f"connect: PCIe link down on {os_.name}")
-        # An OS instance's hardware is fixed at boot, so these routes hold
-        # for the endpoints' whole life.
-        out, back = _route(src_os, dst_os), _route(dst_os, src_os)
+        out, back = self._shared_routes(src_os, dst_os, dst_node_id)
         client = ScifEndpoint(self.sim, src_os, port=next(self._ephemeral), proc=proc)
         server = ScifEndpoint(self.sim, dst_os, port=dst_port)
         client._attach(server, out, back)
@@ -170,10 +182,23 @@ class ScifNetwork:
         self.register(client)
         self.register(server)
         # Connection handshake: one control message each way.
-        for blink, params in out + back:
-            yield from blink.occupy(_CTRL_BYTES, params.message_latency)
+        for hops in (out, back):
+            for blink, params in hops:
+                yield from blink.occupy(_CTRL_BYTES, params.message_latency)
         yield backlog.send(server)
         return client
+
+    def _shared_routes(self, src_os: "OSInstance", dst_os: "OSInstance",
+                       dst_node_id: int) -> Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]:
+        """The shared routes from ``src_os`` to ``dst_os`` and back."""
+        if src_os is dst_os:
+            return (), ()
+        key = (self._node_id_of(src_os), dst_node_id)
+        out = self._routes.get(key)
+        if out is None:
+            out = self._routes[key] = _route(src_os, dst_os)
+            self._routes[key[::-1]] = _route(dst_os, src_os)
+        return out, self._routes[key[::-1]]
 
 
 class ScifListener:
@@ -209,10 +234,12 @@ class ScifEndpoint:
         self.eid = next(ids)
         self.proc = proc
         self.peer: Optional["ScifEndpoint"] = None
-        #: Hops toward the peer and back (empty for loopback).
-        self._out: List[Hop] = []
-        self._in: List[Hop] = []
-        self._rx = Channel(sim, name=f"scif.ep{self.eid}.rx")
+        #: Hops toward the peer and back (empty for loopback), shared with
+        #: every endpoint on the same path (see ``ScifNetwork._shared_routes``).
+        self._out: Tuple[Hop, ...] = ()
+        self._in: Tuple[Hop, ...] = ()
+        self._rx = Channel(sim, name=f"scif.ep{self.eid}.rx", on_take=_unwrap_sync)
+        self._ack_name = f"ep{self.eid}.sync-ack"
         self._m_msgs = MetricsRegistry.of(sim).counter("scif.messages")
         self.closed = False
         #: The network whose open-endpoint table holds this endpoint.
@@ -223,7 +250,8 @@ class ScifEndpoint:
             # Duck-typed cleanup: SimProcess.terminate() calls close().
             proc.open_fds.append(self)  # type: ignore[arg-type]
 
-    def _attach(self, peer: "ScifEndpoint", out: List[Hop], back: List[Hop]) -> None:
+    def _attach(self, peer: "ScifEndpoint", out: Tuple[Hop, ...],
+                back: Tuple[Hop, ...]) -> None:
         self.peer = peer
         self._out = out
         self._in = back
@@ -254,7 +282,7 @@ class ScifEndpoint:
         confirmation costs an extra control message in the reverse
         direction — the per-call price Fig. 9 measures.
         """
-        ack = Event(self.sim, name=f"ep{self.eid}.sync-ack")
+        ack = Event(self.sim, name=self._ack_name)
         yield from self.send(_SyncEnvelope(msg, ack), nbytes)
         yield ack
         peer = self.peer
@@ -263,27 +291,18 @@ class ScifEndpoint:
                 yield from blink.occupy(_CTRL_BYTES, params.message_latency)
 
     def recv(self) -> Event:
-        """Event for the next scif_recv() message (sync sends unwrapped)."""
+        """Event for the next scif_recv() message.
+
+        It is the receive queue's own event. A sync send's envelope is
+        unwrapped, and its ack triggered, when the message is handed to a
+        live reader (see :func:`_unwrap_sync`). A reader killed or
+        interrupted while parked here takes nothing: the message waits for
+        the next reader, and a ``send_sync`` stays unacknowledged until one
+        takes it.
+        """
         if self.closed:
             raise ScifError(f"ep{self.eid}: recv on closed endpoint")
-        ev = Event(self.sim, name=f"ep{self.eid}.recv")
-        inner = self._rx.recv()
-
-        def on_inner(inner_ev: Event) -> None:
-            if ev.triggered:
-                return
-            if not inner_ev.ok:
-                ev.fail(inner_ev.exception)
-                return
-            item = inner_ev._value
-            if isinstance(item, _SyncEnvelope):
-                item.ack.succeed(None)
-                ev.succeed(item.msg)
-            else:
-                ev.succeed(item)
-
-        inner.add_callback(on_inner)
-        return ev
+        return self._rx.recv()
 
     @property
     def pending(self) -> int:

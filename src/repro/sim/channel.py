@@ -23,6 +23,10 @@ common cases are fast paths that allocate nothing beyond the result event:
   sender scan only runs when a sender is actually parked.
 * Direct handoff (send meeting a parked receiver) triggers the receiver's
   event without intermediate objects.
+* A layer that must act when a message is taken (SCIF unwraps a sync
+  send's envelope and acks it) passes ``on_take``. The channel calls it at
+  the one moment an item changes hands, so the layer's readers wait on the
+  channel's own receive event and need no wrapper event or callback.
 * Idle costs nothing. The message queue, the parked-receiver queue and the
   blocked-sender queue are ``None`` until something is queued or parks, so a
   channel that is never used (most of a large fleet's) holds no container.
@@ -40,7 +44,7 @@ exactly — trace orderings are part of the kernel's determinism contract.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
 from .errors import SimError
 from .events import PENDING, Event
@@ -57,6 +61,11 @@ class Channel:
     """An ordered, reliable message channel.
 
     ``capacity=None`` means unbounded (sends always complete immediately).
+    ``on_take(item)``, if given, runs when a receiver takes ``item`` (by
+    direct handoff, ``recv`` or ``try_recv``), after a blocked sender the
+    pop admits and before the receiver wakes; the receiver gets what it
+    returns. With ``eof=True`` a receive on the closed channel succeeds with
+    ``None`` (end of stream) instead of failing; sends still fail.
     """
 
     __slots__ = (
@@ -72,9 +81,18 @@ class Channel:
         "received_count",
         "_send_name",
         "_recv_name",
+        "_on_take",
+        "_eof",
     )
 
-    def __init__(self, sim: "Simulator", name: str = "chan", capacity: Optional[int] = None):
+    def __init__(
+        self,
+        sim: "Simulator",
+        name: str = "chan",
+        capacity: Optional[int] = None,
+        on_take: Optional[Callable[[Any], Any]] = None,
+        eof: bool = False,
+    ):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 or None")
         self.sim = sim
@@ -90,6 +108,8 @@ class Channel:
         self.received_count = 0
         self._send_name = f"send:{name}"
         self._recv_name = f"recv:{name}"
+        self._on_take = on_take
+        self._eof = eof
 
     # -- introspection (used by drain-invariant checks) ---------------------
     @property
@@ -122,6 +142,8 @@ class Channel:
             if recv_ev._state is not PENDING or not recv_ev._callbacks:
                 continue  # triggered elsewhere, or abandoned
             self.received_count += 1
+            if self._on_take is not None:
+                item = self._on_take(item)
             recv_ev.succeed(item)
             ev.succeed(None)
             return ev
@@ -141,12 +163,9 @@ class Channel:
         """The returned event succeeds with the oldest message."""
         ev = Event(self.sim, name=self._recv_name)
         if self._items:
-            self.received_count += 1
-            ev.succeed(self._items.popleft())
-            if self._send_waiters:
-                self._admit_blocked_sender()
+            ev.succeed(self._take())
         elif self.closed:
-            ev.fail(self._close_error or ChannelClosed(self.name))
+            self._end(ev)
         elif self._recv_waiters is None:
             self._recv_waiters = [ev]
         else:
@@ -156,12 +175,18 @@ class Channel:
     def try_recv(self) -> tuple[bool, Any]:
         """Non-blocking receive; (True, item) or (False, None)."""
         if self._items:
-            self.received_count += 1
-            item = self._items.popleft()
-            if self._send_waiters:
-                self._admit_blocked_sender()
-            return True, item
+            return True, self._take()
         return False, None
+
+    def _take(self) -> Any:
+        """Pop the oldest queued item for a receiver."""
+        self.received_count += 1
+        item = self._items.popleft()
+        if self._send_waiters:
+            self._admit_blocked_sender()
+        if self._on_take is not None:
+            item = self._on_take(item)
+        return item
 
     def _admit_blocked_sender(self) -> None:
         while self._send_waiters:
@@ -185,8 +210,15 @@ class Channel:
         self._close_error = err
         for ev in self._recv_waiters or ():
             if not ev.triggered:
-                ev.fail(err)
+                self._end(ev)
         for ev, _ in self._send_waiters or ():
             if not ev.triggered:
                 ev.fail(err)
         self._items = self._recv_waiters = self._send_waiters = None
+
+    def _end(self, recv_ev: Event) -> None:
+        """Trigger a receive that the closed channel can never satisfy."""
+        if self._eof:
+            recv_ev.succeed(None)
+        else:
+            recv_ev.fail(self._close_error or ChannelClosed(self.name))

@@ -21,8 +21,8 @@ and the run loops below, so this module trades a little beauty for speed:
   and re-schedules the thread straight onto the heap.
 * ``yield sim.sleep(d)`` allocates no event and costs one heap entry.
   ``sleep`` only validates the delay and returns it as a float; ``_step``
-  pushes ``(now + d, k, _wake, (thread, k))`` and ``_wake`` runs the
-  thread's ``_bstep(None, None)`` in that same dispatch. A sleeper thus
+  pushes ``(now + d, k, _wake, (thread, k))`` and ``_wake`` runs
+  ``_step(thread, None, None)`` in that same dispatch. A sleeper thus
   resumes exactly where a ``sim.schedule(d, fn)`` callback drawn at the
   same instant would run, one sequence draw per sleep. ``yield
   sim.timeout(d)`` takes two entries (the timer's ``succeed``, then the
@@ -32,8 +32,10 @@ and the run loops below, so this module trades a little beauty for speed:
   gone back to sleep since.
 * ``_ready``/``spawn`` push heap entries inline instead of going through
   :meth:`Simulator.schedule`, and the run loops bind ``heappop`` locally.
-* The bound ``_step`` method is created once per thread (``_bstep``), not
-  once per resume.
+* A resume entry is ``(now, k, _step, (thread, value, exc))``: the plain
+  function ``Thread._step`` with the thread as its first argument. No bound
+  method is created per resume, and a thread holds none, so no thread is its
+  own reference cycle and refcounting frees one that has ended.
 
 The sleep rule above is the kernel's ordering contract for ``sleep``; the
 other shortcuts may not change wakeup ordering: heap entries remain
@@ -80,11 +82,7 @@ _SLEEP = Event(None, name="sleep")  # type: ignore[arg-type]
 def _wake(thread: "Thread", key: Any) -> None:
     """Timer entry of ``sim.sleep``: resume ``thread`` if still in sleep ``key``."""
     if thread._waiting_on is _SLEEP and thread._sleep_key is key:
-        thread._bstep(None, None)
-
-
-def _ended_step(value: Any, exc: Optional[BaseException]) -> None:
-    """``_bstep`` of an ended thread: a resume still queued for it is a no-op."""
+        _step(thread, None, None)
 
 
 def _perturbed_seq(seed: int):
@@ -119,7 +117,6 @@ class Thread(_ThreadWaiter):
         "daemon",
         "_waiting_on",
         "_sleep_key",
-        "_bstep",
         "_group",
     )
 
@@ -132,7 +129,6 @@ class Thread(_ThreadWaiter):
         self._waiting_on: Optional[Event] = None
         self._sleep_key: Any = None  # heap key of the current sleep's wake
         self.daemon = False  # daemon threads don't count for quiescence
-        self._bstep = self._step  # bind once; scheduled on every resume
         #: A second live-thread table the thread leaves when it ends (its
         #: process's ``threads``), or None.
         self._group: Optional[Dict[int, "Thread"]] = None
@@ -147,7 +143,9 @@ class Thread(_ThreadWaiter):
         return self._waiting_on
 
     # -- kernel stepping ----------------------------------------------------
-    def _step(self, send_value: Any = None, throw_exc: Optional[BaseException] = None) -> None:
+    def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
+        """Resume the generator: the ``fn`` of every resume heap entry, called
+        as ``Thread._step(thread, value, exc)``."""
         if self.done._state is not PENDING:
             # Killed/finished while a resumption was already scheduled.
             return
@@ -195,10 +193,10 @@ class Thread(_ThreadWaiter):
                 # Already-triggered fast path: straight back onto the heap.
                 sim = self.sim
                 if state is SUCCEEDED:
-                    args = (target._value, None)
+                    args = (self, target._value, None)
                 else:
-                    args = (None, target._exc)
-                heappush(sim._heap, (sim.now, next(sim._seq), self._bstep, args))
+                    args = (self, None, target._exc)
+                heappush(sim._heap, (sim.now, next(sim._seq), _step, args))
             return
         exc2 = TypeError(
             f"thread {self.name!r} yielded {target!r}; threads must yield Event objects"
@@ -248,17 +246,20 @@ class Thread(_ThreadWaiter):
             self.done.fail(ThreadKilled(self.name))
 
     def _retire(self) -> None:
-        """Leave the live-thread tables and break the ``_bstep`` self-cycle,
-        so refcounting frees the ended thread once nothing joins it."""
+        """Leave the live-thread tables, so refcounting frees the ended
+        thread once nothing joins it; a resume still queued for it is
+        ignored by ``_step``."""
         del self.sim.threads[self.tid]
         group = self._group
         if group is not None:
             del group[self.tid]
-        self._bstep = _ended_step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if not self.alive else ("blocked" if self._waiting_on else "ready")
         return f"<Thread {self.name} {state}>"
+
+
+_step = Thread._step
 
 
 class Simulator:
@@ -306,7 +307,7 @@ class Simulator:
         heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def _ready(self, thread: Thread, value: Any, exc: Optional[BaseException]) -> None:
-        heappush(self._heap, (self.now, next(self._seq), thread._bstep, (value, exc)))
+        heappush(self._heap, (self.now, next(self._seq), _step, (thread, value, exc)))
 
     # -- thread / event factories ---------------------------------------------
     def spawn(self, gen: SimGen, name: str = "", daemon: bool = False) -> Thread:
@@ -316,7 +317,7 @@ class Simulator:
         t = Thread(self, gen, name=name)
         t.daemon = daemon
         self.threads[t.tid] = t
-        heappush(self._heap, (self.now, next(self._seq), t._bstep, (None, None)))
+        heappush(self._heap, (self.now, next(self._seq), _step, (t, None, None)))
         return t
 
     def event(self, name: str = "") -> Event:

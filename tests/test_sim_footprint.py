@@ -5,14 +5,24 @@ queues only when something is queued or parks. These tests pin the
 semantics of the lazy paths (FIFO after a queue empties and refills,
 abandoned waiters skipped, close on a never-used channel, wakeups on
 primitives nothing ever waited on) and bound the idle footprint.
+
+The hot paths built on them allocate one object per job: SCIF endpoints on
+one node pair share a route, a parked SCIF or socket read is the channel's
+own receive event (so an abandoned reader takes no message), and a thread
+holds no bound method of itself.
 """
 
+import gc
 import tracemalloc
+import types
 
 import pytest
 
-from repro.scif.endpoint import ConnectionReset, ScifEndpoint, _SyncEnvelope
-from repro.sim import Channel, ChannelClosed, Interrupted, Simulator
+from repro.hw import HardwareParams, ServerNode
+from repro.osim import boot_node
+from repro.osim.sockets import UnixSocket
+from repro.scif.endpoint import ConnectionReset, ScifEndpoint, ScifNetwork, _SyncEnvelope
+from repro.sim import Channel, ChannelClosed, Event, Interrupted, Simulator
 from repro.sim.errors import SimError
 from repro.sim.sync import Condition, Mutex, Semaphore
 
@@ -111,6 +121,101 @@ def test_interrupted_receiver_is_skipped_on_handoff(parked_before):
     assert got["victim"] == "interrupted"
     assert got["live"] == "payload"
     assert ch.received_count == ch.sent_count == 1 + parked_before
+
+
+def _scif_pair(sim=None):
+    """A connected (client on the host, server on mic0) endpoint pair."""
+    sim = sim or Simulator()
+    node = ServerNode(sim, HardwareParams())
+    host, phis = boot_node(node)
+    net = ScifNetwork.of(node)
+    listener = net.listen(phis[0], port=100)
+    ends = {}
+
+    def server(sim):
+        ends["server"] = yield listener.accept()
+
+    def client(sim):
+        ends["client"] = yield from net.connect(host, dst_node_id=1, dst_port=100)
+
+    sim.spawn(server(sim))
+    sim.spawn(client(sim))
+    sim.run()
+    return sim, net, ends["client"], ends["server"]
+
+
+def _abandon(thread, how):
+    thread.kill() if how == "kill" else thread.interrupt("cancel")
+
+
+def _reader(got, tag, recv):
+    try:
+        got[tag] = yield from recv()
+    except Interrupted:
+        got[tag] = "interrupted"
+
+
+@pytest.mark.parametrize("how", ["kill", "interrupt"])
+@pytest.mark.parametrize("sync", [False, True], ids=["send", "send_sync"])
+def test_abandoned_scif_reader_takes_no_message(how, sync):
+    """A reader killed or interrupted while parked in ``ep.recv()`` leaves
+    the message queued for the next reader; a ``send_sync`` stays parked
+    until that live reader takes it."""
+    sim, _net, cli, srv = _scif_pair(Simulator(strict=True))
+    got, acked = {}, []
+
+    def recv():
+        return (yield srv.recv())
+
+    def sender(sim):
+        if sync:
+            yield from cli.send_sync("m1")
+        else:
+            yield from cli.send("m1")
+        acked.append(sim.now)
+
+    def driver(sim):
+        victim = sim.spawn(_reader(got, "victim", recv))
+        yield sim.timeout(1)
+        _abandon(victim, how)
+        sim.spawn(sender(sim))
+        yield sim.timeout(1)
+        assert srv.pending == 1 and "live" not in got
+        assert len(acked) == (0 if sync else 1)  # a sync send waits for a reader
+        sim.spawn(_reader(got, "live", recv))
+        yield sim.timeout(1)
+
+    sim.spawn(driver(sim))
+    sim.run()
+    assert got["live"] == "m1"
+    assert got.get("victim") == ("interrupted" if how == "interrupt" else None)
+    assert srv.pending == 0 and len(acked) == 1
+    if sync:
+        assert acked[0] > 2.0  # released by the live reader's take
+
+
+@pytest.mark.parametrize("how", ["kill", "interrupt"])
+@pytest.mark.parametrize("datagram", [False, True], ids=["read", "read_datagram"])
+def test_abandoned_socket_reader_takes_no_datagram(how, datagram):
+    sim = Simulator(strict=True)
+    a, b = UnixSocket.pair(sim, 1e9, name="p")
+    got = {}
+    recv = b.read_datagram if datagram else b.read
+
+    def driver(sim):
+        victim = sim.spawn(_reader(got, "victim", recv))
+        yield sim.timeout(1)
+        _abandon(victim, how)
+        yield from a.write(4096, record="dg1")
+        yield sim.timeout(1)
+        assert b._rx.qsize == 1 and b.bytes_read == 0
+        sim.spawn(_reader(got, "live", recv))
+        yield sim.timeout(1)
+
+    sim.spawn(driver(sim))
+    sim.run()
+    assert got["live"] == ((4096, "dg1") if datagram else "dg1")
+    assert b.bytes_read == 4096 and b._rx.qsize == 0
 
 
 def test_bounded_channel_admits_blocked_senders_in_fifo_order():
@@ -328,3 +433,71 @@ def test_idle_footprint_bound(kind, bound):
     }
     per_obj = _bytes_per_idle(factories[kind])
     assert per_obj <= bound, f"idle {kind} costs {per_obj:.0f} B (bound {bound})"
+
+
+# ---------------------------------------------------------------------------
+# Hot-path objects: one per route, per parked receive, per thread
+# ---------------------------------------------------------------------------
+
+
+def test_connections_on_one_node_pair_share_one_route():
+    sim, net, cli1, srv1 = _scif_pair()
+    listener = net.listen(srv1.os, port=101)
+    ends = []
+
+    def server(sim):
+        ends.append((yield listener.accept()))
+
+    def client(sim):
+        ends.append((yield from net.connect(cli1.os, dst_node_id=1, dst_port=101)))
+
+    sim.spawn(server(sim))
+    sim.spawn(client(sim))
+    sim.run()
+    srv2, cli2 = ends
+    assert cli2._out is cli1._out and cli2._in is cli1._in
+    assert srv2._out is srv1._out is cli1._in
+    assert len(cli1._out) == 1
+
+
+def _live(cls):
+    return sum(1 for o in gc.get_objects() if isinstance(o, cls))
+
+
+def _parked_receive_allocations(park):
+    """(Events, functions) that ``park()`` leaves alive."""
+    gc.collect()
+    before = _live(Event), _live(types.FunctionType)
+    ev = park()
+    after = _live(Event), _live(types.FunctionType)
+    assert isinstance(ev, Event) and not ev.triggered
+    return after[0] - before[0], after[1] - before[1]
+
+
+def test_parked_scif_recv_allocates_one_event_and_no_function():
+    _sim, _net, _cli, srv = _scif_pair()
+    assert _parked_receive_allocations(srv.recv) == (1, 0)
+
+
+def test_parked_socket_read_allocates_one_event_and_no_function():
+    sim = Simulator()
+    _a, b = UnixSocket.pair(sim, 1e9, name="p")
+    readers = []
+
+    def park():
+        readers.append(b.read())  # keep the generator (and its event) alive
+        return next(readers[-1])
+
+    assert _parked_receive_allocations(park) == (1, 0)
+
+
+def test_thread_holds_no_bound_method():
+    sim = Simulator()
+
+    def worker(sim):
+        yield sim.event("never")
+
+    t = sim.spawn(worker(sim))
+    sim.run(check_deadlock=False)
+    assert t.alive and t.blocked_on is not None
+    assert not any(isinstance(r, types.MethodType) for r in gc.get_referents(t))

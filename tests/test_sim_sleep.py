@@ -119,14 +119,30 @@ def test_stale_wake_at_the_same_instant_as_the_new_sleep_resumes_once():
         yield sim.sleep(5)  # lands on t=10, beside the stale entry
         return sim.now
 
-    t = sim.spawn(worker(sim))
-    step = t._bstep
+    class LoggedGen:
+        """The worker's generator, logging every resume but the first."""
 
-    def logged_step(*args):
-        resumes.append(sim.now)
-        step(*args)
+        def __init__(self, gen):
+            self.gen = gen
+            self.started = False
 
-    t._bstep = logged_step  # later resumes (not the queued first step) log
+        def _log(self):
+            if self.started:
+                resumes.append(sim.now)
+            self.started = True
+
+        def send(self, value):
+            self._log()
+            return self.gen.send(value)
+
+        def throw(self, exc):
+            self._log()
+            return self.gen.throw(exc)
+
+        def close(self):
+            self.gen.close()
+
+    t = sim.spawn(LoggedGen(worker(sim)))
     sim.schedule(5.0, t.interrupt)
     sim.run()
     assert t.done.value == 10.0
