@@ -598,18 +598,18 @@ def rdma_windows_replayed(server: "XeonPhiServer") -> List[Violation]:
 def team_membership_consistent(server: "XeonPhiServer") -> List[Violation]:
     """Replication-team membership is coherent at quiescence.
 
-    For every :class:`~repro.mpi.replication.ReplicatedJob` on the
-    simulator: no replica is both live and dropped, live replicas of one
-    team occupy pairwise-distinct cards (the anti-affinity contract), every
-    dropped replica's host process is fenced (not still running), and every
+    For every :class:`~repro.apps.nas_mz.MZJob` on the simulator: no
+    replica is both live and dropped, live replicas of one team occupy
+    pairwise-distinct cards (the anti-affinity contract), every dropped
+    replica's host process is fenced (not still running), and every
     replica the job ever placed is accounted for as live or dropped.
     """
-    from ..mpi.replication import ReplicatedJob
+    from ..apps.nas_mz import MZJob
 
     out: List[Violation] = []
-    for job in ReplicatedJob.all_of(server.sim):
+    for job in MZJob.all_of(server.sim):
         comm = job.comm
-        for team in range(job.n_teams):
+        for team in range(job.n_ranks):
             live = comm.live[team]
             dropped = comm.dropped[team]
             overlap = [r for r in live if r in dropped]

@@ -419,7 +419,7 @@ def _replication(server, app, injector, phase, faults):
     """A replicated (TeaMPI-style) job under replica-targeted faults.
 
     Boots a ``rack8`` fleet on the scenario's kernel and runs a two-team,
-    R=2 :class:`~repro.mpi.replication.ReplicatedJob` under its heartbeat
+    R=2 :class:`~repro.apps.nas_mz.MZJob` under its heartbeat
     detector. ``replica_card_failure`` / ``replica_link_flap`` faults name
     a (team, replica) — the builder resolves them against the job's actual
     placement. The ``lagging_replica`` mode re-seeds dropped replicas
@@ -430,12 +430,9 @@ def _replication(server, app, injector, phase, faults):
     ``team_membership_consistent`` and ``no_duplicate_delivery`` oracles
     judge membership and message accounting afterwards.
     """
+    from ..apps.nas_mz import MZJob
     from ..apps.workloads import NAS_MZ_BENCHMARKS
-    from ..mpi.replication import (
-        HeartbeatDetector,
-        ReplicatedJob,
-        ReplicationError,
-    )
+    from ..mpi.replication import HeartbeatDetector, ReplicationError
     from ..snapify.fleet import FleetManager
     from ..testbed import XeonPhiFleet
 
@@ -443,19 +440,17 @@ def _replication(server, app, injector, phase, faults):
         raise ValueError(f"unknown replication mode {phase!r}")
     sim = server.sim
     fleet = XeonPhiFleet("rack8", sim=sim)
-    job = ReplicatedJob(fleet, NAS_MZ_BENCHMARKS["SP-MZ"], n_teams=2,
-                        n_replicas=2, iterations=6)
-    reseed = phase == "lagging_replica"
-    manager = FleetManager(fleet) if reseed else None
-    detector = HeartbeatDetector(job, interval=0.05, misses=2,
-                                 reseed=reseed, manager=manager)
+    job = MZJob(fleet, NAS_MZ_BENCHMARKS["SP-MZ"], 2, n_replicas=2,
+                iterations=6)
+    manager = FleetManager(fleet) if phase == "lagging_replica" else None
+    detector = HeartbeatDetector(job, misses=2, manager=manager)
     yield from job.launch()
     detector.start()
     for f in faults:
         kind = f.get("kind")
         if kind not in ("replica_card_failure", "replica_link_flap"):
             continue
-        key = (f["team"] % job.n_teams, f["replica"] % job.n_replicas)
+        key = (f["team"] % job.n_ranks, f["replica"] % job.n_replicas)
         phi = fleet.phi(job.placement[key])
         if kind == "replica_card_failure":
             injector.schedule_card_failure(

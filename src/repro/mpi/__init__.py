@@ -1,12 +1,13 @@
-"""MPI substrate, coordinated checkpoint/restart, and team replication."""
+"""MPI substrate, coordinated checkpoint/restart, and team replication.
+
+The NAS-MZ job these drive is :class:`repro.apps.nas_mz.MZJob`.
+"""
 
 from .cr import mpi_checkpoint, mpi_restart, rank_snapshot_path
 from .replication import (
     HeartbeatDetector,
-    ReplicatedJob,
     ReplicationError,
     TeamComm,
-    TeamReplica,
     plan_replica_placement,
 )
 from .runtime import MPIComm, MPIError
@@ -15,10 +16,8 @@ __all__ = [
     "HeartbeatDetector",
     "MPIComm",
     "MPIError",
-    "ReplicatedJob",
     "ReplicationError",
     "TeamComm",
-    "TeamReplica",
     "mpi_checkpoint",
     "mpi_restart",
     "plan_replica_placement",

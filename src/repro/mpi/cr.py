@@ -81,10 +81,13 @@ def mpi_restart(job: "MZJob", path_prefix: str):
     """Sub-generator: restart every rank of a failed job from its snapshot.
 
     The caller is responsible for having terminated the old processes (or
-    they died with their nodes). Returns {'elapsed': wall time}.
+    they died with their nodes); what they left in flight is rolled back
+    (:meth:`~repro.mpi.replication.TeamComm.rollback`). Returns
+    {'elapsed': wall time}.
     """
     sim = job.sim
     t0 = sim.now
+    job.comm.rollback()
     done_events: List[Event] = []
     restarted: List = []
     for rank in job.ranks:
@@ -95,7 +98,7 @@ def mpi_restart(job: "MZJob", path_prefix: str):
             result = yield from restart_offload_app(
                 rank.server.host_os,
                 rank_snapshot_path(path_prefix, rank.rank),
-                rank.server.engine(0),
+                rank.server.engine(rank.card.device),
             )
             rank.host_proc = result.host_proc
             restarted.append(result)

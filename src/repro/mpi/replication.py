@@ -11,32 +11,28 @@ rank on disjoint cards and letting the survivors carry on. The pieces:
   replica of the destination team; receivers deduplicate by
   ``(src_team, tag, sequence)`` and deliver the first arrival. A per-team
   message log lets a re-seeded replica backfill messages it missed.
-* :class:`ReplicatedJob` / :class:`TeamReplica` — the NAS-MZ-shaped
-  workload run as teams on a :class:`~repro.testbed.XeonPhiFleet`, with
-  the BLCR-restore branch the re-seed path relies on.
 * :class:`HeartbeatDetector` — a sim-clock heartbeat that drops dead
   replicas from their team (emitting ``replica.*`` metrics and trace
-  records) and, when enabled, re-seeds a lost replica from a healthy one
-  through the fleet's MAINTENANCE lane
+  records) and, given a fleet manager, re-seeds a lost replica from a
+  healthy one through the fleet's MAINTENANCE lane
   (:meth:`repro.snapify.fleet.FleetManager.submit_reseed`).
 
-Nothing here touches the default simulation path: building none of these
-objects leaves traces, metrics, and schedules byte-identical.
+The replicated workload is :class:`repro.apps.nas_mz.MZJob`: every NAS-MZ
+rank is a team of ``n_replicas``, and the paper's plain MPI job (Fig. 11)
+is the team of one.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..coi.engine import COIEngine
 from ..obs.registry import MetricsRegistry
-from ..osim.process import SimProcess
 from ..sim.errors import SimError
 from ..sim.events import Event
 from .runtime import MPIComm, MPIError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..apps.workloads import MZProfile
+    from ..apps.nas_mz import MZJob, MZRank
     from ..sim.core import Simulator
     from ..snapify.fleet import CardRef, FleetManager, FleetTicket
     from ..testbed import XeonPhiFleet
@@ -124,6 +120,8 @@ class TeamComm:
         self._waiters: Dict[Tuple[RKey, Any], Event] = {}
         self._send_seq: Dict[Any, int] = {}
         self._recv_seq: Dict[Any, int] = {}
+        #: First sequence number of a tag; :meth:`rollback` raises it.
+        self._seq_base = 0
         #: dst team -> {dedup key: payload}; replayed into re-seeded joiners.
         self._log: Dict[int, Dict[Any, Any]] = {t: {} for t in range(n_teams)}
         # Copy ledger. Every physical copy (and every backfill replay) ends
@@ -168,10 +166,9 @@ class TeamComm:
             del self._waiters[wk]
         self.sim.trace.emit("replica.drop", team=team, rid=rid, reason=reason)
 
-    def join_replica(self, team: int, rid: int, node: int, *,
-                     backfill: bool = True) -> None:
-        """Admit a (re-seeded) replica with a fresh mailbox; optionally
-        replay the team's message log so it can re-receive what it missed."""
+    def join_replica(self, team: int, rid: int, node: int) -> None:
+        """Admit a (re-seeded) replica with a fresh mailbox and replay the
+        team's message log so it can re-receive what it missed."""
         key = (team, rid)
         if rid in self.dropped[team]:
             self.dropped[team].remove(rid)
@@ -181,10 +178,9 @@ class TeamComm:
         self._mailbox[key] = {}
         self._seen[key] = set()
         self.sim.trace.emit("replica.join", team=team, rid=rid, node=node)
-        if backfill:
-            for dkey, payload in self._log[team].items():
-                self.backfilled += 1
-                self._arrive(team, rid, dkey, payload)
+        for dkey, payload in self._log[team].items():
+            self.backfilled += 1
+            self._arrive(team, rid, dkey, payload)
 
     # -- messaging --------------------------------------------------------------
     def team_send(self, src_team: int, src_rid: int, dst_team: int, tag: Any,
@@ -192,7 +188,7 @@ class TeamComm:
         """Sub-generator: fan one logical message out to every live replica
         of ``dst_team``; receivers keep the first copy per dedup key."""
         skey = (src_team, src_rid, dst_team, tag)
-        seq = self._send_seq.get(skey, 0)
+        seq = self._send_seq.get(skey, self._seq_base)
         self._send_seq[skey] = seq + 1
         dkey = (src_team, tag, seq)
         self._log[dst_team].setdefault(dkey, payload)
@@ -235,7 +231,7 @@ class TeamComm:
         """Sub-generator: the next ``(src_team, tag)`` message for a replica."""
         key = (dst_team, dst_rid)
         rkey = (key, src_team, tag)
-        seq = self._recv_seq.get(rkey, 0)
+        seq = self._recv_seq.get(rkey, self._seq_base)
         self._recv_seq[rkey] = seq + 1
         dkey = (src_team, tag, seq)
         box = self._mailbox[key]
@@ -249,264 +245,63 @@ class TeamComm:
         value = yield ev
         return value
 
+    def rollback(self) -> None:
+        """Forget what a job's dead incarnation left in flight.
+
+        A coordinated restart (:func:`repro.mpi.cr.mpi_restart`) resumes
+        every replica from a checkpoint taken with every channel empty, so
+        the copies, waiters and per-tag counts of the killed processes must
+        not pair with the messages the restored ones re-send. Sequence
+        numbers restart above every one issued so far: a re-sent halo is a
+        new message to its receiver, not a duplicate of one it saw before.
+        """
+        self._seq_base = max([self._seq_base, *self._send_seq.values(),
+                              *self._recv_seq.values()])
+        self._send_seq.clear()
+        self._recv_seq.clear()
+        self._waiters.clear()
+        for box in self._mailbox.values():
+            box.clear()
+        for log in self._log.values():
+            log.clear()
+
     # -- introspection ----------------------------------------------------------
+    def pending_messages(self) -> int:
+        """Copies delivered to a live replica but not yet received (drain
+        probe for coordinated checkpoints)."""
+        return sum(len(self._mailbox[(team, rid)])
+                   for team, rids in self.live.items() for rid in rids)
+
     def ledger_balanced(self) -> bool:
         """The copy-conservation identity (see the ledger comment above)."""
         return (self.copies_sent + self.backfilled
                 == self.delivered + self.suppressed + self.dropped_dead)
 
 
-class TeamReplica:
-    """One replica: a host process + offload process pinned to one card."""
-
-    def __init__(self, job: "ReplicatedJob", team: int, rid: int,
-                 card: "CardRef"):
-        self.job = job
-        self.team = team
-        self.rid = rid
-        self.card = card
-        self.sim = job.sim
-        self.server = job.fleet.server(card.node)
-        self.host_heap = job.host_heap
-        self.local_store = job.local_store
-        self.binary = job.binary
-        self.host_proc: Optional[SimProcess] = None
-
-    @property
-    def key(self) -> RKey:
-        return (self.team, self.rid)
-
-    def launch(self):
-        self.host_proc = yield from self.server.host_os.spawn_process(
-            f"{self.job.name}.t{self.team}.r{self.rid}",
-            image_size=16 * 1024 * 1024,
-            main_factory=self._main_factory(),
-        )
-        return self.host_proc
-
-    def _main_factory(self):
-        replica = self
-
-        def main(proc: SimProcess):
-            yield from replica._program(proc)
-
-        return main
-
-    def _program(self, proc: SimProcess):
-        job, profile, comm = self.job, self.job.profile, self.job.comm
-        store = proc.store
-        # A re-seeded clone runs this very closure (captured from its
-        # source replica), so identity comes from the process runtime the
-        # integrator stamped, not from ``self``.
-        team = proc.runtime.get("replica_team", self.team)
-        rid = proc.runtime.get("replica_rid", self.rid)
-        if store.get("_blcr_restored"):
-            coiproc = proc.runtime.pop("coi_restored_handle")
-            proc.runtime["coi_handle"] = coiproc
-        else:
-            store["iter"] = 0
-            store["checksum"] = 0
-            proc.map_region("heap", self.host_heap)
-            engine = COIEngine(self.server.node, self.card.device)
-            coiproc = yield from engine.process_create(proc, self.binary)
-            proc.runtime["coi_handle"] = coiproc
-            buf = yield from coiproc.buffer_create(self.local_store)
-            store["buf_id"] = buf.buf_id
-            yield from coiproc.run_function_keyed("init", "init")
-
-        nxt = (team + 1) % job.n_teams
-        prv = (team - 1) % job.n_teams
-        buf_id = store["buf_id"]
-        while store["iter"] < job.iterations:
-            i = store["iter"]
-            # Ring halo exchange between teams. Both replicas send the same
-            # logical message; receivers keep the first arrival, and a
-            # restarted replica's re-sends are suppressed the same way.
-            if job.n_teams > 1:
-                yield from comm.team_send(team, rid, nxt, ("halo", i),
-                                          profile.exchange_bytes, payload=i)
-                yield from comm.team_recv(team, rid, prv, ("halo", i))
-            buf = coiproc.buffers[buf_id]
-            yield from coiproc.buffer_write(buf, payload=i, nbytes=min(
-                profile.exchange_bytes, buf.size))
-            result = yield from coiproc.run_function_keyed(
-                ("it", i), "iterate", {"i": i, "buf": buf_id}
-            )
-            store["checksum"] = result
-            store["iter"] = i + 1
-        store["finished"] = True
-
-
-class ReplicatedJob:
-    """An NAS-MZ-shaped job run as ``n_teams`` teams of ``n_replicas``."""
-
-    #: Simulator attribute listing every replicated job (oracle discovery).
-    _ATTR = "replicated_jobs"
-
-    def __init__(self, fleet: "XeonPhiFleet", profile: "MZProfile",
-                 n_teams: int, n_replicas: int = 2,
-                 iterations: Optional[int] = None):
-        from ..apps.nas_mz import build_mz_binary
-        from ..apps.workloads import mz_rank_footprint
-
-        self.fleet = fleet
-        self.sim = fleet.sim
-        self.profile = profile
-        self.name = f"{profile.name}x{n_replicas}"
-        self.n_teams = n_teams
-        self.n_replicas = n_replicas
-        self.iterations = (iterations if iterations is not None
-                           else profile.iterations)
-        host_heap, offload_heap, local_store = mz_rank_footprint(
-            profile, n_teams
-        )
-        self.host_heap = host_heap
-        self.local_store = local_store
-        self.binary = build_mz_binary(profile, offload_heap)
-        self.placement = plan_replica_placement(
-            fleet.cards(), n_teams, n_replicas
-        )
-        self.comm = TeamComm(fleet, n_teams)
-        self.replicas: Dict[RKey, TeamReplica] = {
-            key: TeamReplica(self, key[0], key[1], card)
-            for key, card in self.placement.items()
-        }
-        jobs = getattr(self.sim, self._ATTR, None)
-        if jobs is None:
-            jobs = []
-            setattr(self.sim, self._ATTR, jobs)
-        jobs.append(self)
-
-    @classmethod
-    def all_of(cls, sim: "Simulator") -> List["ReplicatedJob"]:
-        return list(getattr(sim, cls._ATTR, ()))
-
-    # -- lifecycle --------------------------------------------------------------
-    def launch(self):
-        """Sub-generator: start every replica and register team membership."""
-        for key, rep in self.replicas.items():
-            self.comm.register(key[0], key[1], rep.card.node)
-            yield from rep.launch()
-
-    def join(self):
-        """Sub-generator: wait until every team has one finished replica.
-
-        Individual replica deaths are absorbed (their team carries on); a
-        team losing *every* replica raises :class:`ReplicationError`.
-        """
-        while True:
-            pending: List[Event] = []
-            for t in range(self.n_teams):
-                team_done = False
-                candidates: List[Event] = []
-                for (tt, _rid), rep in self.replicas.items():
-                    if tt != t or rep.host_proc is None:
-                        continue
-                    done = rep.host_proc.main_thread.done
-                    if done.triggered:
-                        if done.ok and rep.host_proc.store.get("finished"):
-                            team_done = True
-                    else:
-                        candidates.append(done)
-                if team_done:
-                    continue
-                if not candidates:
-                    raise ReplicationError(
-                        f"team {t} lost every replica"
-                    )
-                pending.extend(candidates)
-            if not pending:
-                return
-            try:
-                yield self.sim.any_of(pending)
-            except Exception:
-                pass  # a replica died; re-evaluate team membership
-
-    def abort(self) -> None:
-        """Terminate every still-running replica (team-wipe cleanup)."""
-        for rep in self.replicas.values():
-            proc = rep.host_proc
-            if proc is not None and proc.alive:
-                proc.terminate(code=1)
-
-    # -- re-seed integration -----------------------------------------------------
-    def next_rid(self, team: int) -> int:
-        return 1 + max(rid for (t, rid) in self.replicas if t == team)
-
-    def adopt_replica(self, team: int, rid: int, card: "CardRef",
-                      host_proc: SimProcess) -> TeamReplica:
-        """Integrate a restored clone as a new replica of ``team``.
-
-        Must run in the same no-yield window as the restart that produced
-        ``host_proc`` (before its main thread is scheduled): the runtime
-        stamp below is what the restored program reads as its identity.
-        """
-        rep = TeamReplica(self, team, rid, card)
-        rep.host_proc = host_proc
-        host_proc.runtime["replica_team"] = team
-        host_proc.runtime["replica_rid"] = rid
-        self.replicas[(team, rid)] = rep
-        self.placement[(team, rid)] = card
-        self.comm.join_replica(team, rid, card.node)
-        return rep
-
-    # -- results ----------------------------------------------------------------
-    def verify(self) -> bool:
-        """Every team finished, and every finished replica checksums clean."""
-        from ..apps.offload import expected_checksum
-
-        want = expected_checksum(self.iterations)
-        team_ok = {t: False for t in range(self.n_teams)}
-        for (t, _rid), rep in self.replicas.items():
-            proc = rep.host_proc
-            if proc is None or not proc.store.get("finished"):
-                continue
-            if proc.store.get("checksum") != want:
-                return False
-            team_ok[t] = True
-        return all(team_ok.values())
-
-    def useful_iterations(self) -> int:
-        """Logical progress: the best replica's iteration count per team."""
-        best = {t: 0 for t in range(self.n_teams)}
-        for (t, _rid), rep in self.replicas.items():
-            if rep.host_proc is not None:
-                best[t] = max(best[t], rep.host_proc.store.get("iter", 0))
-        return sum(best.values())
-
-    def executed_iterations(self) -> int:
-        """Total iterations burned across every replica (redundancy cost)."""
-        return sum(
-            rep.host_proc.store.get("iter", 0)
-            for rep in self.replicas.values()
-            if rep.host_proc is not None
-        )
+#: Sim-seconds between two heartbeat probes of every live replica.
+HEARTBEAT_INTERVAL = 0.05
+#: Directory the re-seed snapshots of a cloned replica are written under.
+RESEED_ROOT = "/replication"
 
 
 class HeartbeatDetector:
     """Sim-clock heartbeat over a replicated job's teams.
 
-    Every ``interval`` sim-seconds each live replica is probed (host
-    process, offload handle, card, link). ``misses`` consecutive failed
-    probes drop the replica from its team — fencing a zombie that is
-    technically still running — without interrupting the survivors. With
-    ``reseed`` enabled, a degraded team is restored to full strength by
-    cloning a healthy replica through the fleet's MAINTENANCE lane.
+    Every :data:`HEARTBEAT_INTERVAL` sim-seconds each live replica is
+    probed (host process, offload handle, card, link). ``misses``
+    consecutive failed probes drop the replica from its team — fencing a
+    zombie that is technically still running — without interrupting the
+    survivors. Given a fleet ``manager``, a degraded team is restored to
+    full strength by cloning a healthy replica through the fleet's
+    MAINTENANCE lane.
     """
 
-    def __init__(self, job: ReplicatedJob, *, interval: float = 0.05,
-                 misses: int = 2, reseed: bool = False,
-                 manager: Optional["FleetManager"] = None,
-                 snapshot_root: str = "/replication"):
-        if reseed and manager is None:
-            raise ValueError("re-seeding needs a FleetManager")
+    def __init__(self, job: "MZJob", *, misses: int = 2,
+                 manager: Optional["FleetManager"] = None):
         self.job = job
         self.sim = job.sim
-        self.interval = interval
         self.misses = misses
-        self.reseed = reseed
         self.manager = manager
-        self.snapshot_root = snapshot_root
         self._miss: Dict[RKey, int] = {}
         self._stopped = False
         self._thread = None
@@ -521,7 +316,7 @@ class HeartbeatDetector:
         self.m_drops = registry.counter("replica.drops")
         self.m_reseeds = registry.counter("replica.reseeds")
         registry.gauge("replica.live", self._live_total)
-        for t in range(job.n_teams):
+        for t in range(job.n_ranks):
             registry.gauge(f"replica.team.{t}.live",
                            lambda t=t: len(self.job.comm.live[t]))
 
@@ -546,24 +341,24 @@ class HeartbeatDetector:
     # -- probe loop -------------------------------------------------------------
     def _run(self):
         while not self._stopped and not self._all_terminal():
-            yield self.sim.sleep(self.interval)
+            yield self.sim.sleep(HEARTBEAT_INTERVAL)
             if self._stopped:
                 break
             self.m_beats.inc()
-            for team in range(self.job.n_teams):
+            for team in range(self.job.n_ranks):
                 for rid in list(self.job.comm.live[team]):
                     self._probe(team, rid)
             self._collect_reseeds()
 
     def _all_terminal(self) -> bool:
-        procs = [rep.host_proc for rep in self.job.replicas.values()]
+        procs = [rank.host_proc for rank in self.job.ranks]
         if any(p is None for p in procs):
             return False
         if self._reseeding:
             return False
         return all(p.main_thread.done.triggered for p in procs)
 
-    def _healthy(self, rep: TeamReplica) -> bool:
+    def _healthy(self, rep: "MZRank") -> bool:
         proc = rep.host_proc
         if proc is None:
             return True  # not launched yet: nothing to probe
@@ -604,7 +399,7 @@ class HeartbeatDetector:
             proc.terminate(code=1)
         self.m_drops.inc()
         self.events.append(("drop", team, rid, self.sim.now))
-        if self.reseed:
+        if self.manager is not None:
             self._submit_reseed(team)
 
     # -- re-seed path -----------------------------------------------------------
@@ -644,7 +439,7 @@ class HeartbeatDetector:
                                 reason="no spare card on source node")
             return
         new_rid = self.job.next_rid(team)
-        path = f"{self.snapshot_root}/t{team}_r{new_rid}"
+        path = f"{RESEED_ROOT}/t{team}_r{new_rid}"
         job = self.job
 
         def integrate(result):

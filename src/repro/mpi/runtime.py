@@ -100,17 +100,6 @@ class MPIComm:
         """Delivered-but-unconsumed messages (drain probe for checkpoints)."""
         return len(self._delivered)
 
-    def drop_stale_waiters(self) -> int:
-        """Forget waiters whose rank died mid-recv; returns how many.
-
-        ``send`` already re-queues around an abandoned waiter, so this sweep
-        is pure hygiene for long-lived communicators that churn ranks.
-        """
-        stale = [k for k, ev in self._waiters.items() if ev.abandoned]
-        for k in stale:
-            del self._waiters[k]
-        return len(stale)
-
     def _check_rank(self, r: int) -> None:
         if not (0 <= r < self.n_ranks):
             raise MPIError(f"bad rank {r}")

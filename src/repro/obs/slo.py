@@ -15,8 +15,8 @@ Four rule families cover the paper's operational story:
 * :class:`BurnRateSLO` — operation/ticket failure rate over a sliding
   window, the thing that lights up when a card dies mid-sweep;
 * :class:`StragglerSLO` — per-card robust z-score of phase latency
-  against the fleet median (MAD-based, same detector
-  :meth:`~repro.snapify.fleet.HealthReport.stragglers` now uses);
+  against the fleet median (MAD-based, the :func:`straggler_scores` rule
+  :meth:`~repro.snapify.fleet.HealthReport.stragglers` also applies);
 * :class:`RedundancySLO` — replication-team strength: every
   ``replica.team.<t>.live`` gauge (registered by
   :class:`~repro.mpi.replication.HeartbeatDetector`) must stay at or
@@ -67,6 +67,29 @@ def robust_zscores(values: Dict[str, float]) -> Dict[str, float]:
         else:
             out[key] = 0.0
     return out
+
+
+#: Robust z-score above which a card counts as a straggler.
+STRAGGLER_Z = 3.5
+#: Seconds a straggler must also sit above the fleet's upper median. A
+#: fleet whose cards agree to within microseconds has a microscopic MAD,
+#: which turns harmless jitter into astronomical z-scores.
+STRAGGLER_MIN_SPREAD = 0.010
+
+
+def straggler_scores(values: Dict[str, float],
+                     max_z: float = STRAGGLER_Z) -> Dict[str, float]:
+    """The stragglers among ``values``, each with its robust z-score.
+
+    A key straggles when its z-score (:func:`robust_zscores`) exceeds
+    ``max_z`` and its value sits more than :data:`STRAGGLER_MIN_SPREAD`
+    above the upper median ``sorted(values)[n // 2]``.
+    """
+    if not values:
+        return {}
+    median = sorted(values.values())[len(values) // 2]
+    return {key: z for key, z in robust_zscores(values).items()
+            if z > max_z and values[key] - median > STRAGGLER_MIN_SPREAD}
 
 
 @dataclass(frozen=True)
@@ -178,14 +201,9 @@ class StragglerSLO(SLORule):
 
     phase: str = "total"
     q: float = 99.0
-    max_z: float = 3.5
+    max_z: float = STRAGGLER_Z
     min_cards: int = 3
     min_samples: int = 2
-    #: Absolute deviation floor (seconds).  A fleet whose cards agree to
-    #: within microseconds has a microscopic MAD, which turns harmless
-    #: jitter into astronomical z-scores; a straggler must also be this
-    #: far above the median in real time to count.
-    min_spread: float = 0.010
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -202,21 +220,19 @@ class StragglerSLO(SLORule):
                 per_card[card] = value
         if len(per_card) < self.min_cards:
             return []
-        median = sorted(per_card.values())[len(per_card) // 2]
-        breaches: List[Breach] = []
-        for card, z in sorted(robust_zscores(per_card).items()):
-            if z > self.max_z and per_card[card] - median > self.min_spread:
-                breaches.append(Breach(
-                    key=f"{self.name}@{card}", value=z, threshold=self.max_z, card=card,
-                    detail=f"{self.phase} p{self.q:g} z={z:.2f} > {self.max_z:.2f} "
-                           f"vs fleet of {len(per_card)} cards",
-                ))
-        return breaches
+        return [
+            Breach(
+                key=f"{self.name}@{card}", value=z, threshold=self.max_z, card=card,
+                detail=f"{self.phase} p{self.q:g} z={z:.2f} > {self.max_z:.2f} "
+                       f"vs fleet of {len(per_card)} cards",
+            )
+            for card, z in sorted(straggler_scores(per_card, self.max_z).items())
+        ]
 
     def describe(self) -> Dict[str, Any]:
         return {"rule": self.name, "phase": self.phase, "q": self.q,
                 "max_z": self.max_z, "min_cards": self.min_cards,
-                "min_spread": self.min_spread}
+                "min_spread": STRAGGLER_MIN_SPREAD}
 
 
 @dataclass

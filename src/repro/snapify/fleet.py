@@ -225,10 +225,6 @@ class CardHealth:
     error: Optional[str] = None
 
 
-#: Robust z-score above which a healthy card counts as a straggler.
-STRAGGLER_Z = 3.5
-#: Seconds a straggler must also sit above the fleet median.
-STRAGGLER_MIN_SPREAD = 0.010
 #: Bytes each health probe writes and reads back on a card's RAM-FS.
 PROBE_BYTES = 1024 * 1024
 
@@ -258,30 +254,21 @@ class HealthReport:
         return (lats[mid - 1] + lats[mid]) / 2.0
 
     def stragglers(self) -> List[CardHealth]:
-        """Healthy cards whose probe latency sits more than
-        :data:`STRAGGLER_Z` robust sigmas above the fleet median — loaded,
-        degraded, or contended cards the scheduler should deprioritize
-        before they become pause-time outliers.
+        """Healthy cards whose probe latency straggles behind the fleet —
+        loaded, degraded, or contended cards the scheduler should
+        deprioritize before they become pause-time outliers.
 
-        Uses the MAD-based z-score from :func:`repro.obs.slo.robust_zscores`
-        (the same detector the telemetry :class:`~repro.obs.slo.StragglerSLO`
-        evaluates live) instead of the old ad-hoc 3x-median threshold,
-        which misfired on tightly-clustered fleets and under-fired on
-        noisy ones.  :data:`STRAGGLER_MIN_SPREAD` floors the absolute
-        deviation: a card must also sit that many seconds above the
-        median, so microsecond jitter on a tightly-clustered fleet never
-        flags (a tiny MAD would otherwise inflate it into a huge z-score)."""
-        from ..obs.slo import robust_zscores
+        Applies :func:`repro.obs.slo.straggler_scores`, the rule the
+        telemetry :class:`~repro.obs.slo.StragglerSLO` evaluates live: a
+        MAD-based robust z-score above 3.5 and at least 10 ms above the
+        fleet median, so microsecond jitter on a tightly-clustered fleet
+        never flags."""
+        from ..obs.slo import straggler_scores
 
-        lats = {h.card: h.latency for h in self.healthy if h.latency is not None}
-        if not lats:
-            return []
-        scores = robust_zscores(lats)
-        median = sorted(lats.values())[len(lats) // 2]
-        return [h for h in self.healthy
-                if h.latency is not None
-                and scores.get(h.card, 0.0) > STRAGGLER_Z
-                and h.latency - median > STRAGGLER_MIN_SPREAD]
+        flagged = straggler_scores(
+            {h.card: h.latency for h in self.healthy if h.latency is not None}
+        )
+        return [h for h in self.healthy if h.card in flagged]
 
     def summary(self) -> str:
         bits = [f"health sweep @ {self.when:.3f}s: {len(self.entries)} cards, "

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import NAS_MZ_BENCHMARKS, mz_rank_footprint
 from repro.apps.nas_mz import MZJob
+from repro.check.oracles import check_all
 from repro.mpi import MPIComm, MPIError, mpi_checkpoint, mpi_restart
 from repro.testbed import XeonPhiCluster
 
@@ -94,32 +95,6 @@ def test_comm_send_requeues_around_dead_receiver():
     assert comm.messages_dropped == 0
 
 
-def test_comm_drop_stale_waiters_sweeps_only_the_dead():
-    cluster = XeonPhiCluster(n_nodes=2)
-    comm = MPIComm(cluster, 2)
-    out = {}
-
-    def dead_rank(sim):
-        comm.recv(1, 0, "never")  # registered, then the rank moves on
-        yield sim.timeout(0.01)
-
-    def live_rank(sim):
-        out["msg"] = yield comm.recv(0, 1, "later")
-
-    def sender(sim):
-        yield sim.timeout(0.05)
-        # Only the abandoned waiter is swept; the parked live one survives.
-        assert comm.drop_stale_waiters() == 1
-        assert comm.drop_stale_waiters() == 0
-        yield from comm.send(1, 0, "later", 512, payload="ok")
-
-    cluster.sim.spawn(dead_rank(cluster.sim))
-    cluster.sim.spawn(live_rank(cluster.sim))
-    cluster.sim.spawn(sender(cluster.sim))
-    cluster.sim.run()
-    assert out["msg"] == "ok"
-
-
 def test_comm_rank_validation():
     cluster = XeonPhiCluster(n_nodes=2)
     comm = MPIComm(cluster, 2)
@@ -188,6 +163,38 @@ def test_mpi_full_failure_restart():
     assert job.verify()
 
 
+def test_mpi_restart_after_a_kill_mid_halo_exchange():
+    """Ranks killed while their halos are on the wire leave each sender
+    one message ahead of its receiver. The restart rolls the team
+    communicator back, so the re-sent halos pair up instead of waiting on
+    sequence numbers the dead incarnation used."""
+    cluster = XeonPhiCluster(n_nodes=2)
+    job = MZJob(cluster, NAS_MZ_BENCHMARKS["SP-MZ"], 2, iterations=40)
+    out = {}
+
+    def driver(sim):
+        yield from job.launch()
+        yield sim.timeout(0.5)
+        yield from mpi_checkpoint(job, "/snap/halo")
+        store = job.ranks[0].host_proc.store
+        ckpt_iter = store["iter"]
+        while store["iter"] == ckpt_iter:
+            yield sim.timeout(1e-5)
+        # The next iteration's halos have left but not yet landed.
+        out["in_flight"] = job.comm.copies_sent == 2 * store["iter"]
+        for rank in job.ranks:
+            rank.host_proc.terminate(code=1)
+        yield sim.timeout(0.05)
+        yield from mpi_restart(job, "/snap/halo")
+        yield from job.join()
+
+    cluster.run(driver(cluster.sim))
+    cluster.sim.run(check_deadlock=True)
+    assert out["in_flight"]
+    assert job.verify()
+    assert [v for server in cluster.servers for v in check_all(server)] == []
+
+
 def test_mpi_checkpoint_time_decreases_with_ranks():
     """Fig. 11's headline trend: more ranks -> smaller per-rank snapshots ->
     faster coordinated checkpoints."""
@@ -208,3 +215,60 @@ def test_mpi_checkpoint_time_decreases_with_ranks():
         cluster.run(driver(cluster.sim))
         times[n] = out["elapsed"]
     assert times[1] > times[2] > times[4]
+
+
+#: Fig. 11 (``benchmarks/test_fig11_mpi_cr.py``): checkpoint elapsed,
+#: restart elapsed and rank-0 snapshot bytes per (benchmark, ranks).
+FIG11 = {
+    ("LU-MZ", 1): (5.666672277759596, 1.6794300971378533, 1375768576),
+    ("LU-MZ", 2): (3.1324054696545676, 1.0796327475523082, 746622976),
+    ("LU-MZ", 4): (1.852640682789553, 0.7798890536556184, 432050176),
+    ("SP-MZ", 1): (3.952567280410179, 1.443920538599195, 1050710016),
+    ("SP-MZ", 2): (2.2510894080963495, 0.9600215440843414, 578850816),
+    ("SP-MZ", 4): (1.3728053816479893, 0.7180945563789072, 342921216),
+    ("BT-MZ", 1): (4.525348575845391, 1.5239864585878546, 1160810496),
+    ("BT-MZ", 2): (2.5668487933753164, 1.0014096599454048, 636522496),
+    ("BT-MZ", 4): (1.5565604921873777, 0.7401437701762417, 374378496),
+}
+
+
+def _fig11_run(bench, n, iterations, join):
+    """Fig. 11's schedule: checkpoint 1 s after launch, kill every rank
+    0.2 s later, drop the page caches and restart; then, if ``join``,
+    run the job to its end."""
+    cluster = XeonPhiCluster(n_nodes=4)
+    job = MZJob(cluster, NAS_MZ_BENCHMARKS[bench], n, iterations=iterations)
+    out = {}
+
+    def driver(sim):
+        yield from job.launch()
+        yield sim.timeout(1.0)
+        out["ckpt"] = yield from mpi_checkpoint(job, f"/snap/{bench}")
+        yield sim.timeout(0.2)
+        for rank in job.ranks:
+            rank.host_proc.terminate(code=1)
+        yield sim.timeout(0.05)
+        for server in cluster.servers[:n]:
+            server.host_os.fs.drop_caches()
+        out["restart"] = yield from mpi_restart(job, f"/snap/{bench}")
+        if join:
+            yield from job.join()
+
+    cluster.run(driver(cluster.sim))
+    return cluster, job, out
+
+
+@pytest.mark.parametrize("bench,n", list(FIG11))
+def test_fig11_numbers_are_pinned(bench, n):
+    _, _, out = _fig11_run(bench, n, 4000, join=False)
+    ckpt, restart = out["ckpt"], out["restart"]
+    assert (ckpt["elapsed"], restart["elapsed"],
+            ckpt["rank_snapshot_bytes"][0]) == FIG11[(bench, n)]
+
+
+@pytest.mark.parametrize("bench,n", list(FIG11))
+def test_fig11_flow_passes_every_oracle(bench, n):
+    cluster, job, _ = _fig11_run(bench, n, 200, join=True)
+    cluster.sim.run(check_deadlock=True)
+    assert job.verify()
+    assert [v for server in cluster.servers for v in check_all(server)] == []

@@ -12,6 +12,7 @@ card failure under one replica costs the job under 10% run time.
 import pytest
 
 from repro.apps import NAS_MZ_BENCHMARKS
+from repro.apps.nas_mz import MZJob
 from repro.check.fuzz import default_faults, fuzz
 from repro.check.oracles import (
     no_duplicate_delivery,
@@ -20,7 +21,6 @@ from repro.check.oracles import (
 from repro.check.scenarios import run_scenario
 from repro.mpi.replication import (
     HeartbeatDetector,
-    ReplicatedJob,
     ReplicationError,
     TeamComm,
     plan_replica_placement,
@@ -34,8 +34,8 @@ from repro.testbed import XeonPhiFleet
 
 
 def make_job(fleet, n_teams=2, n_replicas=2, iterations=4):
-    return ReplicatedJob(fleet, NAS_MZ_BENCHMARKS["SP-MZ"], n_teams=n_teams,
-                         n_replicas=n_replicas, iterations=iterations)
+    return MZJob(fleet, NAS_MZ_BENCHMARKS["SP-MZ"], n_teams,
+                 n_replicas=n_replicas, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_single_card_failure_is_invisible_to_the_team():
     fleet = XeonPhiFleet("rack8", sim=sim)
     injector = FaultInjector(sim)
     job = make_job(fleet, iterations=6)
-    detector = HeartbeatDetector(job, interval=0.05, misses=2)
+    detector = HeartbeatDetector(job, misses=2)
 
     def driver():
         yield from job.launch()
@@ -154,7 +154,7 @@ def test_transient_glitch_below_miss_budget_is_tolerated():
     sim = Simulator()
     fleet = XeonPhiFleet("rack8", sim=sim)
     job = make_job(fleet, iterations=6)
-    detector = HeartbeatDetector(job, interval=0.05, misses=3)
+    detector = HeartbeatDetector(job, misses=3)
     phi = fleet.phi(job.placement[(0, 0)])
 
     def glitch():
@@ -190,7 +190,7 @@ def test_team_wipe_raises_cleanly_and_membership_stays_coherent():
     fleet = XeonPhiFleet("rack8", sim=sim)
     injector = FaultInjector(sim)
     job = make_job(fleet, iterations=6)
-    detector = HeartbeatDetector(job, interval=0.05, misses=2)
+    detector = HeartbeatDetector(job, misses=2)
     out = {}
 
     def driver():
@@ -234,8 +234,7 @@ def test_reseed_restores_team_strength_with_backfill():
     injector = FaultInjector(sim)
     manager = FleetManager(fleet)
     job = make_job(fleet, iterations=8)
-    detector = HeartbeatDetector(job, interval=0.05, misses=2,
-                                 reseed=True, manager=manager)
+    detector = HeartbeatDetector(job, misses=2, manager=manager)
 
     def driver():
         yield from job.launch()
@@ -422,7 +421,7 @@ def test_run_mode_replication_clean(faulted):
     clean = run_scenario(name, seed=1, faults=())
     out = run_scenario(name, seed=1, faults=faults) if faulted else clean
     assert out.ok and out.outcome == "completed", out.summary()
-    (job,) = ReplicatedJob.all_of(out.sim)
+    (job,) = MZJob.all_of(out.sim)
     (comm,) = TeamComm.all_of(out.sim)
     assert job.verify() and comm.ledger_balanced()
     assert set(comm.delivered_counts.values()) == {1}
