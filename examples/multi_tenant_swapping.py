@@ -10,7 +10,7 @@ back in when the burst drains. Both tenants finish with correct results.
 Run:  python examples/multi_tenant_swapping.py
 """
 
-from repro.hw import GB, MB
+from repro.hw import GB
 from repro.metrics import fmt_bytes
 from repro.sched import SwapScheduler
 from repro.testbed import XeonPhiServer, offload_app
@@ -19,7 +19,7 @@ from repro.testbed import XeonPhiServer, offload_app
 def main() -> None:
     server = XeonPhiServer()
     phi = server.node.phis[0]
-    sched = SwapScheduler(server, device=0, headroom=256 * MB)
+    sched = SwapScheduler(server, device=0)
 
     # Tenant A: a big sample-sort job (~2 GB of card state).
     big = offload_app(server, "SS", iterations=120, name="sample-sort")

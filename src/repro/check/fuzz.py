@@ -16,7 +16,7 @@ from .artifact import ReproArtifact
 from .scenarios import RunResult, run_scenario, scenario_names
 
 #: Scenarios that only ever touch card 0, leaving card 1 free to fail.
-_SPARE_CARD_SCENARIOS = ("checkpoint", "restart", "swap")
+_SPARE_CARD_SCENARIOS = ("checkpoint", "restart", "swap", "sched:swap")
 
 
 def default_faults(scenario: str, seed: int) -> List[Dict[str, Any]]:
@@ -29,7 +29,8 @@ def default_faults(scenario: str, seed: int) -> List[Dict[str, Any]]:
     scenarios (checkpoint_fault:*) carry their fault in the scenario itself.
     The plugin:* sweep runs fault-free by design (it falls through to the
     empty plan): its adversary is the seed's restore-target parity, not an
-    injected failure.
+    injected failure. The sched:* plans are plain ``card_failure`` entries
+    (see :func:`_sched_faults`).
     """
     base, _, mode = scenario.partition(":")
     if base == "transfer_fault":
@@ -46,7 +47,9 @@ def default_faults(scenario: str, seed: int) -> List[Dict[str, Any]]:
                  "at": 2.5 + 0.1 * (seed % 5)}]
     if base == "replication":
         return _replication_faults(mode, seed)
-    if base not in _SPARE_CARD_SCENARIOS:
+    if base == "sched" and mode != "swap":
+        return _sched_faults(mode, seed)
+    if scenario not in _SPARE_CARD_SCENARIOS:
         return []
     variant = seed % 3
     if variant == 0:
@@ -172,6 +175,33 @@ def _replication_faults(mode: str, seed: int) -> List[Dict[str, Any]]:
                  "replica": (seed // 2) % 2, "at": 0.1 + 0.05 * (seed % 5),
                  "up_after": 0.2 + 0.1 * (seed % 3)}]
     raise ValueError(f"unknown replication mode {mode!r}")
+
+
+#: Warning leads of the ``sched:proactive`` plan, walked by the seed. The
+#: migrator needs ~0.5 s to move its job, so the short leads lose it.
+_PROACTIVE_LEADS = (2.0, 0.1, 0.8, 0.3, 1.2)
+
+
+def _sched_faults(mode: str, seed: int) -> List[Dict[str, Any]]:
+    """``card_failure`` plans for ``sched:proactive`` (card 0 warns
+    0.5-0.7 s after boot and fails :data:`_PROACTIVE_LEADS` later) and
+    ``sched:resilient`` (two seeds of three fail card 0, the job's card,
+    0.4-2.85 s in, before or after the first checkpoint, with a 1 s repair;
+    every third also fails card 1, where the job restarted, 1.5 s later).
+    ``sched:swap`` gets the spare-card plan."""
+    if mode == "proactive":
+        lead = _PROACTIVE_LEADS[seed % len(_PROACTIVE_LEADS)]
+        return [{"device": 0, "at": 0.5 + 0.1 * (seed % 3) + lead,
+                 "warning_lead": lead}]
+    if mode != "resilient":
+        raise ValueError(f"unknown sched mode {mode!r}")
+    if seed % 3 == 0:
+        return []
+    at = 0.4 + 0.35 * (seed % 8)
+    plan = [{"device": 0, "at": at, "repair_after": 1.0}]
+    if seed % 3 == 2:
+        plan.append({"device": 1, "at": at + 1.5, "repair_after": 1.0})
+    return plan
 
 
 @dataclass

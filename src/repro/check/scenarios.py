@@ -2,11 +2,11 @@
 
 Each scenario boots a fresh :class:`~repro.testbed.XeonPhiServer` on a
 kernel seeded with ``schedule_seed``, drives one of the paper's use cases
-(checkpoint, restart-after-failure, swap cycle, migration, or a checkpoint
-with a card failure at a chosen phase boundary), quiesces, and checks every
-invariant oracle. The whole run is a pure function of
-``(scenario, seed, faults)`` — the replay guarantee the fuzzer's repro
-artifacts rely on.
+(checkpoint, restart-after-failure, swap cycle, migration, a checkpoint
+with a card failure at a chosen phase boundary, or one of the §1
+consumers built on them), quiesces, and checks every invariant oracle.
+The whole run is a pure function of ``(scenario, seed, faults)`` — the
+replay guarantee the fuzzer's repro artifacts rely on.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ PLUGIN_MODES = ("socket_restore", "ramfs_offsets", "signal_pending",
 #: and a replica lagging behind a flapped link (heartbeat drop + re-seed
 #: through the fleet's MAINTENANCE lane).
 REPLICATION_MODES = ("card_failure", "team_wipe", "lagging_replica")
+
+#: Paper §1's consumers of Snapify: the swap scheduler, the proactive
+#: migrator and the resilient runner.
+SCHED_MODES = ("swap", "proactive", "resilient")
 
 ITERATIONS = 8
 _GRACE = 5.0  # simulated seconds a faulted app may take to surface its error
@@ -750,6 +754,92 @@ def _plugin(server, app, injector, phase, faults):
     return {"outcome": "completed", "violations": bad}
 
 
+def _sched(server, app, injector, phase, faults):
+    """One of paper §1's consumers (:data:`SCHED_MODES`), driven as its
+    example drives it, under the plan's card failures. The fleet oracles
+    also audit the swap scheduler's (private) fleet manager."""
+    drivers = {"swap": _sched_swap, "proactive": _sched_proactive,
+               "resilient": _sched_resilient}
+    if phase not in drivers:
+        raise ValueError(f"unknown sched mode {phase!r}")
+    return (yield from drivers[phase](server, injector))
+
+
+def _sched_swap(server, injector):
+    """A big tenant swapped out for a 7 GB burst job must not run until it
+    is reclaimed, both must checksum clean, and while card 0 lives every
+    swap ticket must land DONE."""
+    from ..hw import GB
+    from ..sched import SwapScheduler
+
+    sched = SwapScheduler(server, device=0)
+    big = offload_app(server, "SS", iterations=120, name="sample-sort")
+    burst = offload_app(server, "FT", iterations=40, name="fft-burst")
+    yield from big.launch()
+    yield server.sim.sleep(1.5)
+    sched.register(big.host_proc, footprint=2 * GB)
+    yield from sched.make_room(incoming=7 * GB)
+    frozen = big.host_proc.store["iter"]
+    yield from burst.launch()
+    yield burst.host_proc.main_thread.done
+    bad = [Violation("sched", f"swapped-out tenant ran past iteration {frozen}")
+           ] if big.host_proc.store["iter"] != frozen else []
+    yield from sched.job_finished(burst.host_proc)
+    yield big.host_proc.main_thread.done
+    if "card_failure:0" not in injector.injected:
+        bad += [Violation("sched", f"{t.key} ended {t.state}: {t.error}")
+                for t in sched.fleet.tickets if t.state != "DONE"]
+    return {"outcome": "completed",
+            "violations": bad + _verify_violation(big) + _verify_violation(burst)}
+
+
+def _sched_proactive(server, injector):
+    """A job on mic0 under a warned mic0 failure either moves to mic1 and
+    finishes verified there, or (warned too late) dies with its card and
+    the run ends ``faulted``. A bystander on mic1 never moves."""
+    from ..sched import ProactiveMigrator
+
+    migrator = ProactiveMigrator(server, injector)
+    job = offload_app(server, "KM", iterations=1500, name="kmeans")
+    bystander = offload_app(server, "MC", iterations=200, device=1,
+                            name="bystander")
+    yield from job.launch()
+    yield from bystander.launch()
+    result = {"outcome": "completed", "violations": []}
+    try:
+        yield job.host_proc.main_thread.done
+    except (CLEAN_ERRORS + (Interrupted, ThreadKilled)) as exc:
+        job.host_proc.terminate(code=1)
+        result.update(outcome="faulted", error=repr(exc))
+    yield bystander.host_proc.main_thread.done
+    bad = result["violations"]
+    if result["outcome"] == "completed":
+        bad += _verify_violation(job)
+        if job.coiproc.offload_proc.os is not server.phi_os(1):
+            bad.append(Violation("sched", "the job finished off mic1"))
+    bad += _verify_violation(bystander)
+    if ([m for m in migrator.migrations_done if m[0] != job.name]
+            or bystander.coiproc.offload_proc.os is not server.phi_os(1)):
+        bad.append(Violation("sched", "the bystander moved"))
+    return result
+
+
+def _sched_resilient(server, injector):
+    """A short KM job under a ResilientRunner at the Young interval must
+    checksum clean, and a failure of its card must have cost a restart."""
+    from ..sched import ResilientRunner, young_interval
+
+    app = offload_app(server, "KM", iterations=800)
+    # Card MTBF 3 s; 0.48 s is KM's checkpoint cost (Fig 10a).
+    runner = ResilientRunner(server, app, interval=young_interval(3.0, 0.48),
+                             restart_from_scratch=True)
+    yield from runner.run()
+    bad = _verify_violation(app)
+    if "card_failure:0" in injector.injected and not runner.restarts:
+        bad.append(Violation("sched", "the job's card failed, but it never restarted"))
+    return {"outcome": "completed", "violations": bad}
+
+
 SCENARIOS = {
     "checkpoint": _checkpoint,
     "restart": _restart,
@@ -762,20 +852,27 @@ SCENARIOS = {
     "incremental": _incremental,
     "plugin": _plugin,
     "replication": _replication,
+    "sched": _sched,
+}
+
+#: Every parameterized scenario and the modes the catalogue runs it in
+#: (``fleet`` takes a topology name).
+SCENARIO_MODES: Dict[str, Tuple[str, ...]] = {
+    "checkpoint_fault": CHECKPOINT_FAULT_PHASES,
+    "transfer_fault": TRANSFER_FAULT_MODES,
+    "fleet": ("rack8",),
+    "incremental": INCREMENTAL_MODES,
+    "plugin": PLUGIN_MODES,
+    "replication": REPLICATION_MODES,
+    "sched": SCHED_MODES,
 }
 
 
 def scenario_names() -> List[str]:
     """All runnable names, with parameterized scenarios expanded."""
-    names = [n for n in SCENARIOS
-             if n not in ("checkpoint_fault", "transfer_fault", "fleet",
-                          "incremental", "plugin", "replication")]
-    names.extend(f"checkpoint_fault:{p}" for p in CHECKPOINT_FAULT_PHASES)
-    names.extend(f"transfer_fault:{m}" for m in TRANSFER_FAULT_MODES)
-    names.append("fleet:rack8")
-    names.extend(f"incremental:{m}" for m in INCREMENTAL_MODES)
-    names.extend(f"plugin:{m}" for m in PLUGIN_MODES)
-    names.extend(f"replication:{m}" for m in REPLICATION_MODES)
+    names = [n for n in SCENARIOS if n not in SCENARIO_MODES]
+    for base, modes in SCENARIO_MODES.items():
+        names.extend(f"{base}:{mode}" for mode in modes)
     return names
 
 
@@ -810,9 +907,8 @@ def run_scenario(
 ) -> RunResult:
     """Run one scenario under one schedule seed and fault plan.
 
-    ``name`` is a scenario key, optionally parameterized —
-    ``checkpoint_fault:<phase>``, ``transfer_fault:<mode>``,
-    ``incremental:<mode>``, ``plugin:<mode>``, or ``replication:<mode>``.
+    ``name`` is a scenario key, optionally parameterized as
+    ``<base>:<mode>`` for a base of :data:`SCENARIO_MODES`.
     ``faults`` entries are dicts dispatched on
     their ``"kind"`` (default ``card_failure``): ``card_failure`` takes
     ``{"device", "at"}`` plus optional ``"warning_lead"`` /

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, List
 
 from ..sim.events import Event
 from ..snapify.api import snapify_t
+from ..snapify.monitor import SnapifyError
 from ..snapify.ops import OperationManager
 from ..snapify.usecases import checkpoint_offload_app, restart_offload_app
 
@@ -32,7 +33,13 @@ def mpi_checkpoint(job: "MZJob", path_prefix: str):
     Returns a dict with the elapsed time, the per-rank typed results and
     each rank's total snapshot size. The elapsed time is the max across
     ranks (they checkpoint concurrently, one per node).
+
+    A replicated job is refused before anything parks: the replicas of a
+    rank are not in lockstep, and they would share one snapshot path.
     """
+    if job.n_replicas > 1:
+        raise SnapifyError(f"{job.name}: cannot checkpoint "
+                           f"{job.n_replicas} replicas per rank")
     sim = job.sim
     t0 = sim.now
 
@@ -42,7 +49,8 @@ def mpi_checkpoint(job: "MZJob", path_prefix: str):
     job.all_parked = Event(sim, "mpi.all-parked")
     job.release_event = Event(sim, "mpi.release")
     yield job.all_parked
-    assert job.comm.pending_messages() == 0, "MPI channels not drained"
+    if job.comm.pending_messages():
+        raise SnapifyError(f"{job.name}: MPI channels not drained at the park point")
 
     # 2. Capture every rank in parallel: one pre-issued operation per rank,
     #    demultiplexed by correlation id, awaited through the manager.

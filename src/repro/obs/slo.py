@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from statistics import median
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,11 +52,8 @@ def robust_zscores(values: Dict[str, float]) -> Dict[str, float]:
     """
     if not values:
         return {}
-    vals = sorted(values.values())
-    n = len(vals)
-    med = (vals[n // 2] if n % 2 else (vals[n // 2 - 1] + vals[n // 2]) / 2.0)
-    devs = sorted(abs(v - med) for v in vals)
-    mad = (devs[n // 2] if n % 2 else (devs[n // 2 - 1] + devs[n // 2]) / 2.0)
+    med = median(values.values())
+    mad = median([abs(v - med) for v in values.values()])
     scale = mad * _MAD_SIGMA
     out: Dict[str, float] = {}
     for key, v in values.items():
@@ -87,9 +85,9 @@ def straggler_scores(values: Dict[str, float],
     """
     if not values:
         return {}
-    median = sorted(values.values())[len(values) // 2]
+    upper = sorted(values.values())[len(values) // 2]
     return {key: z for key, z in robust_zscores(values).items()
-            if z > max_z and values[key] - median > STRAGGLER_MIN_SPREAD}
+            if z > max_z and values[key] - upper > STRAGGLER_MIN_SPREAD}
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,11 @@ class RamFileSystem(FileSystem):
             # generator synchronously, so this runs deterministically.
             self.memory.free(nbytes, "ramfs")
             raise
+        if self._files.get(f.path) is not f:
+            # Unlinked (or truncated by a create) mid-write: the bytes land
+            # in no file, so they go back to the pool.
+            self.memory.free(nbytes, "ramfs")
+            return
         f.size += nbytes
         if payload is not None:
             f.payload = payload

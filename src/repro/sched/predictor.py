@@ -9,7 +9,7 @@ card via the snapify CLI path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from ..coi.engine import COIEngine
 from ..hw.node import PhiDevice
@@ -35,28 +35,16 @@ class ProactiveMigrator:
         self.migrations_done: List[tuple] = []
         injector.subscribe(self._on_warning)
 
-    def _pick_target(self, sick: PhiDevice) -> Optional[int]:
-        """Healthiest other card: most free memory, not failed."""
-        best, best_free = None, -1
-        for phi in self.server.node.phis:
-            if phi is sick or phi.failed:
-                continue
-            if phi.memory.available > best_free:
-                best, best_free = phi.index, phi.memory.available
-        return best
-
     def _on_warning(self, phi: PhiDevice, time_to_failure: float) -> None:
-        victims = []
-        for proc in self.server.host_os.processes.values():
-            handle = proc.runtime.get("coi_handle")
-            if (proc.alive and handle is not None and not handle.dead
-                    and handle.offload_proc.os is phi.os):
-                victims.append(proc)
-        if not victims:
-            return
-        target = self._pick_target(phi)
-        if target is None:
-            return  # nowhere to go; the jobs will die with the card
+        victims = [p for p in self.server.host_os.processes.values()
+                   if p.alive and (h := p.runtime.get("coi_handle")) is not None
+                   and not h.dead and h.offload_proc.os is phi.os]
+        healthy = [card for card in self.server.node.phis
+                   if card is not phi and not card.failed]
+        if not victims or not healthy:
+            return  # nothing to move, or nowhere to go: the jobs die with the card
+        # The healthiest other card: the one with the most free memory.
+        target = max(healthy, key=lambda card: card.memory.available).index
         for host_proc in victims:
             self.sim.spawn(
                 self._migrate(host_proc, phi.index, target),
@@ -65,10 +53,8 @@ class ProactiveMigrator:
             )
 
     def _migrate(self, host_proc: SimProcess, src: int, dst: int):
-        engine = COIEngine(self.server.node, dst)
-        done = snapify_command(
-            host_proc, MIGRATE, engine=engine,
+        yield snapify_command(
+            host_proc, MIGRATE, engine=COIEngine(self.server.node, dst),
             snapshot_path=f"/tmp/evacuate_{host_proc.pid}",
         )
-        yield done
         self.migrations_done.append((host_proc.name, src, dst, self.sim.now))

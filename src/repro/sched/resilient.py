@@ -18,6 +18,9 @@ from ..snapify.usecases import checkpoint_offload_app, restart_offload_app
 if TYPE_CHECKING:  # pragma: no cover
     from ..testbed import XeonPhiServer
 
+#: Host directory the runner's checkpoints go under (``ckpt<n>`` each).
+SNAPSHOT_ROOT = "/resilient"
+
 
 class ResilientRunner:
     """Runs one offload application to completion despite card failures."""
@@ -27,7 +30,6 @@ class ResilientRunner:
         server: "XeonPhiServer",
         app: OffloadApplication,
         interval: float,
-        snapshot_root: str = "/resilient",
         restart_from_scratch: bool = False,
         detection_latency: float = 0.05,
         max_recover_attempts: int = 3,
@@ -42,7 +44,6 @@ class ResilientRunner:
         self.sim = server.sim
         self.app = app
         self.interval = interval
-        self.snapshot_root = snapshot_root
         #: Policy for a failure before the first checkpoint: relaunch the
         #: job from iteration zero (True) or raise (False).
         self.restart_from_scratch = restart_from_scratch
@@ -57,8 +58,6 @@ class ResilientRunner:
         self.restarts = 0
         self.latest_snapshot: Optional[str] = None
         self.events: List[tuple] = []
-        #: Typed OperationResults of every checkpoint/restart the runner drove.
-        self.op_results: List = []
 
     # -- helpers ----------------------------------------------------------------
     def _healthy_engine(self):
@@ -94,7 +93,7 @@ class ResilientRunner:
                 yield from self._recover()
                 continue
 
-            path = f"{self.snapshot_root}/ckpt{self.checkpoints_taken}"
+            path = f"{SNAPSHOT_ROOT}/ckpt{self.checkpoints_taken}"
             snap = snapify_t(snapshot_path=path,
                              coiproc=self.app.host_proc.runtime["coi_handle"])
             try:
@@ -105,8 +104,6 @@ class ResilientRunner:
                 continue
             self.checkpoints_taken += 1
             self.latest_snapshot = path
-            if snap.op is not None and snap.op.result is not None:
-                self.op_results.append(snap.op.result)
             self.events.append(("checkpoint", path, self.sim.now))
 
         return self.app.host_proc.store
@@ -143,7 +140,5 @@ class ResilientRunner:
                 self.events.append(("recover_retry", self.sim.now))
                 continue
             self.app.host_proc = result.host_proc
-            if result.result is not None:
-                self.op_results.append(result.result)
             self.events.append(("restart", self.latest_snapshot, self.sim.now))
             return

@@ -15,9 +15,10 @@ lives here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..coi.engine import COIEngine
+from ..hw import MB
 from ..obs.registry import MetricsRegistry
 from ..osim.process import SimProcess
 from ..snapify.cli import SWAP_IN, SWAP_OUT, snapify_command
@@ -34,14 +35,17 @@ class TenantJob:
     """One scheduled offload application."""
 
     host_proc: SimProcess
-    device: int
     #: Card bytes the job pins (offload heap + local store + image).
     footprint: int
     state: str = "resident"  # resident | swapped
     swap_count: int = 0
-    #: The snapify_t of the last swap cycle; its ``op`` is the in-flight or
-    #: completed operation for this job (field(...) keeps dataclass eq).
+    #: The snapify_t of the last swap-out; its ``op`` is the job's latest
+    #: swap operation (field(...) keeps dataclass eq).
     snap: Optional[object] = field(default=None, compare=False)
+
+
+#: Card memory the scheduler keeps free for the OS and RAM-FS churn.
+HEADROOM = 256 * MB
 
 
 class SwapScheduler:
@@ -50,19 +54,16 @@ class SwapScheduler:
     Every swap rides a :class:`~repro.snapify.fleet.FleetManager` ticket at
     SWAP priority: on the caller's manager, whose admission control then
     bounds this scheduler's swaps together with the rest of the fleet's
-    traffic, or else on a private manager named after the card. Health
-    reports from fleet sweeps gate reclaim (no point swapping a tenant back
-    onto a failed or straggling card)."""
+    traffic, or else on a private manager named after the card. The
+    manager's last health sweep gates reclaim (no point swapping a tenant
+    back onto a failed or straggling card)."""
 
     def __init__(self, server: "XeonPhiServer", device: int = 0,
-                 headroom: int = 512 * 1024 * 1024,
                  fleet: Optional[FleetManager] = None):
         self.server = server
         self.sim = server.sim
         self.device = device
         self.phi = server.node.phis[device]
-        #: Keep this much card memory free for the OS and RAM-FS churn.
-        self.headroom = headroom
         self.jobs: Dict[int, TenantJob] = {}
         #: Typed results of every swap operation this scheduler issued.
         self.operations: List[OperationResult] = []
@@ -71,8 +72,6 @@ class SwapScheduler:
         self.card = CardRef(node=self.phi.node_index, device=device)
         ck = self.card.key
         self.fleet = fleet or FleetManager(sim=self.sim, name=f"sched.{ck}")
-        #: Card keys the last health report flagged (failed or straggling).
-        self.unhealthy_cards: Set[str] = set()
         self._fleet_seq = 0
         # Card-keyed series: the ".card.<key>." segment becomes a
         # {card=...} label in the Prometheus export.
@@ -85,20 +84,17 @@ class SwapScheduler:
                   lambda: len(self.swapped_jobs()))
 
     # -- fleet health ------------------------------------------------------------
-    def note_health(self, report: Any) -> None:
-        """Consume a :class:`~repro.snapify.fleet.HealthReport`: remember
-        which cards are failed or straggling so placement decisions can
-        avoid them. Each report replaces the previous one's verdict."""
-        self.unhealthy_cards = {h.card for h in report.failed}
-        self.unhealthy_cards.update(h.card for h in report.stragglers())
-
     def card_healthy(self) -> bool:
-        """False when the last health report flagged this scheduler's card."""
-        return self.card.key not in self.unhealthy_cards
+        """False when the manager's last health sweep flagged this card as
+        failed or straggling. A manager that never swept (a private one)
+        reads healthy."""
+        report = self.fleet.last_health
+        return report is None or all(
+            h.card != self.card.key for h in report.failed + report.stragglers())
 
     # -- bookkeeping -------------------------------------------------------------
     def register(self, host_proc: SimProcess, footprint: int) -> TenantJob:
-        job = TenantJob(host_proc=host_proc, device=self.device, footprint=footprint)
+        job = TenantJob(host_proc=host_proc, footprint=footprint)
         self.jobs[host_proc.pid] = job
         return job
 
@@ -109,21 +105,19 @@ class SwapScheduler:
         return [j for j in self.jobs.values() if j.state == "swapped"]
 
     def _free_after(self, incoming: int) -> int:
-        return self.phi.memory.available - incoming - self.headroom
+        return self.phi.memory.available - incoming - HEADROOM
 
     # -- policy ------------------------------------------------------------------
     def make_room(self, incoming: int):
         """Sub-generator: swap out the largest residents until ``incoming``
-        bytes fit (plus headroom). Returns the list of victims swapped."""
+        bytes fit (plus :data:`HEADROOM`). Returns the list of victims swapped."""
         victims = []
         while self._free_after(incoming) < 0:
-            candidates = sorted(
-                self.resident_jobs(), key=lambda j: j.footprint, reverse=True
-            )
-            if not candidates:
+            victim = max(self.resident_jobs(), key=lambda j: j.footprint,
+                         default=None)
+            if victim is None:
                 break  # nothing left to evict; the launch may still OOM
-            victim = candidates[0]
-            yield from self._swap_out(victim)
+            yield from self._swap(victim, "swapout")
             victims.append(victim)
         return victims
 
@@ -139,7 +133,7 @@ class SwapScheduler:
         for job in sorted(self.swapped_jobs(), key=lambda j: j.footprint):
             if self._free_after(job.footprint) < 0:
                 break
-            yield from self._swap_in(job)
+            yield from self._swap(job, "swapin")
             brought_back.append(job)
         return brought_back
 
@@ -151,7 +145,7 @@ class SwapScheduler:
         victims = []
         for job in sorted(self.resident_jobs(), key=lambda j: j.footprint,
                           reverse=True):
-            yield from self._swap_out(job, priority=MAINTENANCE)
+            yield from self._swap(job, "swapout", MAINTENANCE)
             victims.append(job)
         self.sim.trace.emit("sched.evacuate", device=self.device,
                             card=self.card.key, jobs=len(victims))
@@ -160,59 +154,37 @@ class SwapScheduler:
     def job_finished(self, host_proc: SimProcess):
         """Sub-generator: drop a finished job and reclaim swapped tenants."""
         self.jobs.pop(host_proc.pid, None)
-        result = yield from self.reclaim()
-        return result
+        return (yield from self.reclaim())
 
     # -- mechanics ----------------------------------------------------------------
-    def _fleet_issue(self, kind: str, job: TenantJob, command, priority=SWAP):
-        """Sub-generator: run a snapify CLI command as a fleet ticket so the
-        fleet's admission caps govern it. Returns the terminal ticket."""
+    def _swap(self, job: TenantJob, kind: str, priority=SWAP):
+        """Sub-generator: swap ``job`` out or in (``kind`` is ``"swapout"``
+        or ``"swapin"``) with a snapify CLI command run as a fleet ticket,
+        so the fleet's admission caps govern it."""
+        proc, out = job.host_proc, kind == "swapout"
+        engine = None if out else COIEngine(self.server.node, self.device)
         self._fleet_seq += 1
-        key = f"sched.{self.card.key}/{kind}.{job.host_proc.pid}.{self._fleet_seq}"
+        key = f"sched.{self.card.key}/{kind}.{proc.pid}.{self._fleet_seq}"
 
         def work():
-            return (yield command())
+            return (yield snapify_command(proc, SWAP_OUT if out else SWAP_IN,
+                                          engine=engine,
+                                          snapshot_path=f"/swap/job_{proc.pid}"))
 
         ticket = self.fleet.submit(key, kind, work, card=self.card,
-                                   priority=priority, proc=job.host_proc)
+                                   priority=priority, proc=proc)
         if not ticket.done.triggered:
             yield ticket.done
         if ticket.state != "DONE":
             raise SnapifyError(f"scheduler {kind} failed: {ticket.error}")
-        return ticket
-
-    def _swap_out(self, job: TenantJob, priority=SWAP):
-        def command():
-            return snapify_command(
-                job.host_proc, SWAP_OUT,
-                snapshot_path=f"/swap/job_{job.host_proc.pid}",
-            )
-
-        ticket = yield from self._fleet_issue("swapout", job, command, priority)
-        job.snap = ticket.result
-        self._record(job)
-        job.state = "swapped"
-        job.swap_count += 1
-        self.m_swap_outs.inc()
-        self.sim.trace.emit("sched.swap_out", proc=job.host_proc.name,
-                            card=self.card.key, footprint=job.footprint)
-
-    def _swap_in(self, job: TenantJob):
-        engine = COIEngine(self.server.node, self.device)
-
-        def command():
-            return snapify_command(job.host_proc, SWAP_IN, engine=engine)
-
-        yield from self._fleet_issue("swapin", job, command)
-        # The CLI handler drove the swap-in on the same snapify_t it parked
-        # at swap-out; its operation is now the swap-in's.
-        self._record(job)
-        job.state = "resident"
-        self.m_swap_ins.inc()
-        self.sim.trace.emit("sched.swap_in", proc=job.host_proc.name,
-                            card=self.card.key, footprint=job.footprint)
-
-    def _record(self, job: TenantJob) -> None:
-        snap = job.snap
-        if snap is not None and snap.op is not None and snap.op.result is not None:
-            self.operations.append(snap.op.result)
+        if out:
+            job.snap = ticket.result
+            job.swap_count += 1
+        # The CLI handler drives the swap-in on the snapify_t it parked at
+        # swap-out, so that handle's operation is always the latest swap's.
+        self.operations.append(job.snap.op.result)
+        job.state = "swapped" if out else "resident"
+        (self.m_swap_outs if out else self.m_swap_ins).inc()
+        self.sim.trace.emit("sched.swap_out" if out else "sched.swap_in",
+                            proc=proc.name, card=self.card.key,
+                            footprint=job.footprint)

@@ -10,16 +10,14 @@ from .channel import Channel, ChannelClosed
 from .errors import DeadlockError, Interrupted, SimError, SimTimeLimit, ThreadKilled
 from .events import AllOf, AnyOf, Event
 from .kernel import Simulator, Thread
-from .sync import Barrier, Condition, Mutex, Semaphore
+from .sync import Mutex, Semaphore
 from .trace import NULL_SPAN, Span, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Barrier",
     "Channel",
     "ChannelClosed",
-    "Condition",
     "DeadlockError",
     "Event",
     "Interrupted",

@@ -20,7 +20,7 @@ most of them are never contended. So every primitive has ``__slots__`` and
 its waiter queue is ``None`` until the first waiter parks: an uncontended
 lock or semaphore holds no container. Once created, the queue stays a
 deque, because a shared PCIe link mutex can queue many waiters at once.
-Release, post and notify read ``None`` as an empty queue.
+Release and post read ``None`` as an empty queue.
 """
 
 from __future__ import annotations
@@ -161,72 +161,3 @@ class Semaphore:
             if not woke:
                 self.value += 1
 
-
-class Barrier:
-    """All ``parties`` threads block until the last one arrives."""
-
-    __slots__ = ("sim", "name", "parties", "_generation", "_waiting")
-
-    def __init__(self, sim: "Simulator", parties: int, name: str = "barrier"):
-        if parties < 1:
-            raise ValueError("barrier needs >= 1 party")
-        self.sim = sim
-        self.name = name
-        self.parties = parties
-        self._generation = 0
-        self._waiting: list[Event] = []
-
-    def wait(self) -> Event:
-        ev = Event(self.sim, name=f"barrier:{self.name}@{self._generation}")
-        self._waiting.append(ev)
-        if len(self._waiting) == self.parties:
-            waiters, self._waiting = self._waiting, []
-            gen = self._generation
-            self._generation += 1
-            for w in waiters:
-                w.succeed(gen)
-        return ev
-
-
-class Condition:
-    """Condition variable paired with an external :class:`Mutex`.
-
-    ``wait()`` must be called with the mutex held; it atomically releases the
-    mutex and re-acquires it before the returned generator completes.
-    Because releasing and re-acquiring cannot be expressed as a single event,
-    ``wait`` is a sub-generator: use ``yield from cond.wait()``.
-    """
-
-    __slots__ = ("sim", "mutex", "name", "_waiters")
-
-    def __init__(self, sim: "Simulator", mutex: Mutex, name: str = "cond"):
-        self.sim = sim
-        self.mutex = mutex
-        self.name = name
-        self._waiters: Optional[Deque[Event]] = None
-
-    def wait(self):
-        if not self.mutex.locked:
-            raise RuntimeError(f"Condition.wait on {self.name!r} without the mutex held")
-        ev = Event(self.sim, name=f"cond.wait:{self.name}")
-        if self._waiters is None:
-            self._waiters = deque([ev])
-        else:
-            self._waiters.append(ev)
-        self.mutex.release()
-        yield ev
-        yield self.mutex.acquire()
-
-    def notify(self, n: int = 1) -> None:
-        for _ in range(n):
-            while self._waiters:
-                ev = self._waiters.popleft()
-                if not ev.triggered and not ev.abandoned:
-                    ev.succeed(None)
-                    break
-            else:
-                return
-
-    def notify_all(self) -> None:
-        if self._waiters:
-            self.notify(len(self._waiters))

@@ -23,8 +23,8 @@ results), adapted to the simulated control plane:
   first one (a fleet where 3 of 300 cards are sick is the *normal* case).
 * **Health sweeps** — calibration-style: probe every card with a small
   timed RAM-FS write, and surface dead cards and stragglers (probe latency
-  far above the fleet median) to the swap scheduler, which stops placing
-  work on them (:meth:`repro.sched.scheduler.SwapScheduler.note_health`).
+  far above the fleet median) in ``last_health``, which gates the swap
+  scheduler's reclaim (:meth:`repro.sched.scheduler.SwapScheduler.card_healthy`).
 
 Everything here is layered *on top of* :class:`~repro.snapify.ops.
 OperationManager`: each admitted request ultimately runs an ordinary
@@ -40,11 +40,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from statistics import median
 from typing import (
     Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
 )
 
 from ..obs.registry import MetricsRegistry
+from ..obs.slo import straggler_scores
 from ..sim.events import Event
 from .monitor import SnapifyError
 from .ops import OperationManager, OperationResult
@@ -245,13 +247,8 @@ class HealthReport:
         return [h for h in self.entries if h.ok]
 
     def median_latency(self) -> Optional[float]:
-        lats = sorted(h.latency for h in self.healthy if h.latency is not None)
-        if not lats:
-            return None
-        mid = len(lats) // 2
-        if len(lats) % 2:
-            return lats[mid]
-        return (lats[mid - 1] + lats[mid]) / 2.0
+        lats = [h.latency for h in self.healthy if h.latency is not None]
+        return median(lats) if lats else None
 
     def stragglers(self) -> List[CardHealth]:
         """Healthy cards whose probe latency straggles behind the fleet —
@@ -263,8 +260,6 @@ class HealthReport:
         MAD-based robust z-score above 3.5 and at least 10 ms above the
         fleet median, so microsecond jitter on a tightly-clustered fleet
         never flags."""
-        from ..obs.slo import straggler_scores
-
         flagged = straggler_scores(
             {h.card: h.latency for h in self.healthy if h.latency is not None}
         )

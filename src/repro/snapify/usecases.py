@@ -21,6 +21,7 @@ from .api import (
     snapify_t,
 )
 from ..snapify_io.resilience import TransferManager
+from . import constants as c
 from .ops import TRANSFERRING, OperationManager, OperationResult, capture_sequence
 
 HOST_CONTEXT_FILE = "host_context"
@@ -185,12 +186,20 @@ def snapify_migration(coiproc: COIProcess, engine_to: COIEngine,
     # §7: "In process migration, the offload process copies its local store
     # directly from its current coprocessor to another coprocessor using
     # Snapify-IO. Thus the pause time in process migration is different."
-    snap = yield from snapify_swapout(
-        snapshot_path, coiproc, localstore_node=engine_to.phi.scif_node_id,
-        parent=root,
-    )
-    swapout = snap.op.result
-    new = yield from snapify_swapin(snap, engine_to, parent=root)
+    try:
+        snap = yield from snapify_swapout(
+            snapshot_path, coiproc, localstore_node=engine_to.phi.scif_node_id,
+            parent=root,
+        )
+        swapout = snap.op.result
+        new = yield from snapify_swapin(snap, engine_to, parent=root)
+    except Exception:
+        # Only the swap-in releases the local store staged on the target
+        # card: a migration that dies first drops it here.
+        target_fs = engine_to.phi.os.fs
+        if target_fs.exists(c.localstore_path(snapshot_path)):
+            target_fs.unlink(c.localstore_path(snapshot_path))
+        raise
     root.finish(elapsed=sim.now - t0)
     return new, (swapout, snap.op.result)
 

@@ -18,7 +18,7 @@ from repro.check.oracles import (
     fleet_no_starvation,
     fleet_quiescent,
 )
-from repro.hw import GB, MB
+from repro.hw import GB
 from repro.sched import FaultInjector, SwapScheduler
 from repro.sim import Simulator
 from repro.sim.events import Event
@@ -308,8 +308,7 @@ def test_scheduler_routes_swaps_through_fleet():
     mgr = FleetManager(fleet, max_in_flight=4, per_card_limit=2)
     card = fleet.cards()[0]
     server = fleet.server(card.node)
-    sched = SwapScheduler(server, device=card.device, fleet=mgr,
-                          headroom=256 * MB)
+    sched = SwapScheduler(server, device=card.device, fleet=mgr)
     profile = replace(OPENMP_BENCHMARKS["MC"], iterations=300)
     app = OffloadApplication(server, profile, device=card.device,
                              name="tenant")
@@ -322,16 +321,17 @@ def test_scheduler_routes_swaps_through_fleet():
         sched.register(app.host_proc, footprint=2 * GB)
         out["evacuated"] = [j.host_proc.name
                             for j in (yield from sched.evacuate())]
-        # A flagged card gets nothing swapped back onto it.
-        sched.note_health(HealthReport(
+        # A card the manager's last sweep flagged gets nothing swapped
+        # back onto it.
+        mgr.last_health = HealthReport(
             [CardHealth(card.key, False, None, error="probe failed")],
             when=sim.now,
-        ))
+        )
         assert not sched.card_healthy()
         out["gated"] = yield from sched.reclaim()
-        sched.note_health(HealthReport(
+        mgr.last_health = HealthReport(
             [CardHealth(card.key, True, 0.01)], when=sim.now,
-        ))
+        )
         out["reclaimed"] = [j.host_proc.name
                             for j in (yield from sched.reclaim())]
         yield app.host_proc.main_thread.done
@@ -346,6 +346,47 @@ def test_scheduler_routes_swaps_through_fleet():
     kinds = sorted(t.kind for t in mgr.tickets)
     assert kinds == ["swapin", "swapout"]
     assert all(t.state == DONE for t in mgr.tickets)
+
+
+def test_scheduler_reads_card_health_from_the_shared_managers_sweep():
+    """The scheduler reads health where the manager's sweep stores it: after
+    a real card failure and a real sweep, reclaim swaps nothing back onto
+    the dead card; after the repair and the next sweep, it does."""
+    fleet = XeonPhiFleet("dev2")
+    mgr = FleetManager(fleet)
+    card = fleet.cards()[0]
+    server = fleet.server(card.node)
+    injector = FaultInjector(fleet.sim)
+    sched = SwapScheduler(server, device=card.device, fleet=mgr)
+    profile = replace(OPENMP_BENCHMARKS["MC"], iterations=300)
+    app = OffloadApplication(server, profile, device=card.device,
+                             name="tenant")
+    out = {}
+
+    def driver():
+        sim = fleet.sim
+        yield from app.launch()
+        yield sim.timeout(0.5)
+        sched.register(app.host_proc, footprint=2 * GB)
+        yield from sched.evacuate()
+        yield injector.schedule_card_failure(fleet.phi(card), at=sim.now + 0.01,
+                                             repair_after=0.5)
+        report = yield from mgr.health_sweep()
+        out["failed"] = [h.card for h in report.failed]
+        out["gated"] = yield from sched.reclaim()
+        yield sim.timeout(1.0)  # past the repair and the daemon reboot
+        report = yield from mgr.health_sweep()
+        out["failed_after_repair"] = [h.card for h in report.failed]
+        out["reclaimed"] = [j.host_proc.name
+                            for j in (yield from sched.reclaim())]
+        yield app.host_proc.main_thread.done
+
+    fleet.run(driver())
+    assert out["failed"] == [card.key]
+    assert out["gated"] == []
+    assert out["failed_after_repair"] == []
+    assert out["reclaimed"] == ["tenant"]
+    assert app.verify()
 
 
 # ---------------------------------------------------------------------------

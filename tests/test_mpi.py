@@ -6,7 +6,8 @@ from repro.apps import NAS_MZ_BENCHMARKS, mz_rank_footprint
 from repro.apps.nas_mz import MZJob
 from repro.check.oracles import check_all
 from repro.mpi import MPIComm, MPIError, mpi_checkpoint, mpi_restart
-from repro.testbed import XeonPhiCluster
+from repro.snapify import SnapifyError
+from repro.testbed import XeonPhiCluster, XeonPhiFleet
 
 
 def test_comm_tagged_send_recv():
@@ -193,6 +194,30 @@ def test_mpi_restart_after_a_kill_mid_halo_exchange():
     assert out["in_flight"]
     assert job.verify()
     assert [v for server in cluster.servers for v in check_all(server)] == []
+
+
+def test_mpi_checkpoint_refuses_a_replicated_job_without_parking_it():
+    """Replicas of one rank are not in lockstep and would share one
+    snapshot path, so a coordinated checkpoint of an R=2 job is refused up
+    front. The job never parks: it runs on, joins and verifies."""
+    fleet = XeonPhiFleet("rack8")
+    job = MZJob(fleet, NAS_MZ_BENCHMARKS["SP-MZ"], 2, n_replicas=2,
+                iterations=12)
+    out = {}
+
+    def driver(sim):
+        yield from job.launch()
+        yield sim.timeout(0.5)
+        with pytest.raises(SnapifyError, match="replicas per rank"):
+            yield from mpi_checkpoint(job, "/snap/replicated")
+        out["parked"] = (job.park_requested, job.parked)
+        yield from job.join()
+
+    fleet.run(driver(fleet.sim))
+    fleet.sim.run(check_deadlock=True)
+    assert out["parked"] == (False, 0)
+    assert job.verify()
+    assert [v for server in fleet.servers for v in check_all(server)] == []
 
 
 def test_mpi_checkpoint_time_decreases_with_ranks():

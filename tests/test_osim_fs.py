@@ -100,6 +100,28 @@ def test_ramfs_charges_card_memory():
     assert phi.memory.by_category["ramfs"] == 0
 
 
+def test_ramfs_write_to_a_file_unlinked_mid_write_returns_its_bytes():
+    """A write still copying when its file is unlinked (a failed migration
+    dropping its staged local store) lands in no file, so its charge goes
+    back to the card: the pool keeps matching the files that exist."""
+    sim, node, host, phi = make_env()
+    copy_time = 64 * MB / phi.memory.params.memcpy_bw
+
+    def writer(sim):
+        yield from phi.fs.write("/tmp/localstore", 64 * MB)
+
+    def unlinker(sim):
+        yield sim.sleep(copy_time / 2)
+        assert phi.memory.by_category["ramfs"] == 64 * MB
+        phi.fs.unlink("/tmp/localstore")
+
+    t = sim.spawn(unlinker(sim))
+    run(sim, writer(sim))
+    assert t.done.ok, t.done.exception
+    assert not phi.fs.exists("/tmp/localstore")
+    assert phi.fs.total_bytes() == phi.memory.by_category["ramfs"] == 0
+
+
 def test_ramfs_oom_on_oversized_file():
     """A snapshot bigger than free card memory cannot be stored locally."""
     sim, node, host, phi = make_env()

@@ -101,6 +101,36 @@ def test_proactive_migration_finds_victims_from_live_handles():
     assert bystander.coiproc.offload_proc.os is server.phi_os(1)
 
 
+def test_too_short_a_warning_loses_the_job_but_no_staged_bytes():
+    """The migrator starts moving the job, but the card dies before the
+    move completes. The job is lost, and the local store the pause already
+    staged on the target card is dropped, its bytes returned to the card."""
+    from repro.check.oracles import check_all
+    from repro.coi.services import COIError
+
+    server = XeonPhiServer()
+    injector = FaultInjector(server.sim)
+    migrator = ProactiveMigrator(server, injector)
+    app = OffloadApplication(server, profile("KM", iterations=1500), device=0)
+
+    def driver(sim):
+        yield from app.launch()
+        yield sim.timeout(0.2)
+        injector.schedule_card_failure(
+            server.node.phis[0], at=sim.now + 0.3, warning_lead=0.1
+        )
+        with pytest.raises(COIError):
+            yield app.host_proc.main_thread.done
+        app.host_proc.terminate(code=1)
+
+    server.run(driver(server.sim))
+    server.sim.run(check_deadlock=True)
+    assert migrator.migrations_done == []
+    assert not app.verify()
+    assert server.phi_os(1).fs.listdir("/tmp") == []
+    assert check_all(server) == []
+
+
 def test_no_warning_means_job_dies():
     server = XeonPhiServer()
     injector = FaultInjector(server.sim)
@@ -123,7 +153,7 @@ def test_swap_scheduler_makes_room_and_reclaims():
     from repro.snapify.fleet import DONE, FleetManager
 
     server = XeonPhiServer()
-    sched = SwapScheduler(server, device=0, headroom=256 * MB)
+    sched = SwapScheduler(server, device=0)
     # Two tenants that together blow the 8 GB card; SS is the big one.
     big = OffloadApplication(server, profile("SS", iterations=60), name="big")
     small = OffloadApplication(server, profile("MC", iterations=60), name="small")

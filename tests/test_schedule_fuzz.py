@@ -22,7 +22,9 @@ from repro.check.fuzz import default_faults
 from repro.check.scenarios import (
     INCREMENTAL_MODES,
     PLUGIN_MODES,
+    SCENARIO_MODES,
     SCENARIOS,
+    SCHED_MODES,
     TRANSFER_FAULT_MODES,
     scenario_names,
 )
@@ -111,9 +113,12 @@ def test_unknown_scenario_is_rejected():
 
 def test_scenario_names_expand_fault_phases():
     names = scenario_names()
-    parameterized = {"checkpoint_fault", "transfer_fault", "fleet",
-                     "incremental", "plugin", "replication"}
-    assert set(SCENARIOS) - parameterized <= set(names)
+    assert set(SCENARIO_MODES) <= set(SCENARIOS)
+    assert set(SCENARIOS) - set(SCENARIO_MODES) <= set(names)
+    assert [n for n in names if ":" in n] == [
+        f"{base}:{mode}" for base, modes in SCENARIO_MODES.items()
+        for mode in modes
+    ]
     for mode in ("card_failure", "team_wipe", "lagging_replica"):
         assert f"replication:{mode}" in names
     for phase in CHECKPOINT_FAULT_PHASES:
@@ -125,6 +130,10 @@ def test_scenario_names_expand_fault_phases():
         assert f"incremental:{mode}" in names
     for mode in PLUGIN_MODES:
         assert f"plugin:{mode}" in names
+    assert SCHED_MODES == ("swap", "proactive", "resilient")
+    for mode in SCHED_MODES:
+        assert f"sched:{mode}" in names
+    assert len(names) == 28
 
 
 def test_fuzz_smoke_all_scenarios_pass_oracles():

@@ -1,6 +1,6 @@
 """Idle simulator primitives cost nothing: lazy queues and their semantics.
 
-``Channel``, ``Mutex``, ``Semaphore`` and ``Condition`` allocate their
+``Channel``, ``Mutex`` and ``Semaphore`` allocate their
 queues only when something is queued or parks. These tests pin the
 semantics of the lazy paths (FIFO after a queue empties and refills,
 abandoned waiters skipped, close on a never-used channel, wakeups on
@@ -24,7 +24,7 @@ from repro.osim.sockets import UnixSocket
 from repro.scif.endpoint import ConnectionReset, ScifEndpoint, ScifNetwork, _SyncEnvelope
 from repro.sim import Channel, ChannelClosed, Event, Interrupted, Simulator
 from repro.sim.errors import SimError
-from repro.sim.sync import Condition, Mutex, Semaphore
+from repro.sim.sync import Mutex, Semaphore
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_fail_queued_sync_acks_fails_only_pending_acks():
 
 
 # ---------------------------------------------------------------------------
-# Mutex, Semaphore, Condition
+# Mutex, Semaphore
 # ---------------------------------------------------------------------------
 
 
@@ -326,10 +326,6 @@ def test_release_post_and_notify_when_nothing_ever_waited():
     sem = Semaphore(sim, value=0)
     sem.post(2)
     assert sem.value == 2
-
-    cond = Condition(sim, Mutex(sim))
-    cond.notify()
-    cond.notify_all()
 
 
 def test_mutex_handoff_is_fifo_after_waiter_queue_drains():
@@ -358,40 +354,28 @@ def test_mutex_handoff_is_fifo_after_waiter_queue_drains():
 def test_semaphore_and_condition_wake_fifo_from_lazy_queue():
     sim = Simulator()
     sem = Semaphore(sim)
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
     order = []
 
     def sem_waiter(sim, tag):
         yield sem.wait()
         order.append(tag)
 
-    def cond_waiter(sim, tag):
-        yield mutex.acquire()
-        yield from cond.wait()
-        order.append(tag)
-        mutex.release()
-
     def driver(sim):
         sim.spawn(sem_waiter(sim, "s1"))
         sim.spawn(sem_waiter(sim, "s2"))
-        sim.spawn(cond_waiter(sim, "c1"))
-        sim.spawn(cond_waiter(sim, "c2"))
         yield sim.timeout(1)
         sem.post(2)
-        yield sim.timeout(1)
-        cond.notify_all()
         yield sim.timeout(1)
 
     sim.spawn(driver(sim))
     sim.run()
-    assert order == ["s1", "s2", "c1", "c2"]
+    assert order == ["s1", "s2"]
 
 
-@pytest.mark.parametrize("cls", [Mutex, Semaphore, Condition])
+@pytest.mark.parametrize("cls", [Mutex, Semaphore])
 def test_sync_primitives_reject_ad_hoc_attributes(cls):
     sim = Simulator()
-    obj = cls(sim, Mutex(sim)) if cls is Condition else cls(sim)
+    obj = cls(sim)
     with pytest.raises(AttributeError):
         obj.extra = 1
 
@@ -420,16 +404,14 @@ def _bytes_per_idle(factory):
 
 @pytest.mark.parametrize(
     "kind,bound",
-    [("Channel", 400), ("Mutex", 300), ("Semaphore", 300), ("Condition", 300)],
+    [("Channel", 400), ("Mutex", 300), ("Semaphore", 300)],
 )
 def test_idle_footprint_bound(kind, bound):
     sim = Simulator()
-    shared = Mutex(sim)
     factories = {
         "Channel": lambda: Channel(sim, name="chan"),
         "Mutex": lambda: Mutex(sim, name="mutex"),
         "Semaphore": lambda: Semaphore(sim, name="sem"),
-        "Condition": lambda: Condition(sim, shared, name="cond"),
     }
     per_obj = _bytes_per_idle(factories[kind])
     assert per_obj <= bound, f"idle {kind} costs {per_obj:.0f} B (bound {bound})"

@@ -1,8 +1,8 @@
-"""Unit tests for synchronization primitives: Mutex, Semaphore, Barrier, Condition."""
+"""Unit tests for synchronization primitives: Mutex and Semaphore."""
 
 import pytest
 
-from repro.sim import Barrier, Condition, Mutex, Semaphore, Simulator
+from repro.sim import Mutex, Semaphore, Simulator
 
 
 def test_mutex_mutual_exclusion():
@@ -125,99 +125,3 @@ def test_semaphore_negative_initial_value():
     with pytest.raises(ValueError):
         Semaphore(sim, value=-1)
 
-
-def test_barrier_releases_all_at_once():
-    sim = Simulator()
-    barrier = Barrier(sim, parties=3)
-    release_times = []
-
-    def worker(sim, delay):
-        yield sim.timeout(delay)
-        yield barrier.wait()
-        release_times.append(sim.now)
-
-    for delay in (1, 5, 9):
-        sim.spawn(worker(sim, delay))
-    sim.run()
-    assert release_times == [9, 9, 9]
-
-
-def test_barrier_is_reusable_across_generations():
-    sim = Simulator()
-    barrier = Barrier(sim, parties=2)
-    gens = []
-
-    def worker(sim):
-        g0 = yield barrier.wait()
-        g1 = yield barrier.wait()
-        gens.append((g0, g1))
-
-    sim.spawn(worker(sim))
-    sim.spawn(worker(sim))
-    sim.run()
-    assert gens == [(0, 1), (0, 1)]
-
-
-def test_condition_wait_notify():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
-    state = {"ready": False}
-    log = []
-
-    def consumer(sim):
-        yield mutex.acquire()
-        while not state["ready"]:
-            yield from cond.wait()
-        log.append(("consumed", sim.now))
-        mutex.release()
-
-    def producer(sim):
-        yield sim.timeout(4)
-        yield mutex.acquire()
-        state["ready"] = True
-        cond.notify()
-        mutex.release()
-
-    sim.spawn(consumer(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert log == [("consumed", 4)]
-
-
-def test_condition_wait_requires_lock():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
-
-    def bad(sim):
-        yield from cond.wait()
-
-    t = sim.spawn(bad(sim))
-    sim.run()
-    assert isinstance(t.done.exception, RuntimeError)
-
-
-def test_condition_notify_all():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
-    woken = []
-
-    def waiter(sim, tag):
-        yield mutex.acquire()
-        yield from cond.wait()
-        woken.append(tag)
-        mutex.release()
-
-    def broadcaster(sim):
-        yield sim.timeout(1)
-        yield mutex.acquire()
-        cond.notify_all()
-        mutex.release()
-
-    for tag in range(3):
-        sim.spawn(waiter(sim, tag))
-    sim.spawn(broadcaster(sim))
-    sim.run()
-    assert sorted(woken) == [0, 1, 2]
