@@ -113,9 +113,9 @@ def _incremental_faults(mode: str, seed: int) -> List[Dict[str, Any]]:
     * ``delta_chain`` — fault-free: the base+delta ledger itself is the
       artifact under test; the ``delta_chain_reconstructs`` oracle must
       reassemble it byte-for-byte.
-    * ``partner_loss`` — the partner card dies inside the capture window
-      (sometimes coming back): a replication caught mid-stream leaves a
-      torn copy that must be dropped, never counted as a surviving copy.
+    * ``partner_loss`` — the partner card dies before (seed 0) or inside
+      (seeds 1–3) the first replication, sometimes coming back: the torn
+      copy must be dropped, never counted as a surviving copy.
     * ``demotion_race`` — the NFS export flaps across the demotion ticket's
       retry horizon: the demote must either land a complete chain file
       after the export returns or fail cleanly with the chain still
@@ -125,7 +125,7 @@ def _incremental_faults(mode: str, seed: int) -> List[Dict[str, Any]]:
         return []
     if mode == "partner_loss":
         fault: Dict[str, Any] = {"device": 1,
-                                 "at": 0.32 + 0.04 * (seed % 8)}
+                                 "at": 0.41 + 0.02 * (seed % 8)}
         if seed % 2 == 1:
             fault["repair_after"] = 0.3 + 0.1 * (seed % 3)
         return [fault]

@@ -692,6 +692,55 @@ def no_duplicate_delivery(server: "XeonPhiServer") -> List[Violation]:
     return out
 
 
+def card_bytes_cross_links(server: "XeonPhiServer") -> List[Violation]:
+    """Every byte a ledger says left or entered a card crossed its PCIe link.
+
+    Per card, the bytes the ledgers say left it are at most what its d2h
+    link carried, and those that entered it at most what its h2d link
+    carried. The ledgers: memory-tier streams, transfer-chain deliveries,
+    DONE full captures (the image leaves its card) and restores (it enters
+    the card restored onto, unless the tier served it). An incremental
+    capture's ``shipped_bytes`` is a local commit, not link traffic. The
+    same-OS copies at ``osim/sockets.py:71`` and ``snapify_io/daemon.py:240``
+    cross no link and charge ``sleep(nbytes / bw)`` by design; any other
+    byte between OSes charged that way is a bypass.
+    """
+    from ..snapify.ops import DONE, OperationManager
+    from ..snapify_io.memtier import MemoryTier
+
+    node = server.node
+    tier = MemoryTier.peek(server.sim)
+    mgr = OperationManager.peek(server.sim)
+    ledger = list(mgr.deliveries) if mgr else []  # (source, destination, bytes)
+    if tier is not None:
+        ledger += [(tier._cards[a], tier._cards[b], n) for (a, b), n in tier.streamed.items()]
+    for op in mgr.finished if mgr else ():
+        r = op.result
+        if r.state != DONE or r.delta_bytes is not None or not r.image_bytes:
+            continue
+        engine = op.snap.coiproc.engine
+        if engine.node is not node:
+            continue
+        if r.restore_s is None:
+            # A migration's handle already points at the target engine: a
+            # capture goes by the card key it recorded.
+            src = next((p for p in node.phis if p.key == r.card), None)
+            ledger.append((src, None, r.image_bytes))
+        elif tier is None or tier.lookup(r.snapshot_path) is None:
+            ledger.append((None, engine.phi, r.image_bytes))
+    out: List[Violation] = []
+    for phi in node.phis:
+        for end, link, verb in ((0, phi.link.d2h, "left"), (1, phi.link.h2d, "entered")):
+            want = sum(entry[2] for entry in ledger if entry[end] is phi)
+            if want > link.bytes_transferred:
+                out.append(Violation(
+                    "card_bytes_cross_links",
+                    f"{phi.key}: ledgers say {want} bytes {verb} the card but "
+                    f"{link.name} carried {link.bytes_transferred}",
+                ))
+    return out
+
+
 #: All oracles, in check order. ``check_all`` runs every one of these.
 ORACLES: List[Callable[["XeonPhiServer"], List[Violation]]] = [
     memory_accounting,
@@ -710,6 +759,7 @@ ORACLES: List[Callable[["XeonPhiServer"], List[Violation]]] = [
     fleet_quiescent,
     delta_chain_reconstructs,
     partner_copy_consistent,
+    card_bytes_cross_links,
     socket_listeners_owned,
     restored_files_consistent,
     pending_signals_blocked,

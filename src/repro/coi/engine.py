@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from ..hw.node import PhiDevice, ServerNode
-from ..hw.pcie import HOST_TO_DEVICE
 from ..osim.process import OSInstance, SimProcess
 from ..scif.endpoint import ScifEndpoint, ScifNetwork
+from ..scif.rdma import dma
 from ..scif.ports import COI_DAEMON_PORT
 from . import messages as m
 from .pipeline import OffloadBinary
@@ -59,7 +59,8 @@ class COIEngine:
         """
         daemon_ep = yield from self.connect_daemon(host_proc)
         # Copy the Xeon Phi binary (dynamically loadable library) to the card.
-        yield from self.phi.link.rdma(HOST_TO_DEVICE, binary.image_size)
+        yield from dma(self.sim, self.net.route(self.host_os, self.phi_os),
+                       binary.image_size)
         yield from daemon_ep.send({
             "type": m.LAUNCH, "name": host_proc.name, "binary": binary,
             "host_proc": host_proc, "snapify_enabled": snapify_enabled,

@@ -427,7 +427,6 @@ class COIProcess:
         self._pipeline_recv = host_proc.spawn_thread(
             self._pipeline_recv_loop(), name="pipeline-recv", daemon=True
         )
-        self._pipeline_rebound: Optional[Event] = None
 
     # -- event/log servers -------------------------------------------------------
     def _handle_event(self, msg: Any):

@@ -11,11 +11,10 @@ fully processed and the channel is provably empty.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..scif.endpoint import ConnectionReset, ScifEndpoint
 from ..sim.errors import Interrupted, SimError
-from ..sim.events import Event
 from ..sim.sync import Mutex
 from . import messages as m
 
@@ -42,10 +41,6 @@ class ClientChannel:
         self.name = name
         self.mutex = Mutex(sim, name=f"coi.client:{name}")
         self.shut_down = False
-
-    def rebind(self, ep: ScifEndpoint) -> None:
-        """Point the client at a reconnected endpoint (after restore)."""
-        self.ep = ep
 
     def rpc(self, msg: Any, nbytes: int = 64):
         """Sub-generator: send a request and wait for its reply."""
@@ -93,9 +88,9 @@ class ServerLoop:
     """Sequential server thread over one COI channel.
 
     ``handler(msg)`` is a sub-generator returning an optional reply. The
-    loop acknowledges SHUTDOWN markers, survives connection resets while the
-    owning COIProcess is suspended (waiting to be rebound to a restored
-    peer), and dies quietly when its process is terminated.
+    loop acknowledges SHUTDOWN markers and ends when its peer resets (a
+    restored process gets fresh loops on fresh endpoints) or its process is
+    terminated.
     """
 
     def __init__(
@@ -106,7 +101,6 @@ class ServerLoop:
         name: str,
     ):
         self.proc = proc
-        self.sim = proc.sim
         self.ep = ep
         self.handler = handler
         self.name = name
@@ -116,26 +110,14 @@ class ServerLoop:
         #: waits this out: a snapshot taken mid-BUFFER_CREATE would save a
         #: local store that disagrees with the captured context.
         self.busy = False
-        self._rebound: Optional[Event] = None
         self.thread = proc.spawn_thread(self._loop(), name=f"srv:{name}", daemon=True)
-
-    def rebind(self, ep: ScifEndpoint) -> None:
-        """Attach a new endpoint after the peer was restored."""
-        self.ep = ep
-        if self._rebound is not None and not self._rebound.triggered:
-            self._rebound.succeed(ep)
 
     def _loop(self):
         while True:
             try:
                 msg = yield self.ep.recv()
             except (ConnectionReset, Interrupted):
-                # Peer vanished: wait until someone rebinds us (restore), or
-                # die with the process (thread gets killed at terminate).
-                self._rebound = Event(self.sim, name=f"rebind:{self.name}")
-                yield self._rebound
-                self._rebound = None
-                continue
+                return  # peer vanished; a restored peer runs its own loop
             if isinstance(msg, dict) and msg.get("type") == m.SHUTDOWN:
                 self.shutdowns_seen += 1
                 yield from self.ep.send({"type": m.SHUTDOWN_ACK, "channel": self.name})

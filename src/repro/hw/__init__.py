@@ -2,7 +2,7 @@
 
 from .cluster import Cluster
 from .memory import MemoryExhausted, PhysicalMemory
-from .node import DEVICE_TO_HOST, HOST_TO_DEVICE, PhiDevice, ServerNode
+from .node import PhiDevice, ServerNode
 from .params import (
     GB,
     KB,
@@ -25,10 +25,8 @@ from .storage import HostDisk
 __all__ = [
     "BandwidthLink",
     "Cluster",
-    "DEVICE_TO_HOST",
     "DiskParams",
     "GB",
-    "HOST_TO_DEVICE",
     "HardwareParams",
     "HostDisk",
     "HostParams",

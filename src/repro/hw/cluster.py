@@ -36,12 +36,6 @@ class Cluster:
             i: BandwidthLink(sim, bw, name=f"node{i}.nic.rx") for i in range(n_nodes)
         }
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node(self, index: int) -> ServerNode:
-        return self.nodes[index]
-
     def transfer(self, src: int, dst: int, nbytes: int):
         """Sub-generator: move ``nbytes`` from node ``src`` to node ``dst``.
 

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, List
 
 from .memory import PhysicalMemory
 from .params import HardwareParams
-from .pcie import PCIeLink, DEVICE_TO_HOST, HOST_TO_DEVICE
+from .pcie import PCIeLink
 from .storage import HostDisk
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,7 +96,3 @@ class ServerNode:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ServerNode {self.name} phis={len(self.phis)}>"
-
-
-# Re-export direction constants next to the node types for convenience.
-__all__ = ["PhiDevice", "ServerNode", "HOST_TO_DEVICE", "DEVICE_TO_HOST"]

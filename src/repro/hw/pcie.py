@@ -18,9 +18,6 @@ from .params import PCIeParams
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
 
-HOST_TO_DEVICE = "h2d"
-DEVICE_TO_HOST = "d2h"
-
 
 class BandwidthLink:
     """A FIFO, serially-occupied bandwidth resource."""
@@ -74,33 +71,11 @@ class BandwidthLink:
 
 
 class PCIeLink:
-    """Full-duplex PCIe connection between the host and one Phi card."""
+    """Full-duplex PCIe connection between the host and one Phi card: one
+    :class:`BandwidthLink` per direction. Transfers occupy them through the
+    SCIF route model (:func:`repro.scif.endpoint.bulk_transfer`)."""
 
     def __init__(self, sim: "Simulator", params: PCIeParams, name: str = "pcie"):
-        self.sim = sim
         self.params = params
-        self.name = name
         self.h2d = BandwidthLink(sim, params.dma_bw_h2d, name=f"{name}.h2d")
         self.d2h = BandwidthLink(sim, params.dma_bw_d2h, name=f"{name}.d2h")
-
-    def _direction(self, direction: str) -> BandwidthLink:
-        if direction == HOST_TO_DEVICE:
-            return self.h2d
-        if direction == DEVICE_TO_HOST:
-            return self.d2h
-        raise ValueError(f"unknown direction {direction!r}")
-
-    def message(self, direction: str, nbytes: int = 64):
-        """Sub-generator: deliver a small control message."""
-        link = self._direction(direction)
-        yield from link.occupy(nbytes, extra_latency=self.params.message_latency)
-
-    def rdma(self, direction: str, nbytes: int):
-        """Sub-generator: one RDMA transfer (already-registered memory)."""
-        link = self._direction(direction)
-        yield from link.occupy(nbytes, extra_latency=self.params.rdma_op_latency)
-
-    def register_cost(self, nbytes: int) -> float:
-        """Time to pin+register ``nbytes`` for RDMA (paid locally, no wire)."""
-        p = self.params
-        return p.register_latency_fixed + p.register_latency_per_mb * (nbytes / (1024 * 1024))

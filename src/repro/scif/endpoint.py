@@ -15,11 +15,11 @@ pending receives fail with :class:`ConnectionReset` — the condition
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..hw.node import ServerNode
 from ..hw.params import PCIeParams
-from ..hw.pcie import DEVICE_TO_HOST, HOST_TO_DEVICE, BandwidthLink, PCIeLink
+from ..hw.pcie import BandwidthLink
 from ..obs.registry import MetricsRegistry
 from ..sim.channel import Channel
 from ..sim.errors import SimError
@@ -58,27 +58,6 @@ class ConnectionReset(ScifError):
     """The peer endpoint vanished (its process died or closed)."""
 
 
-def _segments(src_os: "OSInstance", dst_os: "OSInstance") -> List[Tuple[PCIeLink, str]]:
-    """PCIe path between two OS instances on the same node.
-
-    host->phi and phi->host are one hop; phi->phi is store-and-forward
-    through host memory (two hops), matching MPSS's P2P implementation.
-    """
-    src_hw = getattr(src_os, "hw", None)
-    dst_hw = getattr(dst_os, "hw", None)
-    if src_hw is None or dst_hw is None:
-        raise ScifError("OS instance not attached to hardware (boot_node first)")
-    if src_os is dst_os:
-        return []
-    if isinstance(src_hw, ServerNode) and not isinstance(dst_hw, ServerNode):
-        return [(dst_hw.link, HOST_TO_DEVICE)]
-    if not isinstance(src_hw, ServerNode) and isinstance(dst_hw, ServerNode):
-        return [(src_hw.link, DEVICE_TO_HOST)]
-    if not isinstance(src_hw, ServerNode) and not isinstance(dst_hw, ServerNode):
-        return [(src_hw.link, DEVICE_TO_HOST), (dst_hw.link, HOST_TO_DEVICE)]
-    raise ScifError("host-to-host SCIF connections are not part of the model")
-
-
 #: One hop of a route: the link direction it occupies and its link's costs.
 Hop = Tuple[BandwidthLink, PCIeParams]
 
@@ -87,8 +66,30 @@ _CTRL_BYTES = 64
 
 
 def _route(src_os: "OSInstance", dst_os: "OSInstance") -> Tuple[Hop, ...]:
-    """The hops of :func:`_segments` as link directions, ready to occupy."""
-    return tuple((link._direction(d), link.params) for link, d in _segments(src_os, dst_os))
+    """The PCIe hops from ``src_os`` to ``dst_os`` on one node: a source
+    card's uplink, then a destination card's downlink. phi->phi is thus
+    store-and-forward through host memory, as MPSS's P2P path is."""
+    hops = []
+    if src_os.kind == src_os.PHI:
+        hops.append((src_os.hw.link.d2h, src_os.hw.link.params))
+    if dst_os.kind == dst_os.PHI:
+        hops.append((dst_os.hw.link.h2d, dst_os.hw.link.params))
+    return tuple(hops)
+
+
+def bulk_transfer(sim: "Simulator", hops: Tuple[Hop, ...], nbytes: int,
+                  latency: float, floor: float = 0.0):
+    """Sub-generator: the one rule for bulk bytes crossing a route. Occupy
+    each hop in order for ``latency`` plus its wire time, then sleep out
+    what is left of ``floor`` seconds: the pace of a stream slower than the
+    wire (P2P root complex, ssh cipher, NFS RPCs). Under contention the
+    links, not the floor, set the time."""
+    t0 = sim.now
+    for blink, _params in hops:
+        yield from blink.occupy(nbytes, latency)
+    rest = floor - (sim.now - t0)
+    if rest > 0:
+        yield sim.sleep(rest)
 
 
 class ScifNetwork:
@@ -187,6 +188,11 @@ class ScifNetwork:
                 yield from blink.occupy(_CTRL_BYTES, params.message_latency)
         yield backlog.send(server)
         return client
+
+    def route(self, src_os: "OSInstance", dst_os: "OSInstance") -> Tuple[Hop, ...]:
+        """The shared hops from ``src_os`` to ``dst_os`` (empty for
+        loopback): the route every bulk transfer between them occupies."""
+        return self._shared_routes(src_os, dst_os, self._node_id_of(dst_os))[0]
 
     def _shared_routes(self, src_os: "OSInstance", dst_os: "OSInstance",
                        dst_node_id: int) -> Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]:

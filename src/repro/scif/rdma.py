@@ -15,10 +15,20 @@ the verbs just return it).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Tuple
 
-from .endpoint import ScifEndpoint, ScifError
+from .endpoint import Hop, ScifEndpoint, ScifError, bulk_transfer
 from .registry import check_local_window, check_remote_window
+
+
+def dma(sim, hops: Tuple[Hop, ...], nbytes: int):
+    """Sub-generator: one DMA over a non-empty route. Each hop pays the RDMA
+    setup latency; the root complex paces card-to-card routes to the P2P
+    floor, far below the raw per-hop DMA rate."""
+    params = hops[0][1]
+    floor = nbytes / params.p2p_bw if len(hops) == 2 else 0.0
+    # Hand back the transfer itself: no extra frame on the hottest bulk path.
+    return bulk_transfer(sim, hops, nbytes, params.rdma_op_latency, floor)
 
 
 def _rdma_transfer(ep: ScifEndpoint, nbytes: int, toward_peer: bool):
@@ -30,20 +40,11 @@ def _rdma_transfer(ep: ScifEndpoint, nbytes: int, toward_peer: bool):
     if nbytes < 0:
         raise ScifError("negative RDMA size")
     hops = ep._out if toward_peer else ep._in
-    if not hops:
+    if hops:
+        yield from dma(ep.sim, hops, nbytes)
+    else:
         # Loopback RDMA: charge a memcpy on the local pool.
         yield ep.sim.sleep(ep.os.memory.memcpy_time(nbytes))
-        return
-    t0 = ep.sim.now
-    for blink, params in hops:
-        yield from blink.occupy(nbytes, params.rdma_op_latency)
-    if len(hops) == 2:
-        # Device-to-device: the root complex paces P2P traffic far below
-        # the raw per-hop DMA rate.
-        floor = nbytes / hops[0][1].p2p_bw
-        elapsed = ep.sim.now - t0
-        if elapsed < floor:
-            yield ep.sim.sleep(floor - elapsed)
 
 
 def scif_vwriteto(ep: ScifEndpoint, remote_offset: int, nbytes: int, payload: Any = None):

@@ -458,22 +458,14 @@ class FleetManager:
                            priority=MAINTENANCE, proc=coiproc.host_proc)
 
     # -- the memory tier ------------------------------------------------------
-    def memory_tier(self):
-        """The fleet's in-memory snapshot tier, with every card registered
-        under its :class:`CardRef` key (created on first use)."""
-        from ..snapify_io.memtier import MemoryTier
-
-        tier = MemoryTier.of(self.sim)
-        if self.fleet is not None:
-            tier.register_fleet(self.fleet)
-        return tier
-
     def submit_demotion(self, key: str, path: str, host_os: Any) -> FleetTicket:
         """Demote an incremental chain to the host NFS export as a
         BACKGROUND ticket — durability insurance off the capture critical
         path. The work retries over transient NFS outages; an export that
         stays down fails the ticket and the chain remains memory-resident."""
-        tier = self.memory_tier()
+        from ..snapify_io.memtier import MemoryTier
+
+        tier = MemoryTier.of(self.sim)
 
         def work():
             return (yield from tier.demote_with_retry(path, host_os))

@@ -371,6 +371,9 @@ class OperationManager:
         self.operations: Dict[int, SnapifyOperation] = {}
         #: every terminal operation, in completion order.
         self.finished: List[SnapifyOperation] = []
+        #: (source, destination hardware, bytes) of each file the transfer
+        #: chain delivered: a ledger of the ``card_bytes_cross_links`` oracle.
+        self.deliveries: List[Tuple[Any, Any, int]] = []
         self._demux: Dict[int, _EndpointDemux] = {}
 
     @classmethod

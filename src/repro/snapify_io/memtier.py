@@ -3,7 +3,8 @@
 Incremental captures do not touch NFS on the critical path: each
 :class:`~repro.blcr.incremental.DeltaImage` is stored as a *local* copy in
 the capturing card's memory plus a *partner* copy replicated to another
-card (round-robin over the registered fleet's healthy cards). NFS only
+card of the same node (round-robin over its healthy cards), streamed over
+the two-hop SCIF route as ``scif_writeto`` moves it. NFS only
 sees the chain when a BACKGROUND-priority fleet ticket demotes it
 (:meth:`MemoryTier.demote`) — the Kohl-style partner scheme that makes
 frequent checkpoints affordable.
@@ -27,12 +28,14 @@ Accounting rules (audited by the ``partner_copy_consistent`` oracle):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..blcr.context import BULK_CHUNK
 from ..blcr.incremental import DeltaImage
 from ..hw.memory import MemoryExhausted
 from ..obs.registry import MetricsRegistry
+from ..scif.endpoint import ScifNetwork
+from ..scif.rdma import dma
 from ..sim.errors import SimError
 
 #: Memory-pool category for tier-resident snapshot bytes.
@@ -105,6 +108,8 @@ class MemoryTier:
         self._cards: Dict[str, Any] = {}
         self._order: List[str] = []
         self._cursor = 0
+        #: (source, destination key) -> bytes streamed, torn streams included.
+        self.streamed: Dict[Tuple[str, str], int] = {}
         reg = MetricsRegistry.of(sim)
         self._registry = reg
         self.m_stores = reg.counter("memtier.stores")
@@ -144,12 +149,6 @@ class MemoryTier:
         for phi in server.node.phis:
             self.register_card(phi.key, phi)
 
-    def register_fleet(self, fleet: Any) -> None:
-        """Register every card of a :class:`~repro.testbed.XeonPhiFleet`,
-        under the same keys :class:`~repro.snapify.fleet.CardRef` uses."""
-        for card in fleet.cards():
-            self.register_card(card.key, fleet.phi(card))
-
     def key_for_phi(self, phi: Any) -> str:
         """The fleet key of ``phi``, self-registering it if unknown."""
         for key, known in self._cards.items():
@@ -165,13 +164,16 @@ class MemoryTier:
         return not phi.failed and not phi.link_down and phi.os is not None
 
     def partner_candidates(self, home: str) -> List[str]:
-        """Healthy partner keys for ``home``, in round-robin rotation order."""
+        """Healthy partner keys on ``home``'s node, in round-robin rotation
+        order: a SCIF route joins only the cards of one node."""
         n = len(self._order)
         if n == 0:
             return []
         start = self._cursor % n
         rotation = self._order[start:] + self._order[:start]
-        return [k for k in rotation if k != home and self._healthy(k)]
+        node = self._cards[home].node
+        return [k for k in rotation if k != home and self._healthy(k)
+                and self._cards[k].node is node]
 
     def choose_partner(self, home: str) -> Optional[str]:
         """Next round-robin partner for ``home`` (advances the cursor)."""
@@ -217,23 +219,14 @@ class MemoryTier:
             if c.intact
         )
 
-    def _bw_between(self, a: str, b: str) -> float:
-        """Replication bandwidth between two cards (P2P PCIe; the fabric
-        caps cross-node pairs)."""
-        pa, pb = self._cards.get(a), self._cards.get(b)
-        node_a = getattr(pa, "node", None)
-        node_b = getattr(pb, "node", None)
-        p2p = getattr(getattr(getattr(node_a, "params", None), "pcie", None), "p2p_bw", 1.2e9)
-        if node_a is not None and node_a is node_b:
-            return p2p
-        net_bw = getattr(getattr(getattr(node_a, "params", None), "network", None),
-                         "bandwidth", p2p)
-        return min(p2p, net_bw)
-
     def _stream(self, src: str, dst: str, nbytes: int):
-        """Sub-generator: move ``nbytes`` between two cards in chunks,
-        raising :class:`TierError` the moment either end dies mid-copy."""
-        bw = self._bw_between(src, dst)
+        """Sub-generator: move ``nbytes`` between two cards of one node in
+        chunks, each a DMA over their SCIF route as ``scif_writeto`` moves
+        it; raises :class:`TierError` the moment either end dies mid-copy."""
+        a, b = self._cards[src], self._cards[dst]
+        if a.node is not b.node:
+            raise TierError(f"no SCIF route from {src} to {dst}: different nodes")
+        net = ScifNetwork.of(a.node)
         remaining = nbytes
         while remaining > 0:
             if not self._healthy(dst):
@@ -241,7 +234,8 @@ class MemoryTier:
             if not self._healthy(src):
                 raise TierError(f"source {src} died mid-replication")
             chunk = min(remaining, BULK_CHUNK)
-            yield self.sim.sleep(chunk / bw)
+            yield from dma(self.sim, net.route(a.os, b.os), chunk)
+            self.streamed[src, dst] = self.streamed.get((src, dst), 0) + chunk
             remaining -= chunk
 
     # -- capture path ----------------------------------------------------------
@@ -341,8 +335,7 @@ class MemoryTier:
         entry = self.chains.get(path)
         if entry is None:
             raise TierError(f"{path}: not in the memory tier")
-        dest_phi = getattr(dest_os, "hw", None)
-        dest_key = self.key_for_phi(dest_phi) if dest_phi is not None else None
+        dest_key = self.key_for_phi(dest_os.hw)
         self._refresh_losses(entry)
         images: List[DeltaImage] = []
         sources: List[str] = []
@@ -357,7 +350,7 @@ class MemoryTier:
                 (c for c in link.intact_copies() if self._healthy(c.home)), None
             )
             if remote is not None:
-                yield from self._stream(remote.home, dest_key or remote.home,
+                yield from self._stream(remote.home, dest_key,
                                         link.image.delta_bytes)
                 images.append(link.image)
                 sources.append("partner")

@@ -23,6 +23,7 @@ from ..hw.params import NFSParams
 from ..osim.fd import FDError, FileDescriptor
 from ..osim.fs import FileSystem, HostFileSystem
 from ..osim.process import OSInstance
+from ..scif.endpoint import ScifNetwork, bulk_transfer
 
 
 class NFSMount(FileSystem):
@@ -48,6 +49,9 @@ class NFSMount(FileSystem):
         self._cached_bytes = 0  # client write-back cache occupancy
         self._readahead: dict = {}  # path -> bytes already fetched
         self.rpc_count = 0
+        node = phi_os.hw.node
+        self._up = ScifNetwork.of(node).route(phi_os, node.os)
+        self._down = ScifNetwork.of(node).route(node.os, phi_os)
 
     # Namespace operations delegate to the host FS.
     def exists(self, path: str) -> bool:
@@ -81,23 +85,29 @@ class NFSMount(FileSystem):
         if not getattr(self.host_fs, "exported", True):
             raise FDError(f"{self.name}: export stopped — server not responding")
 
+    def _carry(self, hops, nbytes: int, cost: float):
+        """Sub-generator: ``nbytes`` cross ``hops`` once, paced to the call's
+        ``cost`` (DMA outruns Phi memcpy and NFS RPCs alike)."""
+        if nbytes:
+            yield from bulk_transfer(self.sim, hops, nbytes, 0.0, cost)
+        elif cost:
+            yield self.sim.sleep(cost)
+
     def write(self, path: str, nbytes: int, payload: Any = None, sync: bool = False):
         self._check_available()
         sync = sync or self.sync_writes
         if sync:
-            yield self.sim.sleep(self._rpc_time(nbytes, self.params.write_bw))
+            cost = self._rpc_time(nbytes, self.params.write_bw)
         else:
             # Write-back: absorb into the client cache while it has room.
             room = max(0, self.params.client_cache - self._cached_bytes)
             absorbed = min(nbytes, room)
             spilled = nbytes - absorbed
             self._cached_bytes += absorbed
-            if absorbed:
-                yield self.sim.sleep(
-                    absorbed / self.phi_os.memory.params.memcpy_bw
-                )
+            cost = absorbed / self.phi_os.memory.params.memcpy_bw
             if spilled:
-                yield self.sim.sleep(self._rpc_time(spilled, self.params.write_bw))
+                cost += self._rpc_time(spilled, self.params.write_bw)
+        yield from self._carry(self._up, nbytes, cost)
         # Server-side: land in the host page cache (flushed asynchronously).
         yield from self.host_fs.write(path, nbytes, payload=payload)
 
@@ -117,13 +127,16 @@ class NFSMount(FileSystem):
         end = pos + n
         fetched = self._readahead.get((path, "fetched"), 0)
         cost = self.READ_CALL_COST
+        window = min(self.params.rpc_size, f.size)
+        moved = 0
         while fetched < end:
             fetched += self.params.rpc_size
             self.rpc_count += 1
-            cost += self.params.op_latency + min(self.params.rpc_size, f.size) / self.params.read_bw
+            moved += window
+            cost += self.params.op_latency + window / self.params.read_bw
         self._readahead[path] = end if end < f.size else 0  # rewind at EOF
         self._readahead[(path, "fetched")] = fetched if end < f.size else 0
-        yield self.sim.sleep(cost)
+        yield from self._carry(self._down, moved, cost)
         return f.payload
 
 

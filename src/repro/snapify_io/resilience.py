@@ -190,6 +190,7 @@ class TransferManager:
                     # nothing on the hot path when nobody snapshots them).
                     reg.counter(f"snapifyio.channel.{channel}.files").inc()
                     reg.counter(f"snapifyio.channel.{channel}.bytes").inc(nbytes)
+                    op.manager.deliveries.append((src_os.hw, dst_os.hw, nbytes))
                     return TransferOutcome(channel=channel, attempts=attempts,
                                            nbytes=nbytes)
         op.prov.attempts = attempts

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 from repro.check import check_all
 from repro.check.oracles import (
+    card_bytes_cross_links,
     memory_accounting,
     monitor_quiescent,
     no_crashed_threads,
@@ -51,6 +52,25 @@ def test_ramfs_accounting_catches_orphaned_bytes():
     server.node.phis[0].memory.allocate(512, "ramfs")  # no backing file
     violations = ramfs_accounting(server)
     assert violations and "mic0" in violations[0].detail
+
+
+def test_card_bytes_cross_links_catches_a_delivery_that_skipped_the_link():
+    """A file the transfer chain says left card 0 while its uplink carried
+    nothing: the bypass class the oracle exists for (an NFS write or tier
+    stream charged as a bare sleep)."""
+    from repro.snapify.ops import OperationManager
+
+    server = XeonPhiServer()
+    server.sim.run()
+    phi = server.node.phis[0]
+    carried = phi.link.d2h.bytes_transferred
+    mgr = OperationManager.of(server.sim)
+    mgr.deliveries.append((phi, server.node, carried))
+    assert card_bytes_cross_links(server) == []  # within what the link carried
+    mgr.deliveries.append((phi, server.node, 1))
+    violations = card_bytes_cross_links(server)
+    assert [v.oracle for v in violations] == ["card_bytes_cross_links"]
+    assert "n0.mic0" in violations[0].detail and "left the card" in violations[0].detail
 
 
 def _registered_endpoint(server):

@@ -12,9 +12,9 @@ from repro.hw import (
     MemoryParams,
     PhysicalMemory,
     ServerNode,
-    HOST_TO_DEVICE,
-    DEVICE_TO_HOST,
 )
+from repro.osim import boot_node
+from repro.scif import ScifNetwork, scif_register
 from repro.sim import Simulator
 
 
@@ -87,14 +87,15 @@ def test_pcie_directions_are_independent():
     sim = Simulator()
     node = ServerNode(sim, HardwareParams())
     link = node.phis[0].link
+    latency = link.params.rdma_op_latency
     done = []
 
     def up(sim):
-        yield from link.rdma(DEVICE_TO_HOST, 650 * MB)
+        yield from link.d2h.occupy(650 * MB, latency)
         done.append(("up", sim.now))
 
     def down(sim):
-        yield from link.rdma(HOST_TO_DEVICE, 600 * MB)
+        yield from link.h2d.occupy(600 * MB, latency)
         done.append(("down", sim.now))
 
     sim.spawn(up(sim))
@@ -111,12 +112,12 @@ def test_pcie_message_vs_rdma_contention():
     times = {}
 
     def bulk(sim):
-        yield from link.rdma(HOST_TO_DEVICE, 600 * MB)
+        yield from link.h2d.occupy(600 * MB, link.params.rdma_op_latency)
         times["bulk"] = sim.now
 
     def msg(sim):
         yield sim.timeout(1e-6)  # arrive after the bulk transfer starts
-        yield from link.message(HOST_TO_DEVICE)
+        yield from link.h2d.occupy(64, link.params.message_latency)
         times["msg"] = sim.now
 
     sim.spawn(bulk(sim))
@@ -127,11 +128,25 @@ def test_pcie_message_vs_rdma_contention():
 
 
 def test_pcie_register_cost_scales_with_size():
+    """scif_register charges the pinning cost locally: more pages, more time."""
     sim = Simulator()
     node = ServerNode(sim, HardwareParams())
-    link = node.phis[0].link
-    small = link.register_cost(1 * MB)
-    large = link.register_cost(100 * MB)
+    host, phis = boot_node(node)
+    net = ScifNetwork.of(node)
+    listener = net.listen(phis[0], port=700)
+
+    def register_time(nbytes):
+        def driver(sim):
+            ep = yield from net.connect(host, 1, 700)
+            yield listener.accept()
+            t0 = sim.now
+            yield from scif_register(ep, nbytes)
+            return sim.now - t0
+
+        return run_thread(sim, driver(sim))
+
+    small = register_time(1 * MB)
+    large = register_time(100 * MB)
     assert large > small > 0
 
 

@@ -5,15 +5,20 @@ heap entry of its sleep, and SCIF endpoints occupy the link directions of a
 route cached at connect time. These tests pin that the shortcuts change no
 cost: FIFO handoff, the wait-for-graph edge of a queued transfer, the
 release of a killed holder's link, and the per-hop, P2P-floor and loopback
-charges of SCIF sends and RDMA.
+charges of SCIF sends and RDMA. The memory tier's replication and NFS cross
+the same shared routes, so their bytes contend with RDMA and show up on
+the link counters.
 """
 
 import pytest
 
+from repro.blcr.context import BULK_CHUNK
+from repro.blcr.incremental import DeltaImage
 from repro.hw import MB, BandwidthLink, HardwareParams, ServerNode
 from repro.osim import boot_node
 from repro.scif import ScifNetwork, scif_register, scif_writeto
 from repro.sim import Simulator, ThreadKilled
+from repro.snapify_io import MemoryTier, NFSMount
 
 
 def _transfer(link, log, tag, nbytes, latency=0.5):
@@ -186,3 +191,94 @@ def test_loopback_send_pays_one_microsecond(node):
 
     assert _connected(node, mic0, mic0, body) == pytest.approx(1e-6)
     assert moved == [(0, 0), (0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# The memory tier and NFS on the shared routes
+# ---------------------------------------------------------------------------
+
+
+def _tier(node):
+    tier = MemoryTier.of(node.sim)
+    for phi in node.phis:
+        tier.register_card(phi.key, phi)
+    return tier
+
+
+def _image(nbytes):
+    return DeltaImage(
+        snapshot_id="/t",
+        epoch=0,
+        kind="base",
+        nthreads=1,
+        store={},
+        logical_bytes=nbytes,
+        delta_bytes=nbytes,
+    )
+
+
+def _run(sim, gen):
+    t = sim.spawn(gen)
+    sim.run()
+    assert t.done.ok, t.done.exception
+    return t.done.value
+
+
+def test_tier_replication_occupies_the_card_to_card_route(node):
+    mic0, mic1 = node.phis
+    nbytes = 2 * BULK_CHUNK + 1000
+    moved = []
+    links = (mic0.link.d2h, mic1.link.h2d)
+    store = _tier(node).store(mic0.os, "/t", _image(nbytes))
+    _run(node.sim, _measure(node.sim, links, moved, store))
+    # One DMA per chunk on each hop: mic0's uplink, then mic1's downlink.
+    assert moved == [(3, nbytes), (3, nbytes)]
+    assert MemoryTier.of(node.sim).lookup("/t").links[0].replicated
+
+
+def test_an_uncontended_tier_chunk_takes_the_p2p_floor(node):
+    mic0, mic1 = node.phis
+    moved = []
+    links = (mic0.link.d2h, mic1.link.h2d)
+    store = _tier(node).store(mic0.os, "/t", _image(BULK_CHUNK))
+    dt = _run(node.sim, _measure(node.sim, links, moved, store))
+    assert dt == pytest.approx(BULK_CHUNK / node.params.pcie.p2p_bw)
+    assert moved == [(1, BULK_CHUNK), (1, BULK_CHUNK)]
+
+
+def test_tier_replication_queues_behind_a_writeto_on_the_same_link(node):
+    mic0, mic1 = node.phis
+    p = node.params.pcie
+    tier = _tier(node)
+    done = {}
+
+    def replicate(sim):
+        yield sim.timeout(1e-6)  # arrive while the writeto holds mic0's uplink
+        yield from tier.store(mic0.os, "/t", _image(BULK_CHUNK))
+        done["tier"] = sim.now
+
+    def body(sim, ep, roff):
+        loff = yield from scif_register(ep, 64 * MB)
+        sim.spawn(replicate(sim))
+        t0 = sim.now
+        yield from scif_writeto(ep, loff, roff, 48 * MB)
+        return t0
+
+    t0 = _connected(node, mic0, mic1, body)
+    # The chunk takes mic0's uplink when the writeto releases it, then waits
+    # for the writeto's hop on mic1's downlink before taking its own.
+    d2h = p.rdma_op_latency + 48 * MB / p.dma_bw_d2h
+    h2d = p.rdma_op_latency + 48 * MB / p.dma_bw_h2d
+    own = p.rdma_op_latency + BULK_CHUNK / p.dma_bw_h2d
+    assert done["tier"] == pytest.approx(t0 + d2h + h2d + own)
+
+
+def test_an_nfs_write_crosses_the_card_uplink(node):
+    mic0 = node.phis[0]
+    mount = NFSMount(mic0.os, node.os.fs, node.params.nfs, sync_writes=True)
+    mount.create("/nfs/f")
+    moved = []
+    links = (mic0.link.d2h, mic0.link.h2d)
+    _run(node.sim, _measure(node.sim, links, moved, mount.write("/nfs/f", 8 * MB)))
+    assert moved == [(1, 8 * MB), (0, 0)]
+    assert node.os.fs.stat("/nfs/f").size == 8 * MB

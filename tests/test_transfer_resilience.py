@@ -12,7 +12,6 @@ import pytest
 
 from repro.check.oracles import check_all
 from repro.hw import GB, MB
-from repro.hw.pcie import DEVICE_TO_HOST
 from repro.obs.registry import MetricsRegistry
 from repro.sched.faults import FaultInjector
 from repro.sim.errors import SimError
@@ -357,7 +356,7 @@ def test_connection_reset_releases_staging_registrations():
 def test_scp_traffic_counts_against_the_link():
     server = XeonPhiServer()
     phi = server.phi_os(0)
-    link = server.node.phis[0].link._direction(DEVICE_TO_HOST)
+    link = server.node.phis[0].link.d2h
 
     def driver(sim):
         yield from phi.fs.write("/scp/src", 128 * MB)
