@@ -10,7 +10,7 @@ daemon pipe, and the process checkpoints itself.
 from __future__ import annotations
 
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..osim.fd import FileDescriptor
 from ..osim.process import SimProcess
@@ -33,6 +33,25 @@ def page_walk_cost(os_instance) -> float:
     return node.params.phi.blcr_page_cost / 4096.0
 
 
+def sleep_through(sim, costs: Sequence[float]):
+    """Sub-generator: pass ``costs`` back to back, waking once.
+
+    Reaches the instant ``for c in costs: yield sim.sleep(c)`` reaches, bit
+    for bit: the clock accumulates ``t = t + c`` as each sleep's wake would,
+    then the thread waits once at ``t`` (``sim.at``). Only for loops of
+    sleeps that nothing between them observes. One or two costs stay plain
+    sleeps: the wait takes two heap entries too.
+    """
+    if len(costs) <= 2:
+        for cost in costs:
+            yield sim.sleep(cost)
+        return
+    t = sim.now
+    for cost in costs:
+        t = t + cost
+    yield sim.at(t)
+
+
 class BLCRError(SimError):
     """Checkpoint/restart failure."""
 
@@ -46,11 +65,8 @@ def cr_checkpoint(proc: SimProcess, fd: FileDescriptor):
     if not proc.alive:
         raise BLCRError(f"cannot checkpoint dead process {proc.name}")
     ctx = ProcessContext.capture(proc)
-    sim = proc.sim
-    per_byte = page_walk_cost(proc.os)
-    for nbytes, record in ctx.write_plan():
-        yield sim.sleep(RECORD_CPU_COST + per_byte * nbytes)
-        yield from fd.write(nbytes, record)
+    yield from fd.write_records(ctx.write_plan(), RECORD_CPU_COST,
+                                page_walk_cost(proc.os))
     return ctx
 
 
@@ -91,12 +107,14 @@ def cr_checkpoint_incremental(
     if not proc.alive:
         raise BLCRError(f"cannot checkpoint dead process {proc.name}")
     image = capture_incremental(proc, snapshot_id)
-    sim = proc.sim
+    plan = image.write_plan()
     per_byte = page_walk_cost(proc.os)
-    for nbytes, record in image.write_plan():
-        yield sim.sleep(RECORD_CPU_COST + per_byte * nbytes)
-        if fd is not None:
-            yield from fd.write(nbytes, record)
+    if fd is None:
+        yield from sleep_through(
+            proc.sim, [RECORD_CPU_COST + per_byte * nbytes for nbytes, _ in plan]
+        )
+    else:
+        yield from fd.write_records(plan, RECORD_CPU_COST, per_byte)
     return image
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..osim.fd import FileDescriptor
 from ..osim.process import OSInstance, SimProcess
-from .checkpoint import BLCRError, page_walk_cost
+from .checkpoint import BLCRError, page_walk_cost, sleep_through
 from .context import BULK_CHUNK, RECORD_CPU_COST, SMALL_RECORD, ProcessContext
 from .plugins import PluginRegistry
 
@@ -48,6 +48,24 @@ def _metadata_scan_limit(fd: FileDescriptor) -> int:
     if records is not None:
         return max(1, len(records))
     return DEFAULT_METADATA_SCAN_LIMIT
+
+
+def _read_bulk(sim, fd: Optional[FileDescriptor], nbytes: int, per_byte: float):
+    """Sub-generator: page-walk ``nbytes`` in ``BULK_CHUNK`` steps, reading
+    each chunk from ``fd``. Once ``fd`` is None or exhausted the reads are
+    no-ops, and the rest of the walk is one wake."""
+    remaining = nbytes
+    while remaining > 0 and fd is not None and not fd.exhausted:
+        chunk = min(remaining, BULK_CHUNK)
+        yield sim.sleep(per_byte * chunk)
+        yield from fd.read(chunk)
+        remaining -= chunk
+    costs = []
+    while remaining > 0:
+        chunk = min(remaining, BULK_CHUNK)
+        costs.append(per_byte * chunk)
+        remaining -= chunk
+    yield from sleep_through(sim, costs)
 
 
 def _rebuild_process(
@@ -77,13 +95,7 @@ def _rebuild_process(
                 region.name, region.size, kind=region.kind,
                 data=copy.deepcopy(region.data), pinned=region.pinned,
             )
-            remaining = region.size
-            while remaining > 0:
-                chunk = min(remaining, BULK_CHUNK)
-                yield sim.sleep(per_byte * chunk)
-                if fd is not None:
-                    yield from fd.read(chunk)
-                remaining -= chunk
+            yield from _read_bulk(sim, fd, region.size, per_byte)
 
         proc.store.update(copy.deepcopy(ctx.store))
         proc.store["_blcr_restored"] = True
@@ -95,13 +107,7 @@ def _rebuild_process(
         # torn down like any other failed restore.
         registry = PluginRegistry.of(os)
         for image in ctx.plugin_images:
-            remaining = image.bulk_bytes
-            while remaining > 0:
-                chunk = min(remaining, BULK_CHUNK)
-                yield sim.sleep(per_byte * chunk)
-                if fd is not None:
-                    yield from fd.read(chunk)
-                remaining -= chunk
+            yield from _read_bulk(sim, fd, image.bulk_bytes, per_byte)
             plugin = registry.get(image.plugin)
             hook = plugin.post_restart(proc, image, os)
             if hook is not None:
@@ -145,9 +151,12 @@ def cr_restart(
             f"metadata record(s) (scan limit {scan_limit}); the image is "
             "truncated or not a BLCR context"
         )
-    for _ in range(max(0, ctx.n_small_records - reads_done)):
+    remaining = max(0, ctx.n_small_records - reads_done)
+    while remaining and not fd.exhausted:
         yield sim.sleep(RECORD_CPU_COST)
         yield from fd.read(SMALL_RECORD)
+        remaining -= 1
+    yield from sleep_through(sim, [RECORD_CPU_COST] * remaining)
 
     proc = yield from _rebuild_process(os, ctx, name, fd=fd)
     if start:
@@ -168,9 +177,7 @@ def cr_restore_context(
     cost over the image bytes are still charged — restoring a big process
     onto a loaded card can still fail with MemoryExhausted.
     """
-    sim = os.sim
-    for _ in range(ctx.n_small_records):
-        yield sim.sleep(RECORD_CPU_COST)
+    yield from sleep_through(os.sim, [RECORD_CPU_COST] * ctx.n_small_records)
 
     proc = yield from _rebuild_process(os, ctx, name, fd=None)
     if start:

@@ -17,7 +17,7 @@ BLCR's self-delimiting context format without byte-level bookkeeping.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
 from ..sim.errors import SimError
 from .fs import FileSystem
@@ -51,6 +51,28 @@ class FileDescriptor:
     def read(self, nbytes: int):
         """Sub-generator: read ``nbytes``; returns the next record."""
         raise NotImplementedError
+
+    def write_records(self, plan: Sequence[Tuple[int, Any]], record_cost: float,
+                      per_byte: float):
+        """Sub-generator: write a checkpointer's record stream.
+
+        Each ``(nbytes, record)`` of ``plan`` costs ``record_cost + per_byte
+        * nbytes`` of CPU, then one :meth:`write`. A transport whose stream
+        nothing else observes may charge a run of records in one wait, as
+        long as every record keeps this cost bit for bit (see
+        :class:`~repro.snapify_io.library.SnapifyIOFile`).
+        """
+        sim = self.sim
+        for nbytes, record in plan:
+            yield sim.sleep(record_cost + per_byte * nbytes)
+            yield from self.write(nbytes, record)
+
+    @property
+    def exhausted(self) -> bool:
+        """True when every further read returns None at once and charges
+        nothing, so a reader may skip them. Never, unless the transport
+        says so."""
+        return False
 
     def close(self) -> None:
         """Release resources. Plain method: closing never blocks; transports

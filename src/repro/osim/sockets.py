@@ -72,6 +72,24 @@ class UnixSocket(FileDescriptor):
         yield self.peer._rx.send(_Datagram(nbytes, record))
         self.bytes_written += nbytes
 
+    def write_at(self, when: float, nbytes: int, record: Any = None):
+        """Sub-generator: deliver a datagram whose copy the caller timed.
+
+        ``write`` charges ``nbytes / bandwidth`` from now. A writer that
+        ran the copies of several records on its own clock instead waits for
+        the absolute instant ``when`` (``sim.at``, so the accumulated float
+        is not rounded by a subtraction), then delivers as ``write`` does.
+        A peer that closed during the wait raises EPIPE.
+        """
+        self._check_open()
+        if self.peer is None:
+            raise SocketError(f"{self.name}: not connected")
+        yield self.sim.at(when)
+        if self.peer.closed:
+            raise SocketError(f"{self.name}: peer closed (EPIPE)")
+        yield self.peer._rx.send(_Datagram(nbytes, record))
+        self.bytes_written += nbytes
+
     def read(self, nbytes: int = 0):
         """Sub-generator: next datagram's record (None on EOF)."""
         self._check_open()

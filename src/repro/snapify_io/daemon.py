@@ -20,7 +20,7 @@ read mode the flow reverses.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..hw.node import ServerNode
 from ..hw.params import SnapifyIOParams
@@ -68,6 +68,36 @@ EOF_MARKER = _Sentinel("snapify-io-eof")
 ABORT_MARKER = _Sentinel("snapify-io-abort")
 #: Daemon -> client: the remote file is fully committed.
 COMMITTED = _Sentinel("snapify-io-committed")
+
+
+class RecordBurst:
+    """Client -> daemon: a run of small records in one datagram.
+
+    ``sends`` holds each record's ``(nbytes, send time)``, the instant the
+    record would have reached the daemon as a datagram of its own;
+    ``records`` are the run's payload records, in order. The client only
+    sends runs that :func:`staging_flushes` stages without a flush, so the
+    daemon can replay the copies from the send times alone.
+    """
+
+    __slots__ = ("sends", "records")
+
+    def __init__(self, sends: List[Tuple[int, float]], records: List[Any]):
+        self.sends = sends
+        self.records = records
+
+
+def staging_flushes(filled: int, nbytes: int, buffer_size: int) -> Tuple[bool, bool]:
+    """The local write loop's flush rule for one ``nbytes`` datagram.
+
+    With ``filled`` bytes staged, returns whether the staging buffer is
+    flushed before the datagram is copied in, and whether after. Shared by
+    the daemon and the client, which batches only records that flush
+    neither way.
+    """
+    if filled + nbytes > buffer_size:
+        return True, nbytes >= buffer_size
+    return False, filled + nbytes >= buffer_size
 
 
 class SnapifyIODaemon:
@@ -222,8 +252,34 @@ class SnapifyIODaemon:
                 raise SnapifyIOError(f"bad chunk ack: {ack!r}")
             filled, records = 0, []
 
+        sim = self.sim
+        bw = self.os.sockets.default_bandwidth
+        buffer_size = self.params.buffer_size
         while True:
+            idle = sim.now
             nbytes, record = yield from sock.read_datagram()
+            if record.__class__ is RecordBurst:
+                # The client sends only runs in which no record flushes,
+                # which holds exactly when the whole run staged at once
+                # would not flush.
+                if any(staging_flushes(filled, nbytes, buffer_size)):
+                    raise SnapifyIOError("record burst crosses a staging flush")
+                # Replay the copies the records would have cost one
+                # datagram at a time: each starts once it has arrived and
+                # the previous copy is done, on the same float clock.
+                done = idle
+                for n, sent in record.sends:
+                    start = max(done, sent)
+                    done = start + n / bw
+                self.m_bytes.inc(nbytes)
+                filled += nbytes
+                total += nbytes
+                records.extend(record.records)
+                if start == sim.now:
+                    yield sim.sleep(n / bw)  # idle when the last record came
+                else:
+                    yield sim.at(done)
+                continue
             if record is ABORT_MARKER or (nbytes == 0 and record is None):
                 # Abandoned stream: the client aborted explicitly, or died
                 # holding the descriptor (raw socket EOF). Flush what was
@@ -234,16 +290,17 @@ class SnapifyIODaemon:
                 yield from ep.send({"type": "abort"})
                 return
             if record is not EOF_MARKER:
-                if filled + nbytes > self.params.buffer_size:
+                before, after = staging_flushes(filled, nbytes, buffer_size)
+                if before:
                     yield from flush()
                 # Copy from the socket into the staging buffer.
-                yield self.sim.sleep(nbytes / self.os.sockets.default_bandwidth)
+                yield sim.sleep(nbytes / bw)
                 self.m_bytes.inc(nbytes)
                 filled += nbytes
                 total += nbytes
                 if record is not None:
                     records.append(record)
-                if filled >= self.params.buffer_size:
+                if after:
                     yield from flush()
                 continue
             yield from flush()

@@ -18,8 +18,9 @@ ABORT marker so the remote never commits the truncated stream.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque, List, Optional, Sequence, Tuple
 
+from ..blcr.context import SMALL_RECORD
 from ..obs.registry import MetricsRegistry
 from ..osim.fd import FDError, FileDescriptor
 from ..osim.process import OSInstance, SimProcess
@@ -31,9 +32,11 @@ from .daemon import (
     COMMITTED,
     EOF_MARKER,
     SOCKET_ADDR,
+    RecordBurst,
     SnapifyIODaemon,
     SnapifyIOError,
     resume_digest,
+    staging_flushes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class SnapifyIOFile(FileDescriptor):
     """Descriptor over a remote file, streamed through the daemons.
 
-    Write mode: chunks larger than the daemon's staging buffer are split.
+    Write mode: chunks larger than the daemon's staging buffer are split,
+    and :meth:`write_records` sends a run of small records as one datagram.
     Call :meth:`finish` (sub-generator) to flush and confirm durability
     before relying on the remote file. Read mode: records arrive in order,
     one per ``read`` call.
@@ -64,12 +68,18 @@ class SnapifyIOFile(FileDescriptor):
         #: Bytes of the stream already durable remotely (resume handshake):
         #: the writer replays them, the descriptor skips them silently.
         self._skip = 0
+        #: The daemon's staging-buffer fill, tracked from the datagrams sent
+        #: under its flush rule (:func:`staging_flushes`).
+        self._staged = 0
 
     # -- write path ----------------------------------------------------------
-    def write(self, nbytes: int, record: Any = None):
+    def _check_writable(self) -> None:
         self._check_open()
         if self.mode != "w":
             raise FDError(f"{self.name}: write on read-mode descriptor")
+
+    def write(self, nbytes: int, record: Any = None):
+        self._check_writable()
         remaining = nbytes
         if self._skip:
             skipped = min(self._skip, remaining)
@@ -87,9 +97,69 @@ class SnapifyIOFile(FileDescriptor):
         while remaining > 0 or first:
             chunk = min(remaining, self.buffer_size) if remaining else 0
             yield from self.sock.write(chunk, record=record if first else None)
+            # The daemon's fill: it may flush before staging the chunk, after, or both.
+            before, after = staging_flushes(self._staged, chunk, self.buffer_size)
+            self._staged = 0 if after else (chunk if before else self._staged + chunk)
             remaining -= chunk
             first = False
         self.bytes_written += nbytes
+
+    def write_records(self, plan: Sequence[Tuple[int, Any]], record_cost: float,
+                      per_byte: float):
+        """Sub-generator: the record stream, one datagram per burst.
+
+        A run of small records that the daemon stages without a flush
+        crosses the socket as one :class:`RecordBurst`. The writer's clock
+        advances per record exactly as the sleeps of the per-record path do
+        (``t = t + cpu``, then ``t = t + copy``), each record's send time
+        rides along, and the writer waits once, at the last. Records in a
+        resume's durable prefix, bulk chunks and runs of one go through
+        :meth:`write`.
+        """
+        sim = self.sim
+        i = 0
+        while i < len(plan):
+            end = self._burst_end(plan, i)
+            if end - i < 2:
+                nbytes, record = plan[i]
+                yield sim.sleep(record_cost + per_byte * nbytes)
+                yield from self.write(nbytes, record)
+                i += 1
+                continue
+            self._check_writable()
+            t = sim.now
+            bw = self.sock.bandwidth
+            sends: List[Tuple[int, float]] = []
+            records: List[Any] = []
+            for nbytes, record in plan[i:end]:
+                t = t + (record_cost + per_byte * nbytes)
+                t = t + nbytes / bw
+                sends.append((nbytes, t))
+                if record is not None:
+                    records.append(record)
+            total = sum(n for n, _ in sends)
+            yield from self.sock.write_at(t, total, RecordBurst(sends, records))
+            self._staged += total
+            self.bytes_written += total
+            i = end
+
+    def _burst_end(self, plan: Sequence[Tuple[int, Any]], i: int) -> int:
+        """End of the run of records from ``plan[i]`` that may cross as one
+        burst: past the durable prefix, no bigger than a metadata record,
+        and staged by the daemon without a flush."""
+        if self._skip:
+            return i
+        filled = self._staged
+        end = i
+        while end < len(plan):
+            nbytes = plan[end][0]
+            if nbytes > SMALL_RECORD or any(
+                staging_flushes(filled, nbytes, self.buffer_size)
+            ):
+                break
+            filled += nbytes
+            end += 1
+        return end
 
     def finish(self):
         """Sub-generator: flush, wait for remote commit, and close."""
@@ -104,6 +174,11 @@ class SnapifyIOFile(FileDescriptor):
         self.close()
 
     # -- read path -------------------------------------------------------------
+    @property
+    def exhausted(self) -> bool:
+        """At EOF with no record left: every further read returns None."""
+        return self._eof and not self._records and not self.closed
+
     def read(self, nbytes: int):
         self._check_open()
         if self.mode != "r":

@@ -329,3 +329,34 @@ def test_second_fault_on_a_dead_card_still_fires(second):
     assert injector.injected == ["card_failure:0"]
     if again is not injector:
         assert again.injected == []
+
+
+def test_proactive_scenario_passes_without_a_fault_plan():
+    """With no warning nothing moves, and the job finishing on mic0 is
+    correct: the seed-free catalogue run must pass."""
+    from repro.check.scenarios import run_scenario
+
+    result = run_scenario("sched:proactive")
+    assert result.outcome == "completed"
+    assert result.ok, result.violations
+
+
+def test_proactive_scenario_flags_a_warned_job_that_stayed(monkeypatch):
+    """A migrator that ignores its warning leaves the job on mic0. With
+    mic0's failure injected, the run is flagged even though the job (on a
+    card that here keeps running) finished verified."""
+    from repro.check.scenarios import run_scenario
+
+    monkeypatch.setattr(ProactiveMigrator, "_on_warning", lambda self, phi, ttf: None)
+
+    def fail_in_ledger_only(self, phi, ev):
+        self.injected.append(f"card_failure:{phi.index}")
+        ev.succeed(phi)
+
+    monkeypatch.setattr(FaultInjector, "_fail", fail_in_ledger_only)
+    result = run_scenario(
+        "sched:proactive", faults=[{"device": 0, "at": 2.0, "warning_lead": 1.2}]
+    )
+    assert result.outcome == "completed"
+    assert not result.ok
+    assert [str(v) for v in result.violations] == ["[sched] the job finished off mic1"]
