@@ -73,7 +73,7 @@ class CardRuntime:
         self.event_client: Optional[ClientChannel] = None
         self.log_client: Optional[ClientChannel] = None
         #: Case-4 offload-side lock around the result send.
-        self.pipeline_result_mutex = Mutex(self.sim, name=f"{proc.name}.result-send")
+        self.pipeline_result_mutex = Mutex(self.sim, name=("{}.result-send", proc.name))
         self.paused = False
         self._buffers: Dict[int, Dict[str, Any]] = {}
         self.functions_executed = 0
@@ -155,17 +155,17 @@ class CardRuntime:
                 self.proc.open_fds.append(ep)  # reset peers when we die
         finally:
             listener.close()
-        self.event_client = ClientChannel(self.sim, self.eps["event"], f"{self.proc.name}.event")
-        self.log_client = ClientChannel(self.sim, self.eps["log"], f"{self.proc.name}.log")
+        self.event_client = ClientChannel(self.sim, self.eps["event"], ("{}.event", self.proc.name))
+        self.log_client = ClientChannel(self.sim, self.eps["log"], ("{}.log", self.proc.name))
 
     def _start_servers(self):
         from ..sim.channel import Channel
 
         self.cmd_server = ServerLoop(self.proc, self.eps["cmd"], self._handle_cmd,
-                                     name=f"{self.proc.name}.cmd")
+                                     name=("{}.cmd", self.proc.name))
         self.control_server = ServerLoop(self.proc, self.eps["control"], self._handle_control,
-                                         name=f"{self.proc.name}.control")
-        self._notify_queue = Channel(self.sim, name=f"{self.proc.name}.notify-q")
+                                         name=("{}.control", self.proc.name))
+        self._notify_queue = Channel(self.sim, name=("{}.notify-q", self.proc.name))
         self.proc.spawn_thread(self._notifier_thread(), name="notify-client", daemon=True)
         self.proc.spawn_thread(self._pipeline_server(), name="pipeline-server", daemon=True)
 
@@ -402,13 +402,13 @@ class COIProcess:
         self.dead = False
 
         # Drain locks: case 1 (lifecycle), case 2 (RDMA), case 4 (host send).
-        self.lifecycle_mutex = Mutex(self.sim, name=f"{host_proc.name}.coi.lifecycle")
-        self.dma_mutex = Mutex(self.sim, name=f"{host_proc.name}.coi.dma")
-        self.pipeline_send_mutex = Mutex(self.sim, name=f"{host_proc.name}.coi.pipe-send")
+        self.lifecycle_mutex = Mutex(self.sim, name=("{}.coi.lifecycle", host_proc.name))
+        self.dma_mutex = Mutex(self.sim, name=("{}.coi.dma", host_proc.name))
+        self.pipeline_send_mutex = Mutex(self.sim, name=("{}.coi.pipe-send", host_proc.name))
         self.paused = False
 
-        self.cmd_client = ClientChannel(self.sim, eps["cmd"], f"{host_proc.name}.cmd")
-        self.control_client = ClientChannel(self.sim, eps["control"], f"{host_proc.name}.control")
+        self.cmd_client = ClientChannel(self.sim, eps["cmd"], ("{}.cmd", host_proc.name))
+        self.control_client = ClientChannel(self.sim, eps["control"], ("{}.control", host_proc.name))
 
         #: (old -> new) RDMA address table maintained across restores (§4.3).
         self.rdma_address_map: Dict[int, int] = {}
@@ -421,9 +421,9 @@ class COIProcess:
         host_proc.runtime.setdefault("coi_waiters", {})
 
         self._event_server = ServerLoop(host_proc, eps["event"], self._handle_event,
-                                        name=f"{host_proc.name}.event-srv")
+                                        name=("{}.event-srv", host_proc.name))
         self._log_server = ServerLoop(host_proc, eps["log"], self._handle_log,
-                                      name=f"{host_proc.name}.log-srv")
+                                      name=("{}.log-srv", host_proc.name))
         self._pipeline_recv = host_proc.spawn_thread(
             self._pipeline_recv_loop(), name="pipeline-recv", daemon=True
         )

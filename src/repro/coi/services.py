@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..scif.endpoint import ConnectionReset, ScifEndpoint
 from ..sim.errors import Interrupted, SimError
+from ..sim.events import NameParts, extend, spell, split
 from ..sim.sync import Mutex
 from . import messages as m
 
@@ -33,14 +34,19 @@ class ClientChannel:
     All traffic goes through :meth:`rpc` (request/reply) or :meth:`notify`
     (one-way), both serialized by ``mutex``. ``snapify_shutdown`` implements
     the pause-side quiesce; ``snapify_release`` undoes it at resume.
+    ``name`` is the name or ``(fmt, arg)``, spelled when read.
     """
 
-    def __init__(self, sim: "Simulator", ep: ScifEndpoint, name: str):
+    def __init__(self, sim: "Simulator", ep: ScifEndpoint, name: NameParts):
         self.sim = sim
         self.ep = ep
-        self.name = name
-        self.mutex = Mutex(sim, name=f"coi.client:{name}")
+        self._name, self._arg = split(name)
+        self.mutex = Mutex(sim, name=extend(name, pre="coi.client:"))
         self.shut_down = False
+
+    @property
+    def name(self) -> str:
+        return spell(self._name, self._arg)
 
     def rpc(self, msg: Any, nbytes: int = 64):
         """Sub-generator: send a request and wait for its reply."""
@@ -90,7 +96,7 @@ class ServerLoop:
     ``handler(msg)`` is a sub-generator returning an optional reply. The
     loop acknowledges SHUTDOWN markers and ends when its peer resets (a
     restored process gets fresh loops on fresh endpoints) or its process is
-    terminated.
+    terminated. ``name`` is the name or ``(fmt, arg)``, spelled when read.
     """
 
     def __init__(
@@ -98,19 +104,23 @@ class ServerLoop:
         proc: "SimProcess",
         ep: ScifEndpoint,
         handler: Callable[[Any], Any],
-        name: str,
+        name: NameParts,
     ):
         self.proc = proc
         self.ep = ep
         self.handler = handler
-        self.name = name
+        self._name, self._arg = split(name)
         self.shutdowns_seen = 0
         self.messages_handled = 0
         #: True while a request handler is executing. The card-side quiesce
         #: waits this out: a snapshot taken mid-BUFFER_CREATE would save a
         #: local store that disagrees with the captured context.
         self.busy = False
-        self.thread = proc.spawn_thread(self._loop(), name=f"srv:{name}", daemon=True)
+        self.thread = proc.spawn_thread(self._loop(), name=extend(name, pre="srv:"), daemon=True)
+
+    @property
+    def name(self) -> str:
+        return spell(self._name, self._arg)
 
     def _loop(self):
         while True:

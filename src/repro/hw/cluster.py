@@ -26,14 +26,16 @@ class Cluster:
         self.sim = sim
         self.params = params
         self.nodes: List[ServerNode] = [
-            ServerNode(sim, params, name=f"node{i}") for i in range(n_nodes)
+            ServerNode(sim, params, index=i) for i in range(n_nodes)
         ]
         bw = params.network.bandwidth
         self._tx: Dict[int, BandwidthLink] = {
-            i: BandwidthLink(sim, bw, name=f"node{i}.nic.tx") for i in range(n_nodes)
+            i: BandwidthLink(sim, bw, name=f"{node.name}.nic.tx")
+            for i, node in enumerate(self.nodes)
         }
         self._rx: Dict[int, BandwidthLink] = {
-            i: BandwidthLink(sim, bw, name=f"node{i}.nic.rx") for i in range(n_nodes)
+            i: BandwidthLink(sim, bw, name=f"{node.name}.nic.rx")
+            for i, node in enumerate(self.nodes)
         }
 
     def transfer(self, src: int, dst: int, nbytes: int):

@@ -6,7 +6,8 @@ coprocessors are SCIF nodes 1..N.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+import itertools
+from typing import TYPE_CHECKING, List, Optional
 
 from .memory import PhysicalMemory
 from .params import HardwareParams
@@ -42,8 +43,8 @@ class PhiDevice:
 
     @property
     def node_index(self) -> int:
-        """The node number: the digits of the node's name (``node3`` -> 3)."""
-        return int("".join(ch for ch in self.node.name if ch.isdigit()) or 0)
+        """The node's position in its fleet (0 for a standalone server)."""
+        return self.node.index
 
     @property
     def key(self) -> str:
@@ -57,12 +58,26 @@ class PhiDevice:
 
 
 class ServerNode:
-    """One host machine with ``phis_per_node`` coprocessors attached."""
+    """One host machine with ``phis_per_node`` coprocessors attached.
 
-    def __init__(self, sim: "Simulator", params: HardwareParams, name: str = "node0"):
+    Nodes are numbered per simulator, as thread and endpoint ids are: the
+    first unnamed node built on a simulator is ``node0``, the next
+    ``node1``, so two testbeds on one kernel keep distinct hardware and
+    metric names. ``index`` is the node's position in its fleet (0 for a
+    standalone server), the node part of its cards' fleet keys.
+    """
+
+    def __init__(self, sim: "Simulator", params: HardwareParams,
+                 name: Optional[str] = None, index: int = 0):
+        if name is None:
+            ids = getattr(sim, "_node_ids", None)
+            if ids is None:
+                ids = sim._node_ids = itertools.count()
+            name = f"node{next(ids)}"
         self.sim = sim
         self.params = params
         self.name = name
+        self.index = index
         self.memory = PhysicalMemory(sim, params.host.memory, name=f"{name}.host.mem")
         self.disk = HostDisk(
             sim,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
 from ..sim.errors import SimError
+from ..sim.events import NameParts, spell, split
 from .fs import FileSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,14 +32,19 @@ class FDError(SimError):
 
 
 class FileDescriptor:
-    """Abstract record-stream descriptor."""
+    """Abstract record-stream descriptor. ``name`` is the name or
+    ``(fmt, arg)``, spelled when read."""
 
-    def __init__(self, sim: "Simulator", name: str = "fd"):
+    def __init__(self, sim: "Simulator", name: NameParts = "fd"):
         self.sim = sim
-        self.name = name
+        self._name, self._arg = split(name)
         self.closed = False
         self.bytes_written = 0
         self.bytes_read = 0
+
+    @property
+    def name(self) -> str:
+        return spell(self._name, self._arg)
 
     def _check_open(self) -> None:
         if self.closed:

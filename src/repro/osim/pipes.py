@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..sim.channel import Channel
-from ..sim.events import Event
+from ..sim.events import Event, NameParts, extend
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
@@ -65,10 +65,10 @@ class PipeEnd:
 
 
 class UnixPipe:
-    """A unidirectional pipe: ``write_end`` -> ``read_end``."""
+    """A unidirectional pipe: ``write_end`` -> ``read_end``. Its channel
+    keeps ``name``, the name or ``(fmt, arg)``."""
 
-    def __init__(self, sim: "Simulator", name: str = "pipe"):
-        self.name = name
+    def __init__(self, sim: "Simulator", name: NameParts = "pipe"):
         self._channel = Channel(sim, name=name)
         self.write_end = PipeEnd(sim, self._channel, writable=True)
         self.read_end = PipeEnd(sim, self._channel, writable=False)
@@ -108,10 +108,10 @@ class DuplexPipe:
         def closed(self) -> bool:
             return self._out.closed or self._in.closed
 
-    def __init__(self, sim: "Simulator", name: str = "dpipe",
+    def __init__(self, sim: "Simulator", name: NameParts = "dpipe",
                  on_a_message: Optional[Callable[[], None]] = None):
-        fwd = UnixPipe(sim, name=f"{name}.fwd")
-        bwd = UnixPipe(sim, name=f"{name}.bwd")
+        fwd = UnixPipe(sim, name=extend(name, post=".fwd"))
+        bwd = UnixPipe(sim, name=extend(name, post=".bwd"))
         # ``on_a_message`` rings each time ``b`` sends toward ``a``.
         bwd.write_end.on_send = on_a_message
         self.a = DuplexPipe.Endpoint(fwd.write_end, bwd.read_end)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..hw.memory import PhysicalMemory
 from ..sim.errors import SimError
-from ..sim.events import Event
+from ..sim.events import Event, NameParts, extend
 from ..sim.kernel import SimGen, Thread
 from .fd import FileDescriptor
 from .fs import FileSystem
@@ -90,6 +90,13 @@ RUNNING = "running"
 TERMINATED = "terminated"
 
 
+class _ExitEvent(Event):
+    """A process's exit event; its name slot holds the process name."""
+
+    __slots__ = ()
+    _FMT = "exit:{}"
+
+
 class SimProcess:
     """A simulated OS process."""
 
@@ -101,7 +108,7 @@ class SimProcess:
         self.name = name
         self.state = RUNNING
         self.exit_code: Optional[int] = None
-        self.exit_event = Event(self.sim, name=f"exit:{name}")
+        self.exit_event = _ExitEvent(self.sim, name)
         self.regions: Dict[str, MemoryRegion] = {}
         #: Logical application/runtime state; checkpointed and restored.
         self.store: Dict[str, Any] = {}
@@ -125,10 +132,13 @@ class SimProcess:
         self.dirty_tracking = False
 
     # -- threads ----------------------------------------------------------
-    def spawn_thread(self, gen: SimGen, name: str = "", daemon: bool = False) -> Thread:
+    def spawn_thread(self, gen: SimGen, name: NameParts = "", daemon: bool = False) -> Thread:
+        """Start a thread named ``<process>/<name>``; ``name`` may be
+        ``(fmt, arg)``."""
         if self.state != RUNNING:
             raise ProcessError(f"{self.name}: spawning thread in dead process")
-        t = self.sim.spawn(gen, name=f"{self.name}/{name or 'thread'}", daemon=daemon)
+        fmt, local = extend(name or "thread", pre="{}/")
+        t = self.sim.spawn(gen, (fmt, self.name, local), daemon=daemon)
         self.threads[t.tid] = t
         t._group = self.threads
         return t

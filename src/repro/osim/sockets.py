@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..sim.channel import Channel
 from ..sim.errors import SimError
-from ..sim.events import Event
+from ..sim.events import Event, NameParts, extend
 from .fd import FileDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,17 +37,19 @@ class UnixSocket(FileDescriptor):
 
     ``write(nbytes, record)`` charges ``nbytes / bandwidth`` (the copy into
     the kernel buffer) and delivers to the peer; ``read`` blocks for the
-    next datagram. EOF (peer closed) is returned as ``None`` from ``recv``
-    style reads, mirroring ``read() == 0``. A read waits on the receive
-    queue's own event, so a reader killed or interrupted while parked takes
-    no datagram: the next reader gets it.
+    next datagram. EOF (peer closed, after the datagrams it had already
+    delivered) is returned as ``None`` from ``recv`` style reads, mirroring
+    ``read() == 0``. A read waits on the receive queue's own event, so a
+    reader killed or interrupted while parked takes no datagram: the next
+    reader gets it.
     """
 
-    def __init__(self, sim: "Simulator", bandwidth: float, name: str = "unixsock"):
+    def __init__(self, sim: "Simulator", bandwidth: float, name: NameParts = "unixsock"):
         super().__init__(sim, name=name)
         self.bandwidth = bandwidth
-        # A closed socket's reads see EOF (None), not ChannelClosed.
-        self._rx = Channel(sim, name=f"{name}.rx", eof=True)
+        # A closed peer's datagrams stay readable; after them, reads see
+        # EOF (None), not ChannelClosed.
+        self._rx = Channel(sim, name=extend(name, post=".rx"), eof=True)
         self.peer: Optional["UnixSocket"] = None
         #: Namespace address this socket is connected to (set by
         #: :meth:`SocketNamespace.connect` on both halves); None for raw
@@ -55,9 +57,11 @@ class UnixSocket(FileDescriptor):
         self.address: Optional[str] = None
 
     @staticmethod
-    def pair(sim: "Simulator", bandwidth: float, name: str = "unixsock") -> Tuple["UnixSocket", "UnixSocket"]:
-        a = UnixSocket(sim, bandwidth, name=f"{name}.a")
-        b = UnixSocket(sim, bandwidth, name=f"{name}.b")
+    def pair(
+        sim: "Simulator", bandwidth: float, name: NameParts = "unixsock"
+    ) -> Tuple["UnixSocket", "UnixSocket"]:
+        a = UnixSocket(sim, bandwidth, name=extend(name, post=".a"))
+        b = UnixSocket(sim, bandwidth, name=extend(name, post=".b"))
         a.peer, b.peer = b, a
         return a, b
 
@@ -112,7 +116,8 @@ class UnixSocket(FileDescriptor):
         if self.closed:
             return
         self.closed = True
-        # Deliver EOF to the peer: its pending/future reads see None.
+        # Deliver EOF to the peer: its reads take the datagrams already
+        # queued, then see None.
         self._rx.close()
         if self.peer is not None and not self.peer.closed:
             self.peer._rx.close()
@@ -147,7 +152,7 @@ class SocketNamespace:
         if backlog is None:
             raise SocketError(f"connection refused: {address!r}")
         bw = bandwidth or self.default_bandwidth
-        client, server = UnixSocket.pair(self.sim, bw, name=f"conn:{address}")
+        client, server = UnixSocket.pair(self.sim, bw, name=("conn:{}", address))
         client.address = address
         server.address = address
         yield backlog.send(server)
@@ -157,8 +162,7 @@ class SocketNamespace:
 class Listener:
     """Accept side of a listening UNIX socket."""
 
-    def __init__(self, ns: SocketNamespace, address: str, backlog: Channel,
-                 owner: Any = None):
+    def __init__(self, ns: SocketNamespace, address: str, backlog: Channel, owner: Any = None):
         self._ns = ns
         self.address = address
         self._backlog = backlog

@@ -58,6 +58,18 @@ class ConnectionReset(ScifError):
     """The peer endpoint vanished (its process died or closed)."""
 
 
+class _SyncAckEvent(Event):
+    """Receipt acknowledgement of a sync send; its name slot holds the
+    sending endpoint's eid."""
+
+    __slots__ = ()
+    _FMT = "ep{}.sync-ack"
+
+
+#: Name format of an endpoint's receive queue, filled with its eid.
+_RX_NAME = "scif.ep{}.rx"
+
+
 #: One hop of a route: the link direction it occupies and its link's costs.
 Hop = Tuple[BandwidthLink, PCIeParams]
 
@@ -77,8 +89,9 @@ def _route(src_os: "OSInstance", dst_os: "OSInstance") -> Tuple[Hop, ...]:
     return tuple(hops)
 
 
-def bulk_transfer(sim: "Simulator", hops: Tuple[Hop, ...], nbytes: int,
-                  latency: float, floor: float = 0.0):
+def bulk_transfer(
+    sim: "Simulator", hops: Tuple[Hop, ...], nbytes: int, latency: float, floor: float = 0.0
+):
     """Sub-generator: the one rule for bulk bytes crossing a route. Occupy
     each hop in order for ``latency`` plus its wire time, then sleep out
     what is left of ``floor`` seconds: the pace of a stream slower than the
@@ -110,8 +123,10 @@ class ScifNetwork:
         reg = MetricsRegistry.of(self.sim)
         self._m_connects = reg.counter(f"scif.{node.name}.connections")
         reg.gauge(f"scif.{node.name}.open_endpoints", lambda: len(self.endpoints))
-        reg.gauge(f"scif.{node.name}.pending_messages",
-                  lambda: sum(ep.pending for ep in self.endpoints.values()))
+        reg.gauge(
+            f"scif.{node.name}.pending_messages",
+            lambda: sum(ep.pending for ep in self.endpoints.values()),
+        )
 
     @staticmethod
     def of(node: ServerNode) -> "ScifNetwork":
@@ -194,8 +209,9 @@ class ScifNetwork:
         loopback): the route every bulk transfer between them occupies."""
         return self._shared_routes(src_os, dst_os, self._node_id_of(dst_os))[0]
 
-    def _shared_routes(self, src_os: "OSInstance", dst_os: "OSInstance",
-                       dst_node_id: int) -> Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]:
+    def _shared_routes(
+        self, src_os: "OSInstance", dst_os: "OSInstance", dst_node_id: int
+    ) -> Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]:
         """The shared routes from ``src_os`` to ``dst_os`` and back."""
         if src_os is dst_os:
             return (), ()
@@ -225,8 +241,9 @@ class ScifListener:
 class ScifEndpoint:
     """One end of a SCIF connection."""
 
-    def __init__(self, sim: "Simulator", os: "OSInstance", port: int,
-                 proc: Optional["SimProcess"] = None):
+    def __init__(
+        self, sim: "Simulator", os: "OSInstance", port: int, proc: Optional["SimProcess"] = None
+    ):
         self.sim = sim
         self.os = os
         self.port = port
@@ -244,8 +261,9 @@ class ScifEndpoint:
         #: every endpoint on the same path (see ``ScifNetwork._shared_routes``).
         self._out: Tuple[Hop, ...] = ()
         self._in: Tuple[Hop, ...] = ()
-        self._rx = Channel(sim, name=f"scif.ep{self.eid}.rx", on_take=_unwrap_sync)
-        self._ack_name = f"ep{self.eid}.sync-ack"
+        # Named from the eid, not the endpoint: the queue holds no reference
+        # back, so a closed endpoint pair is freed by refcounting.
+        self._rx = Channel(sim, name=(_RX_NAME, self.eid), on_take=_unwrap_sync)
         self._m_msgs = MetricsRegistry.of(sim).counter("scif.messages")
         self.closed = False
         #: The network whose open-endpoint table holds this endpoint.
@@ -256,8 +274,7 @@ class ScifEndpoint:
             # Duck-typed cleanup: SimProcess.terminate() calls close().
             proc.open_fds.append(self)  # type: ignore[arg-type]
 
-    def _attach(self, peer: "ScifEndpoint", out: Tuple[Hop, ...],
-                back: Tuple[Hop, ...]) -> None:
+    def _attach(self, peer: "ScifEndpoint", out: Tuple[Hop, ...], back: Tuple[Hop, ...]) -> None:
         self.peer = peer
         self._out = out
         self._in = back
@@ -288,7 +305,7 @@ class ScifEndpoint:
         confirmation costs an extra control message in the reverse
         direction — the per-call price Fig. 9 measures.
         """
-        ack = Event(self.sim, name=self._ack_name)
+        ack = _SyncAckEvent(self.sim, self.eid)
         yield from self.send(_SyncEnvelope(msg, ack), nbytes)
         yield ack
         peer = self.peer
@@ -340,6 +357,10 @@ class ScifEndpoint:
         if peer is not None and not peer.closed:
             self._fail_queued_sync_acks(peer._rx, f"peer ep{self.eid} closed")
             peer._rx.close(ConnectionReset(f"peer ep{self.eid} closed"))
+        elif peer is not None:
+            # Both ends closed: unlink them, so refcounting frees the pair.
+            # Every reader treats a missing peer as a closed one.
+            self.peer = peer.peer = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ScifEndpoint {self.eid} on {self.os.name} port={self.port}>"

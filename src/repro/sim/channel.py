@@ -14,8 +14,9 @@ Hot-path notes
 A send/recv pair is the innermost operation of every offload call, so the
 common cases are fast paths that allocate nothing beyond the result event:
 
-* The event names ``send:<chan>``/``recv:<chan>`` are interpolated once per
-  channel, not once per operation.
+* Names cost nothing until read. A channel keeps its name's parts (see
+  :func:`~repro.sim.events.spell`), and its send and receive events name
+  themselves ``send:<chan>``/``recv:<chan>`` from the channel when read.
 * An unbounded ``send`` with no blocked receiver appends and triggers the
   result event inline — no waiter tuple, no callback list (the event's
   callback list is lazily allocated and stays ``None``).
@@ -47,7 +48,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
 from .errors import SimError
-from .events import PENDING, Event
+from .events import PENDING, Event, NameParts, spell, split
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -55,6 +56,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ChannelClosed(SimError):
     """Raised from a recv/send on a closed channel."""
+
+
+class _SendEvent(Event):
+    __slots__ = ()
+    _FMT = "send:{0.name}"
+
+
+class _RecvEvent(Event):
+    __slots__ = ()
+    _FMT = "recv:{0.name}"
 
 
 class Channel:
@@ -66,11 +77,14 @@ class Channel:
     pop admits and before the receiver wakes; the receiver gets what it
     returns. With ``eof=True`` a receive on the closed channel succeeds with
     ``None`` (end of stream) instead of failing; sends still fail.
+    ``name`` is the name or ``(fmt, arg)``, spelled when read (see
+    :func:`~repro.sim.events.spell`).
     """
 
     __slots__ = (
         "sim",
-        "name",
+        "_name",
+        "_arg",
         "capacity",
         "_items",
         "_recv_waiters",
@@ -79,8 +93,6 @@ class Channel:
         "_close_error",
         "sent_count",
         "received_count",
-        "_send_name",
-        "_recv_name",
         "_on_take",
         "_eof",
     )
@@ -88,7 +100,7 @@ class Channel:
     def __init__(
         self,
         sim: "Simulator",
-        name: str = "chan",
+        name: NameParts = "chan",
         capacity: Optional[int] = None,
         on_take: Optional[Callable[[Any], Any]] = None,
         eof: bool = False,
@@ -96,7 +108,7 @@ class Channel:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 or None")
         self.sim = sim
-        self.name = name
+        self._name, self._arg = split(name)
         self.capacity = capacity
         # Allocated on first use; see "Idle costs nothing" above.
         self._items: Optional[Deque[Any]] = None
@@ -106,10 +118,12 @@ class Channel:
         self._close_error: Optional[SimError] = None
         self.sent_count = 0
         self.received_count = 0
-        self._send_name = f"send:{name}"
-        self._recv_name = f"recv:{name}"
         self._on_take = on_take
         self._eof = eof
+
+    @property
+    def name(self) -> str:
+        return spell(self._name, self._arg)
 
     # -- introspection (used by drain-invariant checks) ---------------------
     @property
@@ -128,7 +142,7 @@ class Channel:
     # -- operations ----------------------------------------------------------
     def send(self, item: Any) -> Event:
         """Enqueue ``item``; the returned event succeeds once it is accepted."""
-        ev = Event(self.sim, name=self._send_name)
+        ev = _SendEvent(self.sim, self)
         if self.closed:
             ev.fail(self._close_error or ChannelClosed(self.name))
             return ev
@@ -161,7 +175,7 @@ class Channel:
 
     def recv(self) -> Event:
         """The returned event succeeds with the oldest message."""
-        ev = Event(self.sim, name=self._recv_name)
+        ev = _RecvEvent(self.sim, self)
         if self._items:
             ev.succeed(self._take())
         elif self.closed:
@@ -201,20 +215,26 @@ class Channel:
         """Close the channel; pending and future operations fail.
 
         Used to model connection teardown when a process on one side is
-        terminated (e.g. an offload process being swapped out).
+        terminated (e.g. an offload process being swapped out). An
+        ``eof=True`` channel keeps the messages already queued: receives
+        take them first and see end of stream after the last, as a stream
+        socket delivers queued data before EOF.
         """
         if self.closed:
             return
         self.closed = True
-        err = error or ChannelClosed(self.name)
-        self._close_error = err
+        # Without an error, each failure builds its ChannelClosed when it
+        # happens: a closed channel keeps no spelled name.
+        self._close_error = error
         for ev in self._recv_waiters or ():
             if not ev.triggered:
                 self._end(ev)
         for ev, _ in self._send_waiters or ():
             if not ev.triggered:
-                ev.fail(err)
-        self._items = self._recv_waiters = self._send_waiters = None
+                ev.fail(error or ChannelClosed(self.name))
+        if not (self._eof and self._items):
+            self._items = None
+        self._recv_waiters = self._send_waiters = None
 
     def _end(self, recv_ev: Event) -> None:
         """Trigger a receive that the closed channel can never satisfy."""

@@ -29,6 +29,11 @@ is tuned accordingly:
 * ``Simulator.timeout`` builds a plain event with the static name
   ``"timeout"`` (no per-call f-string) on a single heap entry; cost sleeps
   skip events entirely through ``Simulator.sleep``.
+* Names cost nothing until read. An event's ``_name`` slot holds either its
+  name or, for a subclass with a ``_FMT``, what that format is filled
+  with (a channel, a mutex, an endpoint id), so a channel send or a mutex
+  acquire builds no string. :func:`spell` is the same rule for the
+  primitives that name themselves (channels, threads, locks).
 
 Ordering is load-bearing: waiters and callbacks live in one list and fire
 in registration order, so optimizations here must never reorder wakeups —
@@ -38,7 +43,7 @@ interleaving).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import Simulator
@@ -46,6 +51,55 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PENDING = "pending"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
+
+#: A name as a constructor takes it: the name itself, or ``(fmt, arg)``, a
+#: shared constant format and what fills it (a thread's may add ``arg2``).
+NameParts = Union[str, Tuple[Any, ...]]
+
+
+def spell(name: str, arg: Any = None, arg2: Any = None) -> str:
+    """The name an object's stored parts stand for: the simulator's one
+    naming rule.
+
+    A fleet builds hundreds of thousands of channels, threads, locks and
+    events, and only deadlock dumps, wait-for graphs, traces and error
+    messages ever read their names. So an object keeps the parts of its
+    name in slots and this function builds the string when it is read.
+    ``name`` is the name itself, or, with ``arg``, a shared constant format
+    filled with ``arg`` (and ``arg2``): an id or string the owner already
+    holds. ``spell("scif.ep{}.rx", 7)`` is ``"scif.ep7.rx"``. The parts are
+    never the object they name, so naming adds no reference cycle; and they
+    live in slots, not a tuple, so a name adds no object the cyclic GC
+    counts.
+    """
+    return name if arg is None else name.format(arg, arg2)
+
+
+def split(parts: NameParts) -> Tuple[str, Any]:
+    """``(name, arg)``: the two slots an object keeps for ``parts``."""
+    return parts if parts.__class__ is tuple else (parts, None)
+
+
+#: (pre, format, post) -> the wrapped format, built once each.
+_WRAPPED: Dict[Tuple[str, str, str], str] = {}
+
+
+def extend(parts: NameParts, pre: str = "", post: str = "") -> Tuple[Any, ...]:
+    """The parts of the name ``pre + <parts' name> + post``.
+
+    ``pre`` and ``post`` are constants, so each wrapped format is built
+    once, not once per object. A field in ``pre`` is for the caller to fill
+    ahead of ``parts``' argument.
+    """
+    if parts.__class__ is str:
+        fmt, args = "{}", (parts,)
+    else:
+        fmt, args = parts[0], parts[1:]
+    key = (pre, fmt, post)
+    wrapped = _WRAPPED.get(key)
+    if wrapped is None:
+        wrapped = _WRAPPED[key] = pre + fmt + post
+    return (wrapped, *args)
 
 
 class _ThreadWaiter:
@@ -67,7 +121,11 @@ class Event:
     lost-wakeup hazard.
     """
 
-    __slots__ = ("sim", "name", "_state", "_value", "_exc", "_callbacks")
+    __slots__ = ("sim", "_name", "_state", "_value", "_exc", "_callbacks")
+
+    #: The format a subclass names its events with; ``_name`` then holds
+    #: the base the format is filled with. None: ``_name`` is the name.
+    _FMT: Optional[str] = None
 
     #: Wait-for-graph hook: subclasses that gate a shared resource (e.g. the
     #: mutex-acquire event in :mod:`repro.sim.sync`) override this with a
@@ -75,9 +133,9 @@ class Event:
     #: reads it to label deadlock edges; plain events have no owner.
     owner_info: Optional[str] = None
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: Any = ""):
         self.sim = sim
-        self.name = name
+        self._name = name
         self._state = PENDING
         self._value: Any = None
         self._exc: Optional[BaseException] = None
@@ -85,6 +143,11 @@ class Event:
         self._callbacks: Optional[List[Any]] = None
 
     # -- state inspection -------------------------------------------------
+    @property
+    def name(self) -> str:
+        fmt = self._FMT
+        return self._name if fmt is None else fmt.format(self._name)
+
     @property
     def triggered(self) -> bool:
         return self._state is not PENDING

@@ -68,7 +68,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from .errors import DeadlockError, Interrupted, SimTimeLimit, ThreadKilled
-from .events import PENDING, SUCCEEDED, AllOf, AnyOf, Event, _ThreadWaiter
+from .events import PENDING, SUCCEEDED, AllOf, AnyOf, Event, NameParts, _ThreadWaiter, spell
 from .trace import Tracer
 
 SimGen = Generator[Event, Any, Any]
@@ -100,19 +100,33 @@ def _perturbed_seq(seed: int):
         yield (bits(32), n)
 
 
+class _DoneEvent(Event):
+    """A thread's completion event. It keeps the parts of the thread's name
+    (``_name`` and up to two arguments), not the thread, so an ended thread
+    is in no reference cycle."""
+
+    __slots__ = ("_arg", "_arg2")
+
+    @property
+    def name(self) -> str:
+        return "done:" + spell(self._name, self._arg, self._arg2)
+
+
 class Thread(_ThreadWaiter):
     """A simulated thread of execution.
 
     Wraps a generator. The thread's completion is itself observable through
     :attr:`done`, an event that succeeds with the generator's return value or
     fails with its uncaught exception — making ``join`` a plain event wait.
+    ``name`` is the name or ``(fmt, arg[, arg2])``, spelled when read; an
+    unnamed thread is ``thread-<tid>``. The done event keeps the parts, the
+    one place both names are read from.
     """
 
     __slots__ = (
         "sim",
         "gen",
         "tid",
-        "name",
         "done",
         "daemon",
         "_waiting_on",
@@ -120,12 +134,18 @@ class Thread(_ThreadWaiter):
         "_group",
     )
 
-    def __init__(self, sim: "Simulator", gen: SimGen, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: SimGen, name: NameParts = ""):
         self.sim = sim
         self.gen = gen
         self.tid = next(sim._tids)
-        self.name = name or f"thread-{self.tid}"
-        self.done = Event(sim, name=f"done:{self.name}")
+        done = self.done = _DoneEvent(sim, name)
+        done._arg = done._arg2 = None
+        if name.__class__ is tuple:
+            done._name, done._arg = name[0], name[1]
+            if len(name) > 2:
+                done._arg2 = name[2]
+        elif not name:
+            done._name, done._arg = "thread-{}", self.tid
         self._waiting_on: Optional[Event] = None
         self._sleep_key: Any = None  # heap key of the current sleep's wake
         self.daemon = False  # daemon threads don't count for quiescence
@@ -134,6 +154,11 @@ class Thread(_ThreadWaiter):
         self._group: Optional[Dict[int, "Thread"]] = None
 
     # -- state -------------------------------------------------------------
+    @property
+    def name(self) -> str:
+        done = self.done
+        return spell(done._name, done._arg, done._arg2)
+
     @property
     def alive(self) -> bool:
         return self.done._state is PENDING
@@ -310,11 +335,11 @@ class Simulator:
         heappush(self._heap, (self.now, next(self._seq), _step, (thread, value, exc)))
 
     # -- thread / event factories ---------------------------------------------
-    def spawn(self, gen: SimGen, name: str = "", daemon: bool = False) -> Thread:
+    def spawn(self, gen: SimGen, name: NameParts = "", daemon: bool = False) -> Thread:
         """Create a thread from a generator and schedule its first step."""
         if not hasattr(gen, "send"):
             raise TypeError("spawn() needs a generator (call the generator function)")
-        t = Thread(self, gen, name=name)
+        t = Thread(self, gen, name)
         t.daemon = daemon
         self.threads[t.tid] = t
         heappush(self._heap, (self.now, next(self._seq), _step, (t, None, None)))

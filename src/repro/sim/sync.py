@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from .events import PENDING, Event
+from .events import PENDING, Event, NameParts, spell, split
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -37,17 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover
 class _AcquireEvent(Event):
     """Mutex-acquire event that knows which lock it is queued on.
 
-    The extra slot lets :meth:`Simulator.wait_for_graph` resolve the current
-    holder of the contended lock without the kernel importing this module
-    (resolution is duck-typed on ``owner_info``) and without burdening the
-    plain :class:`Event` hot path.
+    Its name slot holds the mutex: it names the event ``acquire:<mutex>``
+    when read, and lets :meth:`Simulator.wait_for_graph` resolve the
+    current holder of the contended lock without the kernel importing this
+    module (resolution is duck-typed on ``owner_info``).
     """
 
-    __slots__ = ("mutex",)
+    __slots__ = ()
+    _FMT = "acquire:{0.name}"
 
-    def __init__(self, mutex: "Mutex"):
-        super().__init__(mutex.sim, name=mutex._acquire_name)
-        self.mutex = mutex
+    @property
+    def mutex(self) -> "Mutex":
+        return self._name
 
     @property
     def owner_info(self) -> Optional[str]:
@@ -66,23 +67,27 @@ class Mutex:
     """A non-reentrant FIFO mutual-exclusion lock.
 
     Acquire/release sit on the offload hot path (Snapify's drain locks), so
-    the event name is interpolated once per mutex and the cancelled-waiter
-    scan reads event state directly instead of going through properties.
+    the acquire event builds no name and the cancelled-waiter scan reads
+    event state directly instead of going through properties. ``name`` is
+    the name or ``(fmt, arg)``, spelled when read.
     """
 
-    __slots__ = ("sim", "name", "locked", "owner", "_waiters", "_acquire_name")
+    __slots__ = ("sim", "_name", "_arg", "locked", "owner", "_waiters")
 
-    def __init__(self, sim: "Simulator", name: str = "mutex"):
+    def __init__(self, sim: "Simulator", name: NameParts = "mutex"):
         self.sim = sim
-        self.name = name
+        self._name, self._arg = split(name)
         self.locked = False
         self.owner: Optional[object] = None
         self._waiters: Optional[Deque[tuple[Event, Optional[object]]]] = None
-        self._acquire_name = f"acquire:{name}"
+
+    @property
+    def name(self) -> str:
+        return spell(self._name, self._arg)
 
     def acquire(self, owner: Optional[object] = None) -> Event:
         """Return an event that succeeds once the caller holds the lock."""
-        ev = _AcquireEvent(self)
+        ev = _AcquireEvent(self.sim, self)
         if not self.locked:
             self.locked = True
             self.owner = owner
@@ -121,23 +126,31 @@ class Mutex:
         return sum(1 for ev, _ in self._waiters or () if not ev.triggered)
 
 
+class _WaitEvent(Event):
+    __slots__ = ()
+    _FMT = "sem.wait:{0.name}"
+
+
 class Semaphore:
     """Counting semaphore with FIFO wakeups."""
 
-    __slots__ = ("sim", "name", "value", "_waiters", "_wait_name")
+    __slots__ = ("sim", "_name", "_arg", "value", "_waiters")
 
-    def __init__(self, sim: "Simulator", value: int = 0, name: str = "sem"):
+    def __init__(self, sim: "Simulator", value: int = 0, name: NameParts = "sem"):
         if value < 0:
             raise ValueError("semaphore initial value must be >= 0")
         self.sim = sim
-        self.name = name
+        self._name, self._arg = split(name)
         self.value = value
         self._waiters: Optional[Deque[Event]] = None
-        self._wait_name = f"sem.wait:{name}"
+
+    @property
+    def name(self) -> str:
+        return spell(self._name, self._arg)
 
     def wait(self) -> Event:
         """P(): event succeeds once a unit has been consumed."""
-        ev = Event(self.sim, name=self._wait_name)
+        ev = _WaitEvent(self.sim, self)
         if self.value > 0:
             self.value -= 1
             ev.succeed(self)

@@ -233,7 +233,7 @@ def _handle_pause_init(daemon: COIDaemon, svc: SnapifyService, ep, msg):
     entry = _entry(daemon, msg["pid"])
     sp = daemon.sim.trace.span("daemon.pause_init", parent=msg.get("span", 0),
                                pid=msg["pid"], proc=daemon.proc.name)
-    pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{msg['pid']}",
+    pipe = DuplexPipe(daemon.sim, name=("snapify-pipe:{}", msg["pid"]),
                       on_a_message=svc.kick)
     entry.pipe = pipe.a
     entry.offload_proc.runtime["snapify_pipe_pending"] = pipe.b
@@ -390,7 +390,7 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
         if buf_id in buffers:
             buffers[buf_id]["path"] = dst
 
-    pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{proc.pid}",
+    pipe = DuplexPipe(daemon.sim, name=("snapify-pipe:{}", proc.pid),
                       on_a_message=svc.kick)
     proc.runtime["snapify_pipe_pending"] = pipe.b
     listening = daemon.sim.event(f"listening:{proc.name}")

@@ -36,7 +36,7 @@ class XeonPhiServer:
         self,
         sim: Optional[Simulator] = None,
         params: Optional[HardwareParams] = None,
-        name: str = "node0",
+        name: Optional[str] = None,
         node: Optional[ServerNode] = None,
     ):
         self.sim = sim or Simulator()

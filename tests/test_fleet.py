@@ -38,7 +38,8 @@ from repro.snapify.fleet import (
     fleet_sweep,
 )
 from repro.snapify.ops import OperationManager
-from repro.testbed import FLEET_TOPOLOGIES, XeonPhiFleet
+from repro.obs.registry import MetricsRegistry
+from repro.testbed import FLEET_TOPOLOGIES, XeonPhiFleet, XeonPhiServer
 
 
 def _work(sim, order, name, delay=0.01):
@@ -422,3 +423,22 @@ def test_fleet_fuzz_scenario_clean_and_faulted():
     assert faults and faults[0]["kind"] == "fleet_card_failure"
     faulted = run_scenario("fleet:rack8", seed=1, faults=faults)
     assert faulted.ok and faulted.outcome == "faulted"
+
+
+def test_fleet_beside_a_server_keeps_every_servers_link_gauges():
+    """The fleet builders boot a fleet on the kernel of the scenario's own
+    server. Nodes are numbered per simulator, so the fleet's first node is
+    node1, not a second node0 whose gauges would replace the server's."""
+    sim = Simulator()
+    server = XeonPhiServer(sim=sim)  # what run_scenario boots
+    fleet = XeonPhiFleet("rack8", sim=sim)  # what the fleet builders add
+    servers = [server, *fleet.servers]
+    assert [s.node.name for s in servers] == [f"node{i}" for i in range(5)]
+    gauges = MetricsRegistry.of(sim).gauges
+    links = [phi.link.d2h for s in servers for phi in s.node.phis]
+    for i, link in enumerate(links):
+        link.bytes_transferred = i + 1
+    assert [gauges[f"link.{link.name}.bytes"]() for link in links] == list(range(1, len(links) + 1))
+    # Card keys stay fleet positions: the fleet's first card is n0.mic0.
+    assert fleet.phi(fleet.cards()[0]).key == "n0.mic0"
+    assert XeonPhiServer().node.name == "node0"  # a fresh kernel starts over

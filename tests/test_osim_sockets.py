@@ -50,15 +50,16 @@ def test_read_returns_none_on_peer_close():
     def driver():
         yield from a.write(1024, record="last")
         assert b._rx.qsize == 1
-        # Close is abrupt teardown: in-flight datagrams are dropped and
-        # every subsequent read sees EOF — which is why the checkpoint
-        # plugin's drain hook empties queues *before* the pause.
+        # As on a real UNIX socket, the peer's close ends the stream after
+        # the datagrams already queued: the reader gets them, then EOF.
         a.close()
+        last = yield from b.read()
         eof = yield from b.read()
         nbytes, rec = yield from b.read_datagram()
-        return eof, (nbytes, rec)
+        return last, eof, (nbytes, rec)
 
-    eof, dg = run(sim, driver())
+    last, eof, dg = run(sim, driver())
+    assert last == "last" and b.bytes_read == 1024
     assert eof is None
     assert dg == (0, None)
 

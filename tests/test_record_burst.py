@@ -182,6 +182,25 @@ def test_resumed_stream_redelivers_its_durable_records():
     assert size == 150 * SMALL_RECORD and commits == {"/rs": size}
 
 
+@pytest.mark.parametrize("nbytes", [6 * MB, 15_360])
+def test_closed_writer_leaves_every_written_byte_durable(nbytes):
+    """The writer's close ends the daemon's stream after the datagrams
+    already queued, as a UNIX socket delivers queued data before EOF, so
+    the durable partial holds every byte written (not the 4 MiB flushed
+    before the close, or nothing)."""
+    sim, host, phi = _env()
+
+    def work():
+        fd = yield from snapifyio_open(phi, 0, "/partial", "w")
+        yield from fd.write(nbytes, "rec")
+        fd.close()
+        yield sim.timeout(1.0)
+
+    _run(sim, work())
+    assert host.fs.stat("/partial").size == nbytes
+    assert "/partial" not in SnapifyIODaemon.of(host).commits
+
+
 def test_writer_killed_mid_burst_leaves_no_commit():
     sim, host, phi = _env()
 

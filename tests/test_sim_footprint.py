@@ -10,21 +10,30 @@ The hot paths built on them allocate one object per job: SCIF endpoints on
 one node pair share a route, a parked SCIF or socket read is the channel's
 own receive event (so an abandoned reader takes no message), and a thread
 holds no bound method of itself.
+
+Names cost nothing until read: every primitive keeps the parts of its name
+and spells it only when a dump, graph, trace or error reads it. The last
+section checks each name reads back exactly as it did when it was built
+eagerly, and that ended threads and closed endpoints stay free of cycles.
 """
 
 import gc
 import tracemalloc
 import types
+import weakref
 
 import pytest
 
-from repro.hw import HardwareParams, ServerNode
+from repro.coi import OffloadBinary, OffloadFunction
+from repro.hw import MB, HardwareParams, ServerNode
 from repro.osim import boot_node
+from repro.osim.pipes import DuplexPipe
 from repro.osim.sockets import UnixSocket
 from repro.scif.endpoint import ConnectionReset, ScifEndpoint, ScifNetwork, _SyncEnvelope
 from repro.sim import Channel, ChannelClosed, Event, Interrupted, Simulator
 from repro.sim.errors import SimError
 from repro.sim.sync import Mutex, Semaphore
+from repro.testbed import XeonPhiServer, offload_process
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +492,247 @@ def test_thread_holds_no_bound_method():
     sim.run(check_deadlock=False)
     assert t.alive and t.blocked_on is not None
     assert not any(isinstance(r, types.MethodType) for r in gc.get_referents(t))
+
+
+# ---------------------------------------------------------------------------
+# Names cost nothing until read
+# ---------------------------------------------------------------------------
+
+
+def _idle(sim):
+    yield sim.event("never")
+
+
+def _process(sim, host, name="app"):
+    procs = []
+
+    def boot(sim):
+        procs.append((yield from host.spawn_process(name)))
+
+    sim.spawn(boot(sim))
+    sim.run()
+    return procs[0]
+
+
+def test_channel_and_sync_names_read_back_the_eager_strings():
+    sim = Simulator()
+    ch = Channel(sim, name=("scif.ep{}.rx", 7))
+    assert ch.name == "scif.ep7.rx"
+    assert ch.send("m").name == "send:scif.ep7.rx"
+    assert ch.recv().name == "recv:scif.ep7.rx"
+    plain = Channel(sim, name="q")
+    assert (plain.name, plain.send(1).name, plain.recv().name) == ("q", "send:q", "recv:q")
+
+    mutex = Mutex(sim, name=("{}.coi.dma", "app"))
+    assert mutex.name == "app.coi.dma"
+    assert mutex.acquire().name == "acquire:app.coi.dma"
+    assert mutex.acquire().mutex is mutex
+    sem = Semaphore(sim, name="snapify.capture")
+    assert sem.wait().name == "sem.wait:snapify.capture"
+    # A name that looks like a format is only ever an argument.
+    assert Channel(sim, name="odd{0}").send(1).name == "send:odd{0}"
+
+
+def test_thread_and_process_names_read_back_the_eager_strings():
+    sim = Simulator()
+    node = ServerNode(sim, HardwareParams())
+    host, _phis = boot_node(node)
+    proc = _process(sim, host)
+    unnamed = sim.spawn(_idle(sim))
+    named = sim.spawn(_idle(sim), name="driver")
+    worker = proc.spawn_thread(_idle(sim), name="worker")
+    default = proc.spawn_thread(_idle(sim))
+    assert (unnamed.name, unnamed.done.name) == (
+        f"thread-{unnamed.tid}",
+        f"done:thread-{unnamed.tid}",
+    )
+    assert (named.name, named.done.name) == ("driver", "done:driver")
+    assert (worker.name, worker.done.name) == ("app/worker", "done:app/worker")
+    assert default.name == "app/thread"
+    assert proc.exit_event.name == "exit:app"
+
+
+def test_scif_names_read_back_the_eager_strings():
+    sim, _net, cli, srv = _scif_pair(Simulator())
+    assert cli._rx.name == f"scif.ep{cli.eid}.rx"
+    assert srv.recv().name == f"recv:scif.ep{srv.eid}.rx"
+
+    def sender(sim):
+        yield from cli.send_sync("m")
+
+    t = sim.spawn(sender(sim))
+    sim.run(check_deadlock=False)
+    assert t.blocked_on.name == f"ep{cli.eid}.sync-ack"
+
+
+def test_socket_and_pipe_names_read_back_the_eager_strings():
+    sim = Simulator()
+    node = ServerNode(sim, HardwareParams())
+    host, _phis = boot_node(node)
+    listener = host.sockets.listen("/run/io.sock")
+    ends = {}
+
+    def client(sim):
+        ends["client"] = yield from host.sockets.connect("/run/io.sock")
+
+    def server(sim):
+        ends["server"] = yield listener.accept()
+
+    sim.spawn(server(sim))
+    sim.spawn(client(sim))
+    sim.run()
+    cli, srv = ends["client"], ends["server"]
+    assert (cli.name, srv.name) == ("conn:/run/io.sock.a", "conn:/run/io.sock.b")
+    assert cli._rx.name == "conn:/run/io.sock.a.rx"
+    a, b = UnixSocket.pair(sim, 1e9, name="p")
+    assert (a.name, b._rx.name) == ("p.a", "p.b.rx")
+
+    pipe = DuplexPipe(sim, name=("snapify-pipe:{}", 1042))
+    assert pipe.a._out._channel.name == "snapify-pipe:1042.fwd"
+    assert pipe.a.recv().name == "recv:snapify-pipe:1042.bwd"
+
+
+def test_coi_names_read_back_the_eager_strings():
+    server = XeonPhiServer(params=HardwareParams(phis_per_node=1))
+    binary = OffloadBinary(
+        name="n.so",
+        image_size=MB,
+        functions={"step": OffloadFunction("step", duration=0.01)},
+    )
+    coiproc, _ = server.run(offload_process(server, "app", binary, image_size=MB))
+    host = coiproc.host_proc.name
+    card = coiproc.offload_proc.runtime["coi"]
+    off = card.proc.name
+    assert coiproc._event_server.name == f"{host}.event-srv"
+    assert coiproc._event_server.thread.name == f"{host}/srv:{host}.event-srv"
+    assert coiproc._log_server.thread.done.name == f"done:{host}/srv:{host}.log-srv"
+    assert coiproc.cmd_client.name == f"{host}.cmd"
+    assert coiproc.cmd_client.mutex.name == f"coi.client:{host}.cmd"
+    assert coiproc.lifecycle_mutex.name == f"{host}.coi.lifecycle"
+    assert card.cmd_server.thread.name == f"{off}/srv:{off}.cmd"
+    assert card.control_server.name == f"{off}.control"
+    assert card.event_client.mutex.acquire().name == f"acquire:coi.client:{off}.event"
+    assert card._notify_queue.name == f"{off}.notify-q"
+    assert card.pipeline_result_mutex.name == f"{off}.result-send"
+
+
+def test_wait_for_graph_renders_lazy_names():
+    sim = Simulator()
+    q = Channel(sim, name="q")
+    lock = Mutex(sim, name=("{}.lock", "app"))
+
+    def reader(sim):
+        yield q.recv()
+
+    def holder(sim):
+        yield lock.acquire(owner="holder")
+        yield sim.event("never")
+
+    def waiter(sim):
+        yield lock.acquire(owner="waiter")
+
+    sim.spawn(reader(sim), name="r")
+    sim.spawn(holder(sim), name="h")
+    sim.spawn(waiter(sim), name="w")
+    sim.run(check_deadlock=False)
+    edges = {e["thread"]: (e["event"], e["owner"]) for e in sim.wait_for_graph()}
+    assert edges["r"] == ("recv:q", None)
+    assert edges["h"] == ("never", None)
+    assert edges["w"] == ("acquire:app.lock", "mutex 'app.lock' holder 'holder'")
+
+
+def _per_instance(factory, n=2_000):
+    """Traced bytes per instance over ``n`` instances (kept alive)."""
+    keep = [None] * n
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            keep[i] = factory(i)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / n
+
+
+def test_idle_channel_with_its_names_bound():
+    """An idle channel with its send and receive names: eager names cost
+    about 110 B more (244–261 B on CPython 3.10–3.12)."""
+    sim = Simulator()
+    per_obj = _per_instance(lambda i: Channel(sim, name="chan"))
+    assert per_obj <= 200, f"idle Channel costs {per_obj:.0f} B (bound 200)"
+
+
+def test_connected_scif_pair_bound():
+    """A connected endpoint pair, queues and names included (eager names:
+    1431–1675 B on CPython 3.10–3.12)."""
+    sim, net, cli, srv = _scif_pair()
+    listener = net.listen(srv.os, port=101)
+    n = 1_000
+
+    def server(sim):
+        for _ in range(n):
+            keep.append((yield listener.accept()))
+
+    def client(sim):
+        for _ in range(n):
+            keep.append((yield from net.connect(cli.os, dst_node_id=1, dst_port=101)))
+
+    keep = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.spawn(server(sim))
+        sim.spawn(client(sim))
+        sim.run()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(keep) == 2 * n
+    per_pair = (after - before) / n
+    assert per_pair <= 1300, f"a connected SCIF pair costs {per_pair:.0f} B (bound 1300)"
+
+
+def test_spawned_process_thread_bound():
+    """A parked process thread, its done event, name and table entries,
+    its generator aside (eager names: 558–575 B on CPython 3.10–3.12)."""
+    sim = Simulator()
+    node = ServerNode(sim, HardwareParams())
+    host, _phis = boot_node(node)
+    proc = _process(sim, host)
+    gens = [_idle(sim) for _ in range(2_000)]
+    per_thread = _per_instance(lambda i: proc.spawn_thread(gens[i], name="worker"))
+    assert per_thread <= 520, f"a process thread costs {per_thread:.0f} B (bound 520)"
+
+
+class _Result:
+    """A thread's return value, which its done event keeps: it dies only
+    when the thread (which holds the event) does."""
+
+
+def test_ended_thread_and_closed_endpoint_pair_are_freed_by_refcounting():
+    sim, _net, cli, srv = _scif_pair()
+    proc = _process(sim, cli.os)
+
+    def worker(sim):
+        yield sim.sleep(1.0)
+        return _Result()
+
+    t = proc.spawn_thread(worker(sim), name="worker")
+    sim.run()
+    result = weakref.ref(t.done.value)
+    ends = weakref.ref(cli), weakref.ref(srv)
+    gc.collect()
+    gc.disable()
+    try:
+        del t
+        cli.close()
+        srv.close()
+        del cli, srv
+        assert result() is None, "an ended thread is kept alive by a cycle"
+        assert ends[0]() is None and ends[1]() is None, "a closed endpoint pair is a cycle"
+    finally:
+        gc.enable()
