@@ -47,13 +47,9 @@ class _AcquireEvent(Event):
     _FMT = "acquire:{0.name}"
 
     @property
-    def mutex(self) -> "Mutex":
-        return self._name
-
-    @property
     def owner_info(self) -> Optional[str]:
         """Describe the current lock holder, or None if unowned."""
-        m = self.mutex
+        m = self._name
         if not m.locked:
             return None
         owner = m.owner

@@ -526,7 +526,6 @@ def test_channel_and_sync_names_read_back_the_eager_strings():
     mutex = Mutex(sim, name=("{}.coi.dma", "app"))
     assert mutex.name == "app.coi.dma"
     assert mutex.acquire().name == "acquire:app.coi.dma"
-    assert mutex.acquire().mutex is mutex
     sem = Semaphore(sim, name="snapify.capture")
     assert sem.wait().name == "sem.wait:snapify.capture"
     # A name that looks like a format is only ever an argument.
