@@ -47,7 +47,7 @@ def test_read_returns_none_on_peer_close():
     sim = Simulator()
     a, b = UnixSocket.pair(sim, BW, name="p")
 
-    def driver():
+    def reader():
         yield from a.write(1024, record="last")
         assert b._rx.qsize == 1
         # As on a real UNIX socket, the peer's close ends the stream after
@@ -58,7 +58,7 @@ def test_read_returns_none_on_peer_close():
         nbytes, rec = yield from b.read_datagram()
         return last, eof, (nbytes, rec)
 
-    last, eof, dg = run(sim, driver())
+    last, eof, dg = run(sim, reader())
     assert last == "last" and b.bytes_read == 1024
     assert eof is None
     assert dg == (0, None)

@@ -538,14 +538,14 @@ def test_thread_and_process_names_read_back_the_eager_strings():
     host, _phis = boot_node(node)
     proc = _process(sim, host)
     unnamed = sim.spawn(_idle(sim))
-    named = sim.spawn(_idle(sim), name="driver")
+    named = sim.spawn(_idle(sim), name="boot")
     worker = proc.spawn_thread(_idle(sim), name="worker")
     default = proc.spawn_thread(_idle(sim))
     assert (unnamed.name, unnamed.done.name) == (
         f"thread-{unnamed.tid}",
         f"done:thread-{unnamed.tid}",
     )
-    assert (named.name, named.done.name) == ("driver", "done:driver")
+    assert (named.name, named.done.name) == ("boot", "done:boot")
     assert (worker.name, worker.done.name) == ("app/worker", "done:app/worker")
     assert default.name == "app/thread"
     assert proc.exit_event.name == "exit:app"
