@@ -3,6 +3,10 @@
 Runs every :func:`~repro.check.scenarios.scenario_names` entry at each seed
 of :data:`REACH_SEEDS` under its :func:`~repro.check.fuzz.default_faults`
 plan, with a ``sys.setprofile`` hook recording every code object entered.
+The first seed runs traced and sampled by a
+:class:`~repro.obs.timeseries.TimeSeriesRecorder` with the stock SLOs, so
+the tracing and telemetry paths count; the others run plain, as the fuzzer
+does, so the no-op emit paths count too.
 Each ``def`` in the package (found by parsing its source) is reached when a
 code object with its ``(co_filename, co_firstlineno)`` ran; a decorated def
 starts at its first decorator line, as in CPython. Defs whose ``def`` line
@@ -22,10 +26,12 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from ..obs.slo import default_slos
+from ..obs.timeseries import TimeSeriesRecorder
 from .fuzz import default_faults
 from .scenarios import run_scenario, scenario_names
 
-#: Schedule seeds each catalogue entry runs at.
+#: Schedule seeds each catalogue entry runs at; the first runs instrumented.
 REACH_SEEDS = range(3)
 
 _PACKAGE = Path(__file__).resolve().parent.parent
@@ -64,6 +70,10 @@ def definitions() -> Dict[Tuple[str, int], str]:
     return defs
 
 
+def _sample(sim) -> None:
+    TimeSeriesRecorder.install(sim, 0.05, slos=default_slos())
+
+
 def unreached() -> List[str]:
     """Run the catalogue under the profile hook; return the unreached defs."""
     defs = definitions()
@@ -82,7 +92,14 @@ def unreached() -> List[str]:
     try:
         for name in scenario_names():
             for seed in REACH_SEEDS:
-                run_scenario(name, seed, default_faults(name, seed))
+                watched = seed == REACH_SEEDS[0]
+                run_scenario(
+                    name,
+                    seed,
+                    default_faults(name, seed),
+                    capture_trace=watched,
+                    instrument=_sample if watched else None,
+                )
     finally:
         sys.setprofile(previous)
     for code in entered:

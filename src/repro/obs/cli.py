@@ -182,7 +182,7 @@ def render_top_frame(recorder, manager) -> str:
     table = ResultTable(
         f"snapify top — t={recorder.sim.now:8.3f}s  "
         f"in-flight {manager.in_flight}  queued {manager.queue_depth()}  "
-        f"tick {recorder.stats.ticks}",
+        f"tick {recorder.ticks}",
         ["card", "in-flight", "ops", "failed", "p99 pause", "p99 total", "alerts"],
     )
     engine = recorder.engine

@@ -8,7 +8,7 @@ against what was firing on the previous tick and emits ``alert.fire`` /
 telemetry-enabled run carries the full alert history, and ``snapify top``
 can show what is firing *now*.
 
-Four rule families cover the paper's operational story:
+Three rule families cover the paper's operational story:
 
 * :class:`PercentileSLO` — "checkpoint pause p99 < X" style latency
   objectives over the phase digests (optionally per card);
@@ -16,11 +16,7 @@ Four rule families cover the paper's operational story:
   window, the thing that lights up when a card dies mid-sweep;
 * :class:`StragglerSLO` — per-card robust z-score of phase latency
   against the fleet median (MAD-based, the :func:`straggler_scores` rule
-  :meth:`~repro.snapify.fleet.HealthReport.stragglers` also applies);
-* :class:`RedundancySLO` — replication-team strength: every
-  ``replica.team.<t>.live`` gauge (registered by
-  :class:`~repro.mpi.replication.HeartbeatDetector`) must stay at or
-  above the declared replica count.
+  :meth:`~repro.snapify.fleet.HealthReport.stragglers` also applies).
 
 A compact string form (``"pausing p99 < 0.05"``) parses via
 :func:`parse_slo` so CLI flags and configs can declare objectives without
@@ -233,46 +229,6 @@ class StragglerSLO(SLORule):
                 "min_spread": STRAGGLER_MIN_SPREAD}
 
 
-@dataclass
-class RedundancySLO(SLORule):
-    """``replicas >= N``: every replication team keeps ``min_live`` replicas.
-
-    Scans the ``replica.team.<t>.live`` gauge series a
-    :class:`~repro.mpi.replication.HeartbeatDetector` registers. A team
-    running below strength fires one alert per team; the alert resolves
-    the tick after a re-seed restores the team (or the job ends and the
-    recorder stops sampling new values below the bound).
-    """
-
-    min_live: int = 2
-
-    _SERIES_RE = re.compile(r"^replica\.team\.(\d+)\.live$")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return "redundancy"
-
-    def evaluate(self, recorder: "TimeSeriesRecorder", now: float) -> List[Breach]:
-        breaches: List[Breach] = []
-        for series_name, series in sorted(recorder.series.items()):
-            m = self._SERIES_RE.match(series_name)
-            if m is None:
-                continue
-            value = series.latest()
-            if value is None or value >= self.min_live:
-                continue
-            team = m.group(1)
-            breaches.append(Breach(
-                key=f"{self.name}:team{team}", value=value,
-                threshold=float(self.min_live),
-                detail=f"team {team} live replicas {value:g} < {self.min_live}",
-            ))
-        return breaches
-
-    def describe(self) -> Dict[str, Any]:
-        return {"rule": self.name, "min_live": self.min_live}
-
-
 _SLO_RE = re.compile(
     r"^\s*(?P<phase>[\w.]+)\s+p(?P<q>\d+(?:\.\d+)?)\s*<\s*(?P<max>\d+(?:\.\d+)?)\s*(?P<unit>ms|s)?\s*$"
 )
@@ -284,13 +240,9 @@ def parse_slo(spec: str) -> SLORule:
     * ``"pausing p99 < 50ms"`` / ``"transferring p95 < 0.4s"`` →
       :class:`PercentileSLO` (bare numbers are seconds);
     * ``"burn_rate < 0.25"`` → :class:`BurnRateSLO`;
-    * ``"straggler z > 3.5"`` → :class:`StragglerSLO`;
-    * ``"replicas >= 2"`` → :class:`RedundancySLO`.
+    * ``"straggler z > 3.5"`` → :class:`StragglerSLO`.
     """
     text = spec.strip()
-    m = re.match(r"^replicas\s*>=\s*(\d+)$", text)
-    if m:
-        return RedundancySLO(min_live=int(m.group(1)))
     m = re.match(r"^burn_rate\s*<\s*(\d+(?:\.\d+)?)$", text)
     if m:
         return BurnRateSLO(max_rate=float(m.group(1)))
@@ -386,10 +338,6 @@ class SLOEngine:
                 trace.emit("alert.resolve", key=key, rule=alert.rule,
                            since=alert.since, card=alert.card)
         return list(self.firing.values())
-
-    def fired_keys(self) -> List[str]:
-        """Every key that ever fired (including since-resolved), sorted."""
-        return sorted({entry[2]["key"] for entry in self.history if entry[1] == "fire"})
 
     def describe(self) -> Dict[str, Any]:
         return {

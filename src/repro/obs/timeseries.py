@@ -2,11 +2,11 @@
 
 PR 2's :class:`~repro.obs.registry.MetricsRegistry` is pull-based — a
 snapshot is one instant. This module adds the *time* dimension: a
-:class:`TimeSeriesRecorder` runs a daemon sampler thread on the simulated
-clock, folding every numeric instrument into a bounded :class:`Series`
-ring buffer with windowed aggregation (``rate``, ``delta``, ``ewma``),
-and keeps exact streaming percentiles (p50/p95/p99) over the phase
-latencies of finished Snapify operations.
+:class:`TimeSeriesRecorder` samples on the simulated clock, folding every
+numeric instrument into a bounded :class:`Series` ring buffer with
+windowed aggregation (``delta``, ``ewma``), and keeps exact streaming
+percentiles (p50/p95/p99) over the phase latencies of finished Snapify
+operations.
 
 Design rules, matching the rest of ``repro.obs``:
 
@@ -17,16 +17,15 @@ Design rules, matching the rest of ``repro.obs``:
   totals from that manager and the fleet managers' counters. Nothing in
   the stack installs it by default, so an uninstrumented run emits no
   telemetry record and keeps the golden trace byte-identical.
-* **Deterministic.** The sampler ticks on ``sim.sleep`` like any other
-  thread, so a telemetry-enabled run is exactly as reproducible as the
-  run itself; no wall-clock, no randomness.
+* **Moves nothing.** The recorder is the kernel's observer
+  (:meth:`~repro.sim.kernel.Simulator.observe`): the run loops call
+  :meth:`TimeSeriesRecorder.sample_tick` when the clock first passes
+  each interval boundary. It is no thread and draws no sequence key, so
+  a sampled run keeps the operations, instants and outcome of the plain
+  run, and ends at the same last event. No wall-clock, no randomness.
 * **Bounded.** Series are ``deque(maxlen=RING)`` rings; percentile digests
   keep a sorted list capped at ``PERCENTILE_CAP`` samples (exact until the
   cap, which no simulated run here approaches).
-* **Self-ending.** The sampler returns once the event heap has been
-  otherwise empty for the longest SLO window, so a driver settling with
-  ``sim.run(check_deadlock=True)`` ends, and a thread still blocked beside
-  it surfaces as :class:`~repro.sim.errors.DeadlockError`.
 
 This module imports only from ``repro.sim``-free code plus the local
 registry, keeping the obs package cycle-free.
@@ -34,9 +33,8 @@ registry, keeping the obs package cycle-free.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .registry import MetricsRegistry
@@ -68,14 +66,8 @@ class Series:
     def __len__(self) -> int:
         return len(self._buf)
 
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._buf)
-
     def latest(self) -> Optional[float]:
         return self._buf[-1][1] if self._buf else None
-
-    def latest_time(self) -> Optional[float]:
-        return self._buf[-1][0] if self._buf else None
 
     def window(self, seconds: float, now: Optional[float] = None) -> List[Tuple[float, float]]:
         """Points with ``now - seconds <= t <= now`` (``now`` defaults to
@@ -93,16 +85,6 @@ class Series:
         if len(pts) < 2:
             return 0.0
         return pts[-1][1] - pts[0][1]
-
-    def rate(self, seconds: float, now: Optional[float] = None) -> float:
-        """delta / elapsed over the window, in value-units per simulated second."""
-        pts = self.window(seconds, now)
-        if len(pts) < 2:
-            return 0.0
-        dt = pts[-1][0] - pts[0][0]
-        if dt <= 0:
-            return 0.0
-        return (pts[-1][1] - pts[0][1]) / dt
 
     def ewma(self, alpha: float = EWMA_ALPHA) -> Optional[float]:
         """Exponentially weighted moving average over the whole ring."""
@@ -167,10 +149,6 @@ class PercentileDigest:
     def mean(self) -> Optional[float]:
         return self.total / self.count if self.count else None
 
-    def count_le(self, bound: float) -> int:
-        """Samples <= bound among those retained (cumulative-bucket helper)."""
-        return bisect_right(self._sorted, bound)
-
     def summary(self) -> Dict[str, Any]:
         return {
             "count": self.count,
@@ -182,19 +160,12 @@ class PercentileDigest:
         }
 
 
-@dataclass
-class TickStats:
-    """Bookkeeping the sampler exposes for overhead accounting/tests."""
-
-    ticks: int = 0
-    last_time: float = 0.0
-
-
 class TimeSeriesRecorder:
     """Samples the registry on the sim clock; owns phase-latency digests.
 
-    Install with :meth:`install` (spawns the daemon sampler thread and
-    parks the recorder on the simulator, where :meth:`peek` finds it).
+    Install with :meth:`install` (makes :meth:`sample_tick` the kernel's
+    observer and parks the recorder on the simulator, where :meth:`peek`
+    finds it).
     Each tick folds one registry snapshot into the series rings and into
     ``metric.sample`` trace records (the counter tracks of a Chrome trace
     export), plus the newly finished operations into the digests.
@@ -209,16 +180,12 @@ class TimeSeriesRecorder:
         self.sim = sim
         #: Simulated seconds between samples.
         self.interval = interval
-        #: Quiet simulated seconds the sampler keeps ticking once nothing
-        #: else is scheduled: the longest SLO window, so windowed alerts
-        #: drain and resolve before it returns.
-        self.settle = max((getattr(r, "window", 0.0) for r in slos or ()),
-                          default=0.0)
         self.series: Dict[str, Series] = {}
         self._phase_latency: Dict[Tuple[str, Optional[str]], PercentileDigest] = {}
         #: Operations of the manager's ``finished`` list already folded.
         self._folded = 0
-        self.stats = TickStats()
+        #: Samples taken so far.
+        self.ticks = 0
         #: Frame callbacks invoked after each sample tick (``snapify top``).
         self.on_tick: List[Callable[["TimeSeriesRecorder"], None]] = []
         self.engine: Optional["SLOEngine"] = None
@@ -230,31 +197,16 @@ class TimeSeriesRecorder:
     @classmethod
     def install(cls, sim: Any, interval: float = 0.05,
                 slos: Optional[List["SLORule"]] = None) -> "TimeSeriesRecorder":
-        """Create, park on the sim, and start the sampler thread."""
+        """Create, park on the sim, and sample at every interval boundary."""
         rec = cls(sim, interval, slos)
         setattr(sim, cls._ATTR, rec)
-        sim.spawn(rec._sampler(), name="telemetry.sampler", daemon=True)
+        sim.observe(interval, rec.sample_tick)
         return rec
 
     @classmethod
     def peek(cls, sim: Any) -> Optional["TimeSeriesRecorder"]:
         """The installed recorder, or None — the zero-cost discovery path."""
         return getattr(sim, cls._ATTR, None)
-
-    def _sampler(self):
-        sim = self.sim
-        quiet_since = None
-        while True:
-            yield sim.sleep(self.interval)
-            self.sample_tick()
-            # Waking to an empty heap means nothing else can ever run: only
-            # this thread could schedule more, and it only reads.
-            if not sim._heap:
-                if quiet_since is None:
-                    quiet_since = sim.now
-                # Slack for the float sum of sleeps (0.1 * 3 < 0.3).
-                if sim.now - quiet_since >= self.settle - 1e-9:
-                    return
 
     # -- sampling -----------------------------------------------------------------
     def _series(self, name: str) -> Series:
@@ -282,8 +234,7 @@ class TimeSeriesRecorder:
         for source, prefix in (("operations", "ops"), ("tickets", "tickets")):
             for what, value in outcomes[source].items():
                 self._series(f"telemetry.{prefix}_{what}").append(now, value)
-        self.stats.ticks += 1
-        self.stats.last_time = now
+        self.ticks += 1
         if self.engine is not None:
             self.engine.evaluate(self, now)
         for cb in list(self.on_tick):
@@ -349,9 +300,6 @@ class TimeSeriesRecorder:
         """All card keys seen in phase digests, sorted."""
         return sorted({c for (_, c) in self.phase_latency if c is not None})
 
-    def phases(self) -> List[str]:
-        return sorted({p for (p, _) in self.phase_latency})
-
     def card_failure_counts(self) -> Dict[str, Tuple[int, int]]:
         """card -> (operations finished, operations failed)."""
         counts: Dict[str, Tuple[int, int]] = {}
@@ -365,7 +313,7 @@ class TimeSeriesRecorder:
         """JSON-safe summary: series tails, per-phase/card digests, alerts."""
         doc: Dict[str, Any] = {
             "time": getattr(self.sim, "now", 0.0),
-            "ticks": self.stats.ticks,
+            "ticks": self.ticks,
             "interval": self.interval,
             "series": {
                 name: {

@@ -32,6 +32,11 @@ and the run loops below, so this module trades a little beauty for speed:
   gone back to sleep since.
 * ``_ready``/``spawn`` push heap entries inline instead of going through
   :meth:`Simulator.schedule`, and the run loops bind ``heappop`` locally.
+* The observer's next boundary (:meth:`Simulator.observe`) is folded into
+  the horizon ``run_until`` and ``run(until=)`` already compare each entry
+  against (``min(limit, edge)``, +inf without an observer), so those loops
+  run no extra bytecode per dispatch; the unbounded ``run()`` makes one
+  more compare. Crossing a boundary calls ``_pass`` off the hot path.
 * A resume entry is ``(now, k, _step, (thread, value, exc))``: the plain
   function ``Thread._step`` with the thread as its first argument. No bound
   method is created per resume, and a thread holds none, so no thread is its
@@ -323,6 +328,10 @@ class Simulator:
         #: Live threads by tid, in spawn order; a thread leaves when it ends.
         self.threads: Dict[int, Thread] = {}
         self._dead_threads: List = []
+        # The observer (see observe) and its next boundary; +inf without one.
+        self._observer: Optional[Callable[[], Any]] = None
+        self._interval = 0.0
+        self._edge = float("inf")
 
     # -- low-level scheduling ------------------------------------------------
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -388,6 +397,34 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, list(events))
 
+    def observe(self, interval: float, fn: Callable[[], Any]) -> None:
+        """Call ``fn()`` every ``interval`` simulated seconds from now.
+
+        The first boundary is ``now + interval`` and each next one the
+        previous plus ``interval``: the float sums a thread sleeping
+        ``interval`` at a time would wake at. When the clock first passes a
+        boundary, the run loops set ``now`` to it and call ``fn()``, after
+        every event at or before it has run. An observer draws no sequence key, takes no tid and pushes no heap
+        entry, so it cannot move the run it watches, and a run ends at its
+        last event, not at a boundary. ``fn`` only reads: it schedules
+        nothing. ``interval`` must be > 0. A simulator has one observer; a
+        second call replaces the first. Install it before running: a run
+        loop reads the next boundary once, when it starts.
+        """
+        self._observer = fn
+        self._interval = interval
+        self._edge = self.now + interval
+
+    def _pass(self, t: float) -> float:
+        """Call the observer at every boundary before ``t``; return the next."""
+        edge = self._edge
+        while edge < t:
+            self.now = edge
+            self._observer()
+            edge += self._interval
+        self._edge = edge
+        return edge
+
     # -- run loop ------------------------------------------------------------
     def run(self, until: Optional[float] = None, *, check_deadlock: bool = True) -> float:
         """Run until quiescence (or simulated time ``until``).
@@ -399,17 +436,26 @@ class Simulator:
         """
         heap = self._heap
         pop = heappop
+        edge = self._edge
         if until is None:
             while heap:
                 t, _, fn, args = pop(heap)
+                if t > edge:
+                    edge = self._pass(t)
                 self.now = t
                 fn(*args)
         else:
+            horizon = min(until, edge)
             while heap:
                 t = heap[0][0]
-                if t > until:
-                    self.now = until
-                    return until
+                if t > horizon:
+                    if t > until:
+                        # Sample the boundaries before ``until`` now, or
+                        # the next run would sample them back in time.
+                        self._pass(until)
+                        self.now = until
+                        return until
+                    horizon = min(until, self._pass(t))
                 # Batch-dispatch every entry at this timestamp: the horizon
                 # check above need not be repeated for same-time entries.
                 self.now = t
@@ -436,15 +482,18 @@ class Simulator:
         """Run until ``event`` triggers; return its value (or raise its error)."""
         heap = self._heap
         pop = heappop
+        horizon = min(limit, self._edge)
         while event._state is PENDING:
             if not heap:
                 raise DeadlockError(
                     f"event {event.name!r} can never trigger (heap empty)",
                     waitfor=self.wait_for_graph(),
                 )
-            if heap[0][0] > limit:
-                # Peek, not pop: the entry must survive for a later run().
-                raise SimTimeLimit(f"exceeded t={limit:g} waiting for {event.name!r}")
+            if heap[0][0] > horizon:
+                if heap[0][0] > limit:
+                    # Peek, not pop: the entry must survive for a later run().
+                    raise SimTimeLimit(f"exceeded t={limit:g} waiting for {event.name!r}")
+                horizon = min(limit, self._pass(heap[0][0]))
             t, _, fn, args = pop(heap)
             self.now = t
             fn(*args)

@@ -5,10 +5,11 @@ payloads are exercised end to end through ``main()``; ``snapify trace`` is
 pinned to its friendly degraded paths (no finished root span, no
 operation) instead of a stack trace, and its operation table to the
 operation manager's pids and cards. ``trace``, ``fleet`` and ``top`` all run
-fuzz-catalogue scenarios (exit 1 when an oracle fails) and settle their
-telemetry sampler; bad ``--seeds`` / ``--sample-interval`` / ``--interval``
-/ ``--topology`` values are argparse errors; the histogram bucket export
-round-trips through the Prometheus text parser/validator.
+fuzz-catalogue scenarios (exit 1 when an oracle fails), ``trace`` and
+``top`` sampled by the telemetry recorder; bad ``--seeds`` /
+``--sample-interval`` / ``--interval`` / ``--topology`` values are argparse
+errors; the histogram bucket export round-trips through the Prometheus
+text parser/validator.
 """
 
 import json
@@ -165,8 +166,8 @@ def test_fuzz_rejects_zero_seeds(capsys):
 
 
 def test_sampler_ends_so_a_blocked_thread_deadlocks():
-    """The sampler returns on waking to an empty heap, so a non-daemon
-    thread blocked forever beside it surfaces as DeadlockError instead of
+    """The sampler holds no heap entry, so once the heap drains a
+    non-daemon thread blocked forever surfaces as DeadlockError instead of
     the sampler ticking forever."""
     from repro.sim.errors import DeadlockError
 
@@ -175,6 +176,7 @@ def test_sampler_ends_so_a_blocked_thread_deadlocks():
     TimeSeriesRecorder.install(sim, 0.01)
 
     def stuck(s):
+        yield s.sleep(0.05)
         yield s.event("never")
 
     sim.spawn(stuck(sim), name="stuck")

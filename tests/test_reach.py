@@ -1,7 +1,8 @@
 """The scenario catalogue reaches every function in ``src/repro`` but a pinned few.
 
 ``python -m repro.check.reach`` runs every catalogue entry at seeds 0–2 under
-a profile hook and lists the defs no run entered. The list is pinned in
+a profile hook, seed 0 traced and sampled by the telemetry recorder with the
+stock SLOs, and lists the defs no run entered. The list is pinned in
 ``tests/golden/unreached.txt``: new code the catalogue never runs fails here
 until it gains a scenario, is deleted, or is added to the pin on purpose.
 """

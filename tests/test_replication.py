@@ -4,9 +4,9 @@ Covers the TeaMPI-style replication tentpole end to end: anti-affinity
 placement, replica-aware fan-out/dedup messaging, heartbeat detection
 (drops debounced against transient glitches), MAINTENANCE-lane re-seeding
 with team-log backfill, the two membership/accounting oracles (each wound
-is caught by exactly the right oracle), the ``replicas >= N`` SLO form,
-the committed worst-case fuzz seeds, and the zero-interruption claim: a
-card failure under one replica costs the job under 10% run time.
+is caught by exactly the right oracle), the committed worst-case fuzz
+seeds, and the zero-interruption claim: a card failure under one replica
+costs the job under 10% run time.
 """
 
 import pytest
@@ -25,8 +25,6 @@ from repro.mpi.replication import (
     TeamComm,
     plan_replica_placement,
 )
-from repro.obs.slo import RedundancySLO, parse_slo
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sched import FaultInjector
 from repro.sim import Simulator
 from repro.snapify.fleet import FleetManager
@@ -329,31 +327,6 @@ def test_delivery_oracle_catches_substrate_conservation_break():
     job.comm.transport.messages_sent += 1
     violations = no_duplicate_delivery(server)
     assert any("conservation broken" in v.detail for v in violations)
-
-
-# ---------------------------------------------------------------------------
-# Redundancy SLO: "replicas >= N"
-# ---------------------------------------------------------------------------
-
-
-def test_parse_slo_replicas_form():
-    rule = parse_slo("replicas >= 2")
-    assert isinstance(rule, RedundancySLO)
-    assert rule.min_live == 2
-    assert rule.describe() == {"rule": "redundancy", "min_live": 2}
-
-
-def test_redundancy_slo_flags_only_degraded_teams():
-    sim = Simulator()
-    rec = TimeSeriesRecorder(sim)
-    rec._series("replica.team.0.live").append(1.0, 2)
-    rec._series("replica.team.0.live").append(2.0, 1)  # degraded
-    rec._series("replica.team.1.live").append(2.0, 2)  # healthy
-    rec._series("replica.live").append(2.0, 3)  # aggregate: not a team series
-    breaches = RedundancySLO(min_live=2).evaluate(rec, 2.0)
-    assert [b.key for b in breaches] == ["redundancy:team0"]
-    assert breaches[0].value == 1
-    assert breaches[0].threshold == 2.0
 
 
 # ---------------------------------------------------------------------------
