@@ -26,7 +26,6 @@ from .incremental import (
 )
 from .plugins import (
     CheckpointPlugin,
-    COIMetadataPlugin,
     PluginError,
     PluginImage,
     PluginRegistry,
@@ -47,7 +46,6 @@ __all__ = [
     "BULK_CHUNK",
     "ChainError",
     "CheckpointPlugin",
-    "COIMetadataPlugin",
     "DeltaImage",
     "DirtyBitmap",
     "PAGE_SIZE",

@@ -27,9 +27,6 @@ and adds nothing to the stream. Plugins are opt-in per OS::
     registry = PluginRegistry.of(phi_os)
     registry.register(SocketPlugin())
     registry.register(SignalPlugin())
-
-COI runtime metadata rides :class:`COIMetadataPlugin`, a one-record thin
-plugin.
 """
 
 from __future__ import annotations
@@ -449,37 +446,8 @@ def replay_rdma_windows(proc: "SimProcess", ep):
     return table
 
 
-class COIMetadataPlugin(CheckpointPlugin):
-    """COI runtime metadata, as a thin plugin image.
-
-    The binary name, executed-function count, and issued buffer ids ride a
-    one-record image and land in ``proc.runtime["coi_meta"]`` after restore,
-    where the restored CardRuntime (and tests) can audit them.
-    """
-
-    name = "coi_meta"
-
-    def pre_checkpoint(self, proc: "SimProcess") -> Optional[PluginImage]:
-        coi = proc.runtime.get("coi")
-        if coi is None:
-            return None
-        return PluginImage(
-            self.name, records=1,
-            payload={
-                "binary": coi.binary.name,
-                "functions_executed": coi.functions_executed,
-                "buffers": sorted(coi._buffers),
-            },
-        )
-
-    def post_restart(self, proc: "SimProcess", image: PluginImage, os: "OSInstance"):
-        proc.runtime["coi_meta"] = dict(image.payload)
-        return None
-        yield  # pragma: no cover - generator form
-
-
-#: The four shipped resource plugins plus the COI metadata carrier — the
-#: set scenario/fuzz code registers on card OSes in one call.
+#: The four shipped resource plugins — the set scenario/fuzz code
+#: registers on card OSes in one call.
 def register_standard_plugins(os: "OSInstance") -> PluginRegistry:
     """Register every shipped extra plugin on ``os``'s registry."""
     registry = PluginRegistry.of(os)
@@ -487,13 +455,11 @@ def register_standard_plugins(os: "OSInstance") -> PluginRegistry:
     registry.register(RamFSFilePlugin())
     registry.register(SignalPlugin())
     registry.register(RdmaWindowPlugin())
-    registry.register(COIMetadataPlugin())
     return registry
 
 
 __all__ = [
     "CheckpointPlugin",
-    "COIMetadataPlugin",
     "PluginError",
     "PluginImage",
     "PluginRegistry",

@@ -53,7 +53,8 @@ def mpi_checkpoint(job: "MZJob", path_prefix: str):
         raise SnapifyError(f"{job.name}: MPI channels not drained at the park point")
 
     # 2. Capture every rank in parallel: one pre-issued operation per rank,
-    #    demultiplexed by correlation id, awaited through the manager.
+    #    each over its rank's own daemon endpoint, awaited through the
+    #    manager.
     mgr = OperationManager.of(sim)
     ops = []
     for rank in job.ranks:

@@ -169,19 +169,3 @@ class MetricsRegistry:
             "gauges": dict(sorted(gauges.items())),
             "histograms": {n: h.summary() for n, h in sorted(self.histograms.items())},
         }
-
-    def sample(self, tracer: Any) -> Dict[str, Any]:
-        """Emit one ``metric.sample`` trace record per numeric instrument
-        and return the :meth:`snapshot` they were read from.
-
-        This is the bridge from the registry to the trace: sampled values
-        become counter tracks in the Chrome trace-event export. Sampling is
-        explicit (the telemetry sampler's tick) — the registry never emits
-        on its own.
-        """
-        snap = self.snapshot()
-        for kind in ("counters", "gauges"):
-            for name, value in snap[kind].items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    tracer.emit("metric.sample", name=name, value=value)
-        return snap

@@ -166,9 +166,10 @@ class TimeSeriesRecorder:
     Install with :meth:`install` (makes :meth:`sample_tick` the kernel's
     observer and parks the recorder on the simulator, where :meth:`peek`
     finds it).
-    Each tick folds one registry snapshot into the series rings and into
-    ``metric.sample`` trace records (the counter tracks of a Chrome trace
-    export), plus the newly finished operations into the digests.
+    Each tick reads every registry instrument once into the series rings
+    and into ``metric.sample`` trace records (the counter tracks of a
+    Chrome trace export), and folds the newly finished operations into the
+    digests.
     """
 
     _ATTR = "snapify_telemetry"
@@ -216,19 +217,30 @@ class TimeSeriesRecorder:
             self.series[name] = s
         return s
 
+    def _sample(self, name: str, value: Any, now: float) -> None:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            self.sim.trace.emit("metric.sample", name=name, value=value)
+            self._series(name).append(now, value)
+
     def sample_tick(self) -> None:
-        """Fold one registry snapshot into the rings and the trace, and the
-        newly finished operations into the digests; evaluate SLOs."""
+        """Read every instrument once: each numeric counter and gauge becomes
+        a ``metric.sample`` trace record and a series point, each histogram a
+        ``.count`` and a ``.sum`` point. Fold the newly finished operations
+        into the digests; evaluate SLOs."""
         self._fold()
-        snap = MetricsRegistry.of(self.sim).sample(self.sim.trace)
-        now = snap["time"]
-        for kind in ("counters", "gauges"):
-            for name, value in snap[kind].items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    self._series(name).append(now, value)
-        for name, summ in snap["histograms"].items():
-            self._series(name + ".count").append(now, summ["count"])
-            self._series(name + ".sum").append(now, summ["sum"])
+        reg = MetricsRegistry.of(self.sim)
+        now = self.sim.now
+        for name, counter in sorted(reg.counters.items()):
+            self._sample(name, counter.value, now)
+        for name, fn in sorted(reg.gauges.items()):
+            try:
+                value = fn()
+            except Exception:
+                continue  # reading a torn-down component: no sample
+            self._sample(name, value, now)
+        for name, h in sorted(reg.histograms.items()):
+            self._series(name + ".count").append(now, h.count)
+            self._series(name + ".sum").append(now, h.total)
         # Outcome totals as series, so SLO rules get windowed burn rates.
         outcomes = self.outcomes()
         for source, prefix in (("operations", "ops"), ("tickets", "tickets")):

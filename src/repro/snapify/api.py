@@ -181,16 +181,20 @@ def snapify_capture(snap: snapify_t, terminate: bool):
     yield from coiproc.daemon_ep.send(msg)
 
     def _completion_waiter():
-        # Correlated receive: with several captures in flight on this
-        # endpoint, each waiter sees only the completion carrying its own
-        # operation id (the old bare recv() stole whichever came first).
+        # Keyed receive: a completion naming another operation fails this
+        # one rather than being taken as its own.
         while True:
             try:
                 done = yield from mgr.recv_reply(op, coiproc.daemon_ep)
-            except Exception as exc:  # daemon/card died under the capture
-                snap.error = f"lost the COI daemon during capture: {exc}"
+            except Exception as exc:
+                if isinstance(exc, SnapifyError):  # misaddressed reply
+                    # Untagged: snapify_wait's error adds [op N @ STATE].
+                    snap.error, why = exc.reason, "misaddressed-reply"
+                else:  # daemon/card died under the capture
+                    snap.error = f"lost the COI daemon during capture: {exc}"
+                    why = "daemon-lost"
                 op.fail(snap.error)
-                sp.finish(error="daemon-lost")
+                sp.finish(error=why)
                 snap.sem.post()
                 return
             if done.get("t") != c.CAPTURE_REPLICATING:

@@ -37,9 +37,11 @@ class SnapifyError(SimError):
     ``op_id``/``phase`` locate the failure on the operation state machine
     (:mod:`repro.snapify.ops`); fuzz repro artifacts and wait-for graphs
     render them so a failed seed names the operation that wedged.
+    ``reason`` keeps the message without that tag.
     """
 
     def __init__(self, message: str, *, op_id: Any = None, phase: Any = None):
+        self.reason = message
         if op_id is not None:
             message = f"{message} [op {op_id} @ {phase or '?'}]"
         super().__init__(message)
@@ -55,7 +57,7 @@ class ActiveRequest:
     host_ep: ScifEndpoint
     op: str
     #: correlation id of the host-side operation; the agent echoes it in
-    #: every status, so concurrent operations on one endpoint demultiplex.
+    #: every status, and the host checks each reply against it.
     op_id: int
     #: capture-only: terminate the offload process once the context is saved.
     terminate_after: bool = False
@@ -69,9 +71,10 @@ class SnapifyService:
     def __init__(self, daemon: COIDaemon):
         self.daemon = daemon
         self.sim = daemon.sim
-        #: (offload pid, op id) -> request. Keying by operation, not just
-        #: pid, is what lets several operations share one daemon (and even
-        #: one offload process) without completion stealing.
+        #: (offload pid, op id) -> request. The host drives each offload
+        #: process through one operation at a time; keying by the op id as
+        #: well routes each pipe status to the request that issued it
+        #: (:meth:`_match`) and makes a status naming none a typed error.
         self.active: Dict[Any, ActiveRequest] = {}
         self.monitor_running = False
         self.monitor_spawn_count = 0

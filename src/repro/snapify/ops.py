@@ -4,11 +4,10 @@ One *operation* is one end-to-end Snapify action (a checkpoint, a swap-out,
 a restore…) identified by a per-simulator correlation id. The id rides in
 every SERVICE message the host sends, the daemon keys its active-request
 table by ``(pid, op_id)``, and the offload agent echoes the id back in its
-replies — so any number of operations can be in flight on one daemon
-endpoint (and across cards) and every completion lands on the operation
-that asked for it. Before this layer, ``snapify_capture``'s completion
-waiter did a bare ``daemon_ep.recv()`` and two overlapping captures would
-steal each other's ``CAPTURE_COMPLETE``.
+replies — so many operations can be in flight across endpoints and cards,
+and every completion is checked against the operation that asked for it.
+Before this layer, ``snapify_capture``'s completion waiter did a bare
+``daemon_ep.recv()`` and took whichever ``CAPTURE_COMPLETE`` came first.
 
 State machine (one way, monotone)::
 
@@ -37,12 +36,12 @@ emitted as an ``op.state`` trace record), so phase breakdowns are read
 from operation state rather than per-call boilerplate
 (:func:`repro.obs.phases.operation_table`).
 
-Demultiplexing is cooperative, not threaded: ``recv_reply`` elects the
-first caller on an endpoint as the *receiver*; replies addressed to other
-operations are queued on their id and the owners woken. Every reply is
-keyed: one that names no known operation is a :class:`SnapifyError`. A
-single in-flight operation degenerates to exactly one ``yield ep.recv()``,
-so a single-op run draws no extra events.
+Replies are keyed, not demultiplexed. Each offload process is driven over
+its own daemon endpoint (``COIEngine.process_create`` and
+``snapify_restore`` each open one), so ``recv_reply`` is one
+``yield ep.recv()`` plus a check of the id the reply names. A reply naming
+another issued operation, or none, is a :class:`SnapifyError`, never a
+completion taken by the wrong operation.
 
 Each operation ends in one frozen, typed :class:`OperationResult`. Beyond
 its state and phase timings, every field comes from the operation's
@@ -54,9 +53,8 @@ source of the Figure 10/11 numbers.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.events import Event
 from .monitor import SnapifyError
@@ -343,24 +341,8 @@ class SnapifyOperation:
         return f"<SnapifyOperation {self.op_id} {self.kind} {self.state}>"
 
 
-class _EndpointDemux:
-    """Per-endpoint reply routing state (see :meth:`OperationManager.recv_reply`)."""
-
-    __slots__ = ("pending", "waiters", "receiver", "dead")
-
-    def __init__(self):
-        #: op_id -> replies already received on its behalf.
-        self.pending: Dict[int, Deque[Dict[str, Any]]] = {}
-        #: op_id -> event the parked owner is waiting on.
-        self.waiters: Dict[int, Event] = {}
-        #: op_id currently holding the endpoint's recv (None = free).
-        self.receiver: Optional[int] = None
-        #: the exception that killed the endpoint, surfaced to every caller.
-        self.dead: Optional[BaseException] = None
-
-
 class OperationManager:
-    """Issues, tracks, and demultiplexes operations for one simulator."""
+    """Issues, tracks, and waits on operations for one simulator."""
 
     _ATTR = "snapify_operations"
 
@@ -374,7 +356,6 @@ class OperationManager:
         #: (source, destination hardware, bytes) of each file the transfer
         #: chain delivered: a ledger of the ``card_bytes_cross_links`` oracle.
         self.deliveries: List[Tuple[Any, Any, int]] = []
-        self._demux: Dict[int, _EndpointDemux] = {}
 
     @classmethod
     def of(cls, sim: Any) -> "OperationManager":
@@ -446,64 +427,26 @@ class OperationManager:
                                op_id=first.op_id, phase=first.failed_phase)
         return [op.result for op in ops]
 
-    # -- endpoint demultiplexing ----------------------------------------------
+    # -- replies -------------------------------------------------------------
     def recv_reply(self, op: SnapifyOperation, ep: Any):
-        """Sub-generator: the next daemon reply addressed to ``op`` on ``ep``.
+        """Sub-generator: the next daemon reply on ``ep``, which must name ``op``.
 
-        The first operation to ask becomes the endpoint's *receiver* and
-        does the actual ``recv``; replies carrying another operation's id
-        are queued for their owner and the owner's park event triggered. A
-        reply naming no operation this manager issued raises
-        :class:`SnapifyError` instead of reaching whoever happens to be
-        receiving. An endpoint death is latched and re-raised to every
-        caller, preserving the documented "lost the COI daemon" error
-        surface.
+        Each offload process is driven over its own daemon endpoint, so one
+        operation receives on it at a time. A reply naming another
+        operation is a misaddressed completion: it raises
+        :class:`SnapifyError` naming both ids rather than being taken as
+        ``op``'s. A reply naming no operation this manager issued raises
+        too.
         """
-        d = self._demux.get(ep.eid)
-        if d is None:
-            d = self._demux[ep.eid] = _EndpointDemux()
-        me = op.op_id
-        while True:
-            queue = d.pending.get(me)
-            if queue:
-                return queue.popleft()
-            if d.dead is not None:
-                raise d.dead
-            if d.receiver is None:
-                d.receiver = me
-                try:
-                    msg = yield ep.recv()
-                except BaseException as exc:
-                    d.dead = exc
-                    raise
-                finally:
-                    # Runs before the routing below: parked waiters resume
-                    # only after this thread yields again, by which point
-                    # any reply owed to them has been queued.
-                    d.receiver = None
-                    self._wake_waiters(d)
-                target = msg.get("op_id") if isinstance(msg, dict) else None
-                if target == me:
-                    return msg
-                if target not in self.operations:
-                    raise SnapifyError(f"daemon reply names no known operation: {msg!r}",
-                                       op_id=me, phase=op.state)
-                d.pending.setdefault(target, deque()).append(msg)
-            else:
-                ev = d.waiters.get(me)
-                if ev is None or ev.triggered:
-                    ev = Event(self.sim, name=f"op{me}:{op.kind}.reply")
-                    d.waiters[me] = ev
-                yield ev
-
-    @staticmethod
-    def _wake_waiters(d: _EndpointDemux) -> None:
-        if not d.waiters:
-            return
-        waiters, d.waiters = d.waiters, {}
-        for ev in waiters.values():
-            if not ev.triggered:
-                ev.succeed(None)
+        msg = yield ep.recv()
+        target = msg.get("op_id") if isinstance(msg, dict) else None
+        if target == op.op_id:
+            return msg
+        if target not in self.operations:
+            raise SnapifyError(f"daemon reply names no known operation: {msg!r}",
+                               op_id=op.op_id, phase=op.state)
+        raise SnapifyError(f"misaddressed daemon reply: names op {target}, not "
+                           f"op {op.op_id}: {msg!r}", op_id=op.op_id, phase=op.state)
 
 
 # ---------------------------------------------------------------------------

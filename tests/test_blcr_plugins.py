@@ -1,10 +1,9 @@
 """Checkpoint-content plugins: the registry, write-plan cost accounting,
 the four resource plugins (sockets, RAM-FS files, signals, RDMA windows),
-the COI metadata carrier, incremental carriage, the bounded metadata scan,
-and the agent's drain phase."""
+incremental carriage, the bounded metadata scan, and the agent's drain
+phase."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -300,33 +299,6 @@ def test_rdma_windows_refuse_cross_card_migration():
 
 
 # ---------------------------------------------------------------------------
-# COI metadata rides a plugin image
-# ---------------------------------------------------------------------------
-
-
-def test_coi_metadata_plugin_roundtrip():
-    sim, node, host, phis = make_env()
-    register_standard_plugins(phis[0])
-
-    def driver():
-        proc = yield from spawn_bare(phis[0])
-        proc.runtime["coi"] = SimpleNamespace(
-            binary=SimpleNamespace(name="mc.so"),
-            functions_executed=7,
-            _buffers={3, 1},
-            eps={},
-        )
-        restored = yield from roundtrip(host, proc, phis[0])
-        assert restored.runtime["coi_meta"] == {
-            "binary": "mc.so",
-            "functions_executed": 7,
-            "buffers": [1, 3],
-        }
-
-    run(sim, driver())
-
-
-# ---------------------------------------------------------------------------
 # Bounded metadata scan (regression for the unbounded 100k-read loop)
 # ---------------------------------------------------------------------------
 
@@ -435,10 +407,10 @@ def test_standard_plugins_add_under_two_percent_kernel_events():
     """The plugin tax on a fault-free checkpoint cycle: registering every
     standard plugin on both cards (the app owns few of their resources, so
     most decline) adds < 2% scheduled kernel events — registry walk, drain
-    phase and the signal and COI metadata images together. Those images
-    are metadata records of the offload context; Snapify-IO sends the
-    record prologue as one burst, so they cost no kernel events of their
-    own and the context, not the event count, shows the plugins ran."""
+    phase and the signal image together. That image is a metadata record
+    of the offload context; Snapify-IO sends the record prologue as one
+    burst, so it costs no kernel events of its own and the context, not
+    the event count, shows the plugins ran."""
     from repro.snapify import checkpoint_offload_app, snapify_t
     from repro.snapify.constants import context_path
     from repro.testbed import XeonPhiServer, offload_app
@@ -464,8 +436,8 @@ def test_standard_plugins_add_under_two_percent_kernel_events():
 
     (off, ctx_off), (on, ctx_on) = cycle_events(False), cycle_events(True)
     assert ctx_off.plugin_images == []
-    assert [image.plugin for image in ctx_on.plugin_images] == ["signals", "coi_meta"]
-    assert ctx_on.n_small_records == ctx_off.n_small_records + 2
+    assert [image.plugin for image in ctx_on.plugin_images] == ["signals"]
+    assert ctx_on.n_small_records == ctx_off.n_small_records + 1
     assert on < 1.02 * off
 
 

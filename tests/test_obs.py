@@ -188,15 +188,25 @@ def test_registry_snapshot_and_gauge_failure():
 
 
 def test_registry_sample_emits_metric_records():
+    """One telemetry tick reads each instrument once: numeric counters and
+    gauges become ``metric.sample`` records and series points; histograms
+    become ``.count``/``.sum`` points only."""
     sim = Simulator(trace=True)
     reg = MetricsRegistry.of(sim)
     reg.counter("a.n").inc()
     reg.gauge("b.depth", lambda: 2)
     reg.gauge("b.label", lambda: "text")  # non-numeric: not sampled
-    snap = reg.sample(sim.trace)
-    names = {r.fields["name"] for r in sim.trace.find("metric.sample")}
-    assert names == {"a.n", "b.depth"}
-    assert snap["counters"] == {"a.n": 1}   # the snapshot the records came from
+    reg.gauge("b.broken", lambda: 1 / 0)  # raising: skipped
+    reg.histogram("c.lat").observe(0.5)
+    rec = TimeSeriesRecorder(sim)
+    rec.sample_tick()
+    samples = [(r.fields["name"], r.fields["value"])
+               for r in sim.trace.find("metric.sample")]
+    assert samples == [("a.n", 1), ("b.depth", 2)]
+    assert rec.series["a.n"].latest() == 1
+    assert rec.series["c.lat.count"].latest() == 1
+    assert rec.series["c.lat.sum"].latest() == 0.5
+    assert "b.label" not in rec.series and "b.broken" not in rec.series
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +281,7 @@ def test_chrome_trace_lanes_and_pairs():
     sim = Simulator(trace=True)
     _synthetic_operation(sim)
     MetricsRegistry.of(sim).counter("n").inc()
-    MetricsRegistry.of(sim).sample(sim.trace)
+    TimeSeriesRecorder(sim).sample_tick()
     sim.trace.emit("marker", proc="host")
     doc = chrome_trace(sim.trace)
     assert validate_trace_events(doc) == len(doc["traceEvents"])
